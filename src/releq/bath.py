@@ -51,7 +51,6 @@ __all__ = [
     "markovian_limits",
     "spectral_density",
     "windowed_correlator_average",
-    "write_correlator_csv",
 ]
 
 _SUPPORTED_MODELS = ("ohmic-exp",)
@@ -333,33 +332,23 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
     )
 
 
-def kernel_pair(t: float, source, regime: str) -> tuple[complex, complex]:
+def kernel_pair(t: float, params: BathParams, regime: str) -> tuple[complex, complex]:
     """Kernel pair (f, f_beta) at time t for the requested regime.
 
-    ``source`` is either a BathParams (served through the shared table) or
-    a CorrelatorCache; the markovian regime returns the long-time values
-    regardless of t.
+    The non-Markovian regime reads the shared table; the Markovian regime
+    returns the long-time values regardless of t.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if isinstance(source, BathParams):
-        params = source
-        cache = None
-    elif isinstance(source, CorrelatorCache):
-        params = source.params
-        cache = source
-    else:
-        raise TypeError(f"expected BathParams or CorrelatorCache, got {type(source)!r}")
     if regime == "markovian":
         limits = markovian_limits(params)
         return limits.f_inf, limits.f_beta_inf
-    if cache is None:
-        cache = correlator_cache(params)
+    cache = correlator_cache(params)
     return cache.f(t), cache.f_beta(t)
 
 
 # ---------------------------------------------------------------------------
-# Sampling and CSV export.
+# Sampling.
 
 
 def correlator_samples(params: BathParams, times: Sequence[float]) -> list[CorrelationSample]:
@@ -377,11 +366,3 @@ def correlator_samples(params: BathParams, times: Sequence[float]) -> list[Corre
         for t, fv, fbv in zip(times, f_vals, fb_vals)
     ]
 
-
-def write_correlator_csv(path, samples: Sequence[CorrelationSample]) -> None:
-    """Write kernel samples as CSV with shortest round-trip float text."""
-    with open(path, "w", newline="") as handle:
-        handle.write("t,re_f,im_f,re_f_beta,im_f_beta\n")
-        for s in samples:
-            fields = (s.t, s.f.real, s.f.imag, s.f_beta.real, s.f_beta.imag)
-            handle.write(",".join(repr(float(x)) for x in fields) + "\n")

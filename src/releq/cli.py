@@ -6,7 +6,8 @@ JSON metadata sidecar holding the effective configuration, tolerances,
 wall time, and library version.  Floats are written in shortest
 round-trip form, so identical configurations produce byte-identical CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (found before the run
+starts), 3 numerical failure (during the run).
 """
 
 from __future__ import annotations
@@ -14,22 +15,24 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, bath, maxent, oscillator, tls
-from .bath import BathParams, QuadratureError
-from .odeint import OdeError
-from .oscillator import InvariantViolationError
+from .bath import REGIMES, BathParams, QuadratureError
+from .odeint import OdeError, check_tolerances
+from .transport import InvariantViolationError, sample_times
 
 __all__ = ["ConfigError", "ScenarioConfig", "run", "main"]
 
 MODELS = ("oscillator", "tls", "corr", "maxent_solve")
-REGIMES = ("markovian", "non_markovian")
 
 _NUMERICAL_ERRORS = (
     OdeError,
@@ -37,10 +40,10 @@ _NUMERICAL_ERRORS = (
     InvariantViolationError,
     maxent.MaxEntError,
     tls.BoundaryStateError,
-    tls.ResonanceError,
-    oscillator.DegenerateStateError,
-    FloatingPointError,
 )
+
+# Raised while parsing by a value of the wrong type or outside its model's domain.
+_INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
 
 
 class ConfigError(ValueError):
@@ -71,6 +74,16 @@ class ScenarioConfig:
 
     @staticmethod
     def from_dict(raw: dict, regime_override: str | None = None, output_override: str | None = None) -> "ScenarioConfig":
+        """Validate ``raw`` and build the model's inputs; any bad value raises ConfigError."""
+        try:
+            config = ScenarioConfig._parse(raw, regime_override, output_override)
+            config.inputs  # built now, so that bad values are configuration errors
+        except _INPUT_ERRORS as exc:
+            raise ConfigError(str(exc)) from None
+        return config
+
+    @staticmethod
+    def _parse(raw, regime_override, output_override) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ConfigError("configuration must be a JSON object")
         known = set(ScenarioConfig.__dataclass_fields__) | {"tolerances"}
@@ -94,21 +107,22 @@ class ScenarioConfig:
         output_path = output_override or raw.get("output_path", "")
         if not output_path:
             raise ConfigError("output_path is required (or pass --output)")
+        if not Path(output_path).parent.is_dir():
+            raise ConfigError(f"output directory {Path(output_path).parent} does not exist")
 
         t_max = float(raw.get("t_max", 0.0))
         dt_out = float(raw.get("dt_out", 0.0))
+        if not (math.isfinite(t_max) and math.isfinite(dt_out)):
+            raise ConfigError(f"t_max and dt_out must be finite, got {t_max} and {dt_out}")
         if model in ("oscillator", "tls"):
-            if t_max <= 0:
-                raise ConfigError(f"{model} runs need t_max > 0, got {t_max}")
-            if dt_out <= 0:
-                raise ConfigError(f"{model} runs need dt_out > 0, got {dt_out}")
+            if not 0 < dt_out <= t_max:
+                raise ConfigError(f"{model} runs need 0 < dt_out <= t_max, got {dt_out} and {t_max}")
+            check_tolerances(rel_tol, abs_tol)
         elif model == "corr":
-            if t_max < 0:
-                raise ConfigError(f"corr runs need t_max >= 0, got {t_max}")
-            if dt_out <= 0 and t_max > 0:
-                raise ConfigError(f"corr runs need dt_out > 0, got {dt_out}")
+            if t_max < 0 or (t_max > 0 and dt_out <= 0):
+                raise ConfigError(f"corr runs need t_max >= 0 and dt_out > 0, got {t_max} and {dt_out}")
 
-        config = ScenarioConfig(
+        return ScenarioConfig(
             model=model,
             params=dict(raw.get("params", {})),
             initial=list(raw.get("initial", [])),
@@ -121,56 +135,62 @@ class ScenarioConfig:
             operator_set=dict(raw.get("operator_set", {})),
             targets=list(raw.get("targets", [])),
         )
-        config._validate_model_fields()
-        return config
 
-    def _validate_model_fields(self):
-        if self.model in ("oscillator", "tls", "corr"):
-            for name in ("W", "beta_bath"):
-                if name not in self.params:
-                    raise ConfigError(f"params.{name} is required for model {self.model}")
-        if self.model == "oscillator" and len(self.initial) != 3:
-            raise ConfigError("oscillator initial must be [re_a, im_a, n]")
-        if self.model == "tls":
-            if len(self.initial) != 3:
-                raise ConfigError("tls initial must be [sz, re_sp, im_sp]")
-            if "Omega" not in self.params:
-                raise ConfigError("params.Omega is required for model tls")
+    @cached_property
+    def inputs(self) -> tuple:
+        """The model's objects, built from the raw fields.
+
+        ``(params, initial_state)`` for oscillator and tls, ``(bath, times)``
+        for corr, ``(operator_set, targets, initial_multipliers)`` for
+        maxent_solve.
+        """
         if self.model == "maxent_solve":
-            if "kind" not in self.operator_set:
-                raise ConfigError("maxent_solve needs operator_set.kind")
-            if not self.targets:
-                raise ConfigError("maxent_solve needs a targets list")
+            ops = _build_operator_set(self.operator_set)
+            initial = _complex_pairs(self.initial, len(ops), "initial multipliers") if self.initial else None
+            return ops, _complex_pairs(self.targets, len(ops), "targets"), initial
+        for name in ("W", "beta_bath") + (("Omega",) if self.model == "tls" else ()):
+            if name not in self.params:
+                raise ConfigError(f"params.{name} is required for model {self.model}")
+        bath_params = BathParams(
+            W=float(self.params["W"]),
+            beta=float(self.params["beta_bath"]),
+            omega0=float(self.params.get("omega0", 1.0)),
+        )
+        if self.model == "corr":
+            return bath_params, sample_times(self.t_max, self.dt_out) if self.t_max > 0 else np.empty(0)
+        values = [float(v) for v in self.initial]
+        if len(values) != 3 or not all(map(math.isfinite, values)):
+            names = "[re_a, im_a, n]" if self.model == "oscillator" else "[sz, re_sp, im_sp]"
+            raise ConfigError(f"{self.model} initial must be three finite numbers {names}")
+        if self.model == "oscillator":
+            initial = oscillator.OscillatorState(mean_a=complex(values[0], values[1]), mean_n=values[2])
+            oscillator.check_domain([0.0], [initial.mean_a], [initial.mean_n])
+            return bath_params, initial
+        params = tls.TlsParams(
+            omega0=bath_params.omega0,
+            omegaL=float(self.params.get("omegaL", bath_params.omega0)),
+            Omega=float(self.params["Omega"]),
+            bath=bath_params,
+        )
+        params.require_resonance()
+        initial = tls.TlsState(mean_sz=values[0], mean_sp=complex(values[1], values[2]))
+        tls.check_domain([0.0], [initial.mean_sz], [initial.mean_sp])
+        return params, initial
 
-    def bath_params(self) -> BathParams:
-        try:
-            return BathParams(
-                W=float(self.params["W"]),
-                beta=float(self.params["beta_bath"]),
-                omega0=float(self.params.get("omega0", 1.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
-    def sample_times(self) -> np.ndarray:
-        if self.t_max == 0.0:
-            return np.empty(0)
-        count = int(np.floor(self.t_max / self.dt_out + 1e-9))
-        return np.arange(count + 1) * self.dt_out
-
-
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values) + "\n"
+def _format_cell(value) -> str:
+    """An int as itself, anything else in shortest round-trip float form."""
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def _write_csv(path: str, header: str, rows) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
         for row in rows:
-            handle.write(_format_row(row))
+            handle.write(",".join(map(_format_cell, row)) + "\n")
 
 
-def _complex_pairs(values) -> np.ndarray:
+def _complex_pairs(values, size: int, name: str) -> np.ndarray:
     out = []
     for entry in values:
         if isinstance(entry, (int, float)):
@@ -178,7 +198,10 @@ def _complex_pairs(values) -> np.ndarray:
         else:
             re, im = entry
             out.append(complex(float(re), float(im)))
-    return np.array(out, dtype=complex)
+    out = np.array(out, dtype=complex)
+    if out.size != size or not np.all(np.isfinite(out)):
+        raise ConfigError(f"{name} must be {size} finite numbers or [re, im] pairs")
+    return out
 
 
 def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
@@ -202,11 +225,10 @@ def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
     raise ConfigError(f"operator_set.kind must be spin, fock, or explicit, got {kind!r}")
 
 
-def _run_oscillator(config: ScenarioConfig) -> list:
-    params = config.bath_params()
-    re_a, im_a, n0 = (float(v) for v in config.initial)
-    initial = oscillator.OscillatorState(mean_a=complex(re_a, im_a), mean_n=n0)
-    run_data = oscillator.simulate(
+def _run_transport(config: ScenarioConfig) -> None:
+    params, initial = config.inputs
+    model = oscillator if config.model == "oscillator" else tls
+    run_data = model.simulate(
         initial,
         params,
         config.regime,
@@ -215,64 +237,21 @@ def _run_oscillator(config: ScenarioConfig) -> list:
         rel_tol=config.rel_tol,
         abs_tol=config.abs_tol,
     )
-    rows = [
-        (t, a.real, a.imag, n, s, b)
-        for t, a, n, s, b in zip(
-            run_data.times, run_data.mean_a, run_data.mean_n, run_data.entropy, run_data.beta
-        )
-    ]
-    _write_csv(config.output_path, "t,re_a,im_a,n,S,beta", rows)
-    return rows
+    _write_csv(config.output_path, run_data.csv_header, zip(*run_data.csv_columns()))
 
 
-def _run_tls(config: ScenarioConfig) -> list:
-    bath_params = config.bath_params()
-    omega0 = bath_params.omega0
-    params = tls.TlsParams(
-        omega0=omega0,
-        omegaL=float(config.params.get("omegaL", omega0)),
-        Omega=float(config.params["Omega"]),
-        bath=bath_params,
-    )
-    sz, re_sp, im_sp = (float(v) for v in config.initial)
-    initial = tls.TlsState(mean_sz=sz, mean_sp=complex(re_sp, im_sp))
-    run_data = tls.simulate(
-        initial,
-        params,
-        config.regime,
-        t_max=config.t_max,
-        dt_out=config.dt_out,
-        rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
-    )
-    rows = [
-        (t, sz_t, sp.real, sp.imag, s, b)
-        for t, sz_t, sp, s, b in zip(
-            run_data.times, run_data.mean_sz, run_data.mean_sp, run_data.entropy, run_data.beta
-        )
-    ]
-    _write_csv(config.output_path, "t,sz,re_sp,im_sp,S,beta", rows)
-    return rows
+def _run_corr(config: ScenarioConfig) -> None:
+    samples = bath.correlator_samples(*config.inputs)
+    rows = ((s.t, s.f.real, s.f.imag, s.f_beta.real, s.f_beta.imag) for s in samples)
+    _write_csv(config.output_path, "t,re_f,im_f,re_f_beta,im_f_beta", rows)
 
 
-def _run_corr(config: ScenarioConfig) -> list:
-    params = config.bath_params()
-    samples = bath.correlator_samples(params, config.sample_times())
-    bath.write_correlator_csv(config.output_path, samples)
-    return [(s.t, s.f.real, s.f.imag, s.f_beta.real, s.f_beta.imag) for s in samples]
-
-
-def _run_maxent(config: ScenarioConfig) -> list:
-    ops = _build_operator_set(config.operator_set)
-    targets = _complex_pairs(config.targets)
-    initial = _complex_pairs(config.initial) if config.initial else None
+def _run_maxent(config: ScenarioConfig) -> dict:
+    ops, targets, initial = config.inputs
     solution = maxent.solve_self_consistency(targets, ops, initial_F=initial)
     state = maxent.build_state(solution, ops)
-    with open(config.output_path, "w", newline="") as handle:
-        handle.write("m,re_F,im_F,re_target,im_target\n")
-        for m, (f, t) in enumerate(zip(solution, targets)):
-            tail = ",".join(repr(float(v)) for v in (f.real, f.imag, t.real, t.imag))
-            handle.write(f"{m},{tail}\n")
+    rows = ((m, f.real, f.imag, t.real, t.imag) for m, (f, t) in enumerate(zip(solution, targets)))
+    _write_csv(config.output_path, "m,re_F,im_F,re_target,im_target", rows)
     return {
         "phi": state.phi,
         "entropy": maxent.entropy(state, targets),
@@ -284,8 +263,8 @@ def run(config: ScenarioConfig) -> dict:
     """Execute one scenario; returns the metadata written next to the CSV."""
     start = time.perf_counter()
     runner = {
-        "oscillator": _run_oscillator,
-        "tls": _run_tls,
+        "oscillator": _run_transport,
+        "tls": _run_transport,
         "corr": _run_corr,
         "maxent_solve": _run_maxent,
     }[config.model]
@@ -316,15 +295,24 @@ def _run_single(config_path: str, args) -> int:
                 f"config {config_path} declares model {config.model!r}, "
                 f"command line asked for {args.model!r}"
             )
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:  # ConfigError, bad JSON, unreadable file
+        print(f"{config_path}: configuration error: {exc}", file=sys.stderr)
         return 2
     try:
         run(config)
     except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"{config_path}: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
+
+
+def _sweep_one(config_path: str, args) -> int:
+    """Run one sweep file; an unexpected failure is reported and counted as exit 3."""
+    try:
+        return _run_single(config_path, args)
+    except Exception:
+        print(f"{config_path}: unexpected failure\n{traceback.format_exc()}", end="", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:
@@ -354,7 +342,7 @@ def main(argv=None) -> int:
             print("--output cannot be shared by a sweep", file=sys.stderr)
             return 2
         with concurrent.futures.ThreadPoolExecutor() as pool:
-            codes = list(pool.map(lambda p: _run_single(str(p), args), configs))
+            codes = list(pool.map(lambda p: _sweep_one(str(p), args), configs))
         return max(codes)
 
     if not args.model or not args.config:

@@ -254,27 +254,11 @@ def _unpack(x: np.ndarray, coords, pairing, size: int) -> np.ndarray:
     return F
 
 
-def _pack_residual(residual: np.ndarray, coords) -> np.ndarray:
+def _pack(values: np.ndarray, coords) -> np.ndarray:
+    """Real coordinates of a multiplier or residual vector; undoes ``_unpack``."""
     out = np.empty(len(coords))
     for k, (kind, m) in enumerate(coords):
-        if kind == "real":
-            out[k] = residual[m].real
-        elif kind == "pair_re":
-            out[k] = residual[m].real
-        else:
-            out[k] = residual[m].imag
-    return out
-
-
-def _pack_multipliers(F: np.ndarray, coords) -> np.ndarray:
-    out = np.empty(len(coords))
-    for k, (kind, m) in enumerate(coords):
-        if kind == "real":
-            out[k] = F[m].real
-        elif kind == "pair_re":
-            out[k] = F[m].real
-        else:
-            out[k] = F[m].imag
+        out[k] = values[m].imag if kind == "pair_im" else values[m].real
     return out
 
 
@@ -313,12 +297,12 @@ def solve_self_consistency(
     if initial_F is None:
         x = np.zeros(len(coords))
     else:
-        x = _pack_multipliers(validate_multipliers(initial_F, ops), coords)
+        x = _pack(validate_multipliers(initial_F, ops), coords)
 
     def residual_of(x_vec: np.ndarray) -> tuple[np.ndarray, float]:
         F = _unpack(x_vec, coords, ops.pairing, len(ops))
         res = moments(build_state(F, ops), ops) - targets
-        return _pack_residual(res, coords), float(np.max(np.abs(res)))
+        return _pack(res, coords), float(np.max(np.abs(res)))
 
     packed, res_inf = residual_of(x)
     best = res_inf

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["OdeError", "OdeProblem", "Trajectory", "integrate"]
+__all__ = ["OdeError", "OdeProblem", "Trajectory", "check_tolerances", "integrate"]
 
 # Dormand-Prince 5(4) tableau.  The last row of _A doubles as the 5th-order
 # propagation weights (FSAL: the 7th stage is the derivative at the accepted
@@ -66,13 +66,19 @@ class OdeError(RuntimeError):
         self.last_time = last_time
 
 
+def check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    """Raise ValueError unless both tolerances lie in (0, 1e-2]."""
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0.0 < tol <= 1e-2:
+            raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
+
+
 @dataclass(frozen=True)
 class OdeProblem:
     """An initial-value problem dy/dt = rhs(t, y) on a finite interval.
 
-    ``max_step`` defaults to 0.01, the cap used by the transport runs so
-    that oscillating coefficient functions are always resolved; callers may
-    widen it for problems where pure error control is preferable.
+    ``max_step`` defaults to 0.01; widen it where pure error control is
+    preferable.
     """
 
     dimension: int
@@ -87,9 +93,7 @@ class OdeProblem:
         t0, t1 = self.t_span
         if not t1 > t0:
             raise ValueError(f"t_span must satisfy t1 > t0, got {self.t_span}")
-        for name, tol in (("rel_tol", self.rel_tol), ("abs_tol", self.abs_tol)):
-            if not 0.0 < tol <= 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
+        check_tolerances(self.rel_tol, self.abs_tol)
         if self.max_step <= 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
         y0 = np.asarray(self.y0, dtype=complex).reshape(-1)

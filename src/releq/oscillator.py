@@ -28,7 +28,8 @@ from .bath import (
     kernel_pair,
     markovian_limits,
 )
-from .odeint import OdeProblem, integrate
+from .odeint import integrate
+from .transport import InvariantViolationError, setup
 
 __all__ = [
     "REGIMES",
@@ -45,6 +46,7 @@ __all__ = [
     "entropy",
     "inverse_temperature",
     "quartic_correlator",
+    "check_domain",
     "simulate",
 ]
 
@@ -57,10 +59,6 @@ class DegenerateStateError(ValueError):
 
 class DegenerateStateWarning(UserWarning):
     """Limit value returned for a state at the coherent boundary."""
-
-
-class InvariantViolationError(RuntimeError):
-    """A trajectory left the domain of the thermodynamic formulas."""
 
 
 @dataclass(frozen=True)
@@ -229,6 +227,24 @@ class OscillatorRun:
     entropy: np.ndarray
     beta: np.ndarray
 
+    csv_header = "t,re_a,im_a,n,S,beta"
+
+    def csv_columns(self) -> tuple:
+        """Columns in ``csv_header`` order."""
+        return (self.times, self.mean_a.real, self.mean_a.imag, self.mean_n, self.entropy, self.beta)
+
+
+def check_domain(times, mean_a, mean_n) -> np.ndarray:
+    """Incoherent occupation n_eff of sampled states; raises where it is not positive."""
+    n_eff = np.asarray(mean_n) - np.abs(mean_a) ** 2
+    if np.any(n_eff <= 0.0):
+        bad = int(np.argmax(n_eff <= 0.0))
+        raise InvariantViolationError(
+            f"incoherent occupation n_eff = {n_eff[bad]:.3e} <= 0 at "
+            f"t = {times[bad]:.6g}; the thermodynamic description broke down"
+        )
+    return n_eff
+
 
 def simulate(
     initial: OscillatorState,
@@ -245,46 +261,22 @@ def simulate(
     the thermodynamic formulas to apply; a violation aborts with the time
     and value at fault rather than clamping.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if t_max <= 0 or dt_out <= 0:
-        raise ValueError("t_max and dt_out must be positive")
-    if regime == "non_markovian":
-        correlator_cache(params).ensure_horizon(t_max)
 
     def vector_rhs(t, y):
         state = OscillatorState(mean_a=complex(y[0]), mean_n=max(float(y[1].real), 0.0))
-        da, dn = rhs(t, state, params, regime)
-        return np.array([da, dn], dtype=complex)
+        return np.array(rhs(t, state, params, regime), dtype=complex)
 
-    n_samples = int(math.floor(t_max / dt_out + 1e-9))
-    times = np.arange(n_samples + 1) * dt_out
-    problem = OdeProblem(
-        dimension=2,
-        rhs=vector_rhs,
-        t_span=(0.0, float(times[-1])),
-        y0=np.array([initial.mean_a, initial.mean_n], dtype=complex),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_step=0.01 / params.omega0,
+    problem, times = setup(
+        vector_rhs, (initial.mean_a, initial.mean_n), params, regime, t_max, dt_out, rel_tol, abs_tol
     )
-    trajectory = integrate(problem, times)
-
-    mean_a = trajectory.states[:, 0]
-    mean_n = trajectory.states[:, 1].real
-    n_eff = mean_n - np.abs(mean_a) ** 2
-    if np.any(n_eff <= 0.0):
-        bad = int(np.argmax(n_eff <= 0.0))
-        raise InvariantViolationError(
-            f"incoherent occupation n_eff = {n_eff[bad]:.3e} <= 0 at "
-            f"t = {times[bad]:.6g}; the thermodynamic description broke down"
-        )
-    entropy_series = (1.0 + n_eff) * np.log1p(n_eff) - n_eff * np.log(n_eff)
-    beta_series = np.log1p(1.0 / n_eff) / params.omega0
+    states = integrate(problem, times).states
+    mean_a = states[:, 0]
+    mean_n = states[:, 1].real
+    n_eff = check_domain(times, mean_a, mean_n)
     return OscillatorRun(
         times=times,
         mean_a=mean_a,
         mean_n=mean_n,
-        entropy=entropy_series,
-        beta=beta_series,
+        entropy=(1.0 + n_eff) * np.log1p(n_eff) - n_eff * np.log(n_eff),
+        beta=np.log1p(1.0 / n_eff) / params.omega0,
     )

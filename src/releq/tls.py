@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import REGIMES, BathParams, kernel_pair
-from .odeint import OdeProblem, integrate
-from .oscillator import InvariantViolationError
+from .odeint import integrate
 from .specfun import arctanh_ratio
+from .transport import InvariantViolationError, setup
 
 __all__ = [
     "REGIMES",
@@ -45,6 +45,7 @@ __all__ = [
     "entropy",
     "inverse_temperature",
     "evolution_coeffs",
+    "check_domain",
     "simulate",
 ]
 
@@ -104,7 +105,7 @@ class TlsParams:
                 f"drive amplitude {self.Omega} exceeds half the level splitting "
                 f"{self.omega0}; the transport equations assume a weak drive",
                 ValidityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -212,6 +213,23 @@ class TlsRun:
     entropy: np.ndarray
     beta: np.ndarray
 
+    csv_header = "t,sz,re_sp,im_sp,S,beta"
+
+    def csv_columns(self) -> tuple:
+        """Columns in ``csv_header`` order."""
+        return (self.times, self.mean_sz, self.mean_sp.real, self.mean_sp.imag, self.entropy, self.beta)
+
+
+def check_domain(times, mean_sz, mean_sp) -> None:
+    """Raise where a sampled state lies outside the Bloch ball (X > 1/2 + 1e-9)."""
+    radius = np.hypot(np.abs(mean_sp), mean_sz)
+    if np.any(radius > 0.5 + 1e-9):
+        bad = int(np.argmax(radius > 0.5 + 1e-9))
+        raise InvariantViolationError(
+            f"Bloch radius X = {float(radius[bad])!r} > 1/2 at t = {times[bad]:.6g}; "
+            "the trajectory left the Bloch ball"
+        )
+
 
 def simulate(
     initial: TlsState,
@@ -227,40 +245,21 @@ def simulate(
     Trajectories must stay inside the Bloch ball (X <= 1/2 within 1e-9);
     leaving it aborts with the time and radius at fault.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if t_max <= 0 or dt_out <= 0:
-        raise ValueError("t_max and dt_out must be positive")
-    params.require_resonance()
 
     def vector_rhs(t, y):
         state = TlsState(mean_sz=float(y[0].real), mean_sp=complex(y[1]))
-        d_sz, d_sp = rhs(t, state, params, regime)
-        return np.array([d_sz, d_sp], dtype=complex)
+        return np.array(rhs(t, state, params, regime), dtype=complex)
 
-    n_samples = int(math.floor(t_max / dt_out + 1e-9))
-    times = np.arange(n_samples + 1) * dt_out
-    problem = OdeProblem(
-        dimension=2,
-        rhs=vector_rhs,
-        t_span=(0.0, float(times[-1])),
-        y0=np.array([initial.mean_sz, initial.mean_sp], dtype=complex),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        max_step=0.01 / params.omega0,
+    problem, times = setup(
+        vector_rhs, (initial.mean_sz, initial.mean_sp), params.bath, regime, t_max, dt_out, rel_tol, abs_tol
     )
-    trajectory = integrate(problem, times)
+    states = integrate(problem, times).states
+    mean_sz = states[:, 0].real
+    mean_sp = states[:, 1]
+    check_domain(times, mean_sz, mean_sp)
 
-    mean_sz = trajectory.states[:, 0].real
-    mean_sp = trajectory.states[:, 1]
-    radius = np.hypot(np.abs(mean_sp), mean_sz)
-    if np.any(radius > 0.5 + 1e-9):
-        bad = int(np.argmax(radius > 0.5 + 1e-9))
-        raise InvariantViolationError(
-            f"Bloch radius X = {radius[bad]!r} > 1/2 at t = {times[bad]:.6g}; "
-            "the trajectory left the Bloch ball"
-        )
-
+    # Per-sample scalar formulas: a vectorised form moves S and beta in the
+    # last bits, and this loop is a small share of a run.
     entropy_series = np.empty(times.size)
     beta_series = np.empty(times.size)
     for k in range(times.size):

@@ -1,0 +1,46 @@
+"""Run set-up shared by the oscillator and two-level transport models: the
+output grid, the argument checks, the kernel-table horizon and the step cap.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .bath import REGIMES, BathParams, correlator_cache
+from .odeint import OdeProblem
+
+
+class InvariantViolationError(RuntimeError):
+    """A trajectory left the domain of the thermodynamic formulas."""
+
+
+def sample_times(t_max: float, dt_out: float) -> np.ndarray:
+    """Output grid 0, dt_out, 2 dt_out, ... up to t_max (within 1e-9 of a step)."""
+    return np.arange(int(math.floor(t_max / dt_out + 1e-9)) + 1) * dt_out
+
+
+def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
+    """``(OdeProblem, sample times)`` of one transport run.
+
+    Steps are capped at 0.01 / omega0 so that the kernels, which oscillate
+    at the system frequency, stay resolved.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    if not 0 < dt_out <= t_max:
+        raise ValueError(f"need 0 < dt_out <= t_max, got dt_out = {dt_out}, t_max = {t_max}")
+    if regime == "non_markovian":
+        correlator_cache(bath).ensure_horizon(t_max)
+    times = sample_times(t_max, dt_out)
+    problem = OdeProblem(
+        dimension=2,
+        rhs=rhs,
+        t_span=(0.0, float(times[-1])),
+        y0=np.array(y0, dtype=complex),
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+        max_step=0.01 / bath.omega0,
+    )
+    return problem, times

@@ -19,7 +19,6 @@ from releq.bath import (
     markovian_limits,
     spectral_density,
     windowed_correlator_average,
-    write_correlator_csv,
 )
 
 F_AT_1 = F_ORACLE_T1
@@ -154,19 +153,7 @@ class TestMarkovianLimits:
 
 
 class TestSamplesAndCsv:
-    def test_samples_and_dump(self, fig_bath, tmp_path):
+    def test_samples_and_dump(self, fig_bath):
         samples = correlator_samples(fig_bath, [0.0, 0.5, 1.0])
         assert samples[0].f == 0j and samples[0].f_beta == 0j
         assert samples[2].f == pytest.approx(F_AT_1, rel=1e-7)
-        path = tmp_path / "corr.csv"
-        write_correlator_csv(path, samples)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,re_f,im_f,re_f_beta,im_f_beta"
-        assert len(lines) == 4
-        first = [float(x) for x in lines[1].split(",")]
-        assert first == [0.0, 0.0, 0.0, 0.0, 0.0]
-
-    def test_empty_sample_list(self, fig_bath, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_correlator_csv(path, correlator_samples(fig_bath, []))
-        assert path.read_text() == "t,re_f,im_f,re_f_beta,im_f_beta\n"

@@ -1,9 +1,20 @@
+import copy
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from releq.cli import ConfigError, ScenarioConfig, main, run
+from releq import oscillator
+from releq.bath import REGIMES
+from releq.cli import MODELS, ConfigError, ScenarioConfig, main, run
+
+
+TLS_PARAMS = {"omega0": 1.0, "omegaL": 1.0, "W": 10.0, "beta_bath": 3.0, "Omega": 0.3}
 
 
 def write_config(path, **overrides):
@@ -77,6 +88,40 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         write_config(path)
         assert main(["tls", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"initial": [1, 0, -1]},
+            {"initial": ["x", 0, 9]},
+            {"params": {"W": -1, "beta_bath": 3.0}},
+            {"initial": [1, 0, 0.5]},
+            {"model": "tls", "params": TLS_PARAMS, "initial": [0.4, 0.4, 0.0]},
+            {"model": "tls", "params": dict(TLS_PARAMS, omegaL=1.3), "initial": [0.0, 0.0, 0.0]},
+            {"t_max": float("nan")},
+            {"tolerances": {"rel_tol": 0.0}},
+            {"output_path": "missing-directory/out.csv"},
+            {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.3, 0.0]], "initial": []},
+        ],
+        ids=[
+            "negative-n",
+            "non-numeric-initial",
+            "negative-W",
+            "n-below-amplitude",
+            "outside-bloch-ball",
+            "detuned-drive",
+            "nan-horizon",
+            "zero-tolerance",
+            "missing-output-directory",
+            "target-count",
+        ],
+    )
+    def test_input_errors_exit_2_before_the_run(self, tmp_path, capsys, overrides):
+        path = tmp_path / "cfg.json"
+        config = write_config(path, **overrides)
+        assert main([config["model"], "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestOscillatorRuns:
@@ -159,7 +204,10 @@ class TestOtherModels:
         write_config(path, model="corr", t_max=1.0, dt_out=0.5, initial=[])
         assert main(["corr", "--config", str(path)]) == 0
         lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[0] == "t,re_f,im_f,re_f_beta,im_f_beta"
         assert len(lines) == 4
+        first = [float(x) for x in lines[1].split(",")]
+        assert first == [0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_maxent_spin_solve(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -234,6 +282,35 @@ class TestSweep:
         write_config(sweep_dir / "a.json", output_path=str(tmp_path / "a.csv"))
         assert main(["tls", "--sweep", str(sweep_dir)]) == 2
 
+    @pytest.mark.parametrize("failure, expected", [("config", 2), ("crash", 3)])
+    def test_bad_file_does_not_stop_the_sweep(self, tmp_path, capsys, monkeypatch, failure, expected):
+        sweep_dir = tmp_path / "sweep"
+        sweep_dir.mkdir()
+        write_config(
+            sweep_dir / "bad.json",
+            initial=[1, 0, -1] if failure == "config" else [1, 0, 9],
+            output_path=str(tmp_path / "bad.csv"),
+        )
+        write_config(
+            sweep_dir / "good.json",
+            model="corr",
+            t_max=0.5,
+            dt_out=0.25,
+            initial=[],
+            output_path=str(tmp_path / "good.csv"),
+        )
+        if failure == "crash":
+
+            def crash(*args, **kwargs):
+                raise RuntimeError("injected failure")
+
+            monkeypatch.setattr(oscillator, "simulate", crash)
+        assert main(["--sweep", str(sweep_dir)]) == expected
+        assert (tmp_path / "good.csv").exists()
+        err = capsys.readouterr().err
+        assert str(sweep_dir / "bad.json") in err
+        assert str(sweep_dir / "good.json") not in err
+
     def test_empty_sweep_dir(self, tmp_path):
         sweep_dir = tmp_path / "sweep"
         sweep_dir.mkdir()
@@ -242,3 +319,117 @@ class TestSweep:
     def test_missing_arguments(self, capsys):
         assert main([]) == 2
         assert "required" in capsys.readouterr().err
+
+
+# The README configurations, both regimes where they apply.  The digests are
+# those of the output before the oscillator and two-level runs shared one
+# set-up and one CSV writer; any change to a number or its text shows here.
+# They were taken on x86-64 with numpy 2.4.6 and scipy 1.17.1; another libm
+# or BLAS may move last bits.
+_README_OSCILLATOR = {
+    "model": "oscillator",
+    "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0},
+    "initial": [1.0, 0.0, 9.0],
+    "t_max": 20.0,
+    "dt_out": 0.01,
+    "tolerances": {"rel_tol": 1e-9, "abs_tol": 1e-12},
+}
+_README_TLS = {
+    "model": "tls",
+    "params": {"omega0": 1.0, "omegaL": 1.0, "Omega": 5.0, "W": 10.0, "beta_bath": 3.0},
+    "initial": [0.0, 0.0, 0.0],
+    "t_max": 20.0,
+    "dt_out": 0.01,
+}
+_WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
+PINNED_CSV = [
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "64f2a99aceb4cc117ed80b5fdd74e6e7b027effe9647be6a705890835c3bfa65"),
+    (dict(_README_OSCILLATOR, regime="markovian"), "7a91de2b1f3ca302677c4904329e5eec56a09c140c9ca08809a28c74479ecbbc"),
+    (dict(_README_TLS, regime="non_markovian"), "2b704cbb6dd51e6acc38a14b5679812ec666cca241c930926cbdae4513fd97d6"),
+    (dict(_README_TLS, regime="markovian"), "7f0aa9cc41153e91c4bf00b01e38fec5dadcdb9651315b5745b1a41d9108967f"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "c683215637a31e7911b59b2e0c800c6ce61b3d29b1cb530de1728f40727b6b55"),
+    (dict(_WEAK_TLS, regime="markovian"), "c85c295a8bec721def0ceeccd9b68a4680dc0e4b8c77d442d6c752560f0cfc44"),
+    (
+        {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
+        "a637aa0e6a4596d1b78a0d3feb64aca15581db58dfe60fd9547e4d55f773ff23",
+    ),
+    (
+        {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},
+        "8a59c0d17ccb998108549e7c4b061f351c639f07d7c7edb994d18a197f8a94da",
+    ),
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "config, digest",
+    PINNED_CSV,
+    ids=["osc-nm", "osc-m", "tls-nm", "tls-m", "weak-tls-nm", "weak-tls-m", "corr", "maxent"],
+)
+def test_readme_csv_bytes_are_pinned(tmp_path, config, digest):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
+    assert main([config["model"], "--config", str(path)]) == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+# Each example starts from a valid configuration of one model and applies up
+# to three edits of a field, each to a plausible value or to one of the wrong
+# type or range.
+# Valid values are few, so the kernel tables and long-time limits are shared
+# between examples, and t_max <= 0.5 and small Fock dimensions keep each run
+# short.
+_SZ = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]
+_BATH = {"W": 10.0, "beta_bath": 3.0}
+_BASE = {
+    "oscillator": {"params": _BATH, "initial": [1.0, 0.0, 9.0], "t_max": 0.5, "dt_out": 0.25},
+    "tls": {"params": dict(_BATH, Omega=0.3), "initial": [0.0, 0.0, 0.0], "t_max": 0.5, "dt_out": 0.25},
+    "corr": {"params": _BATH, "t_max": 0.5, "dt_out": 0.25},
+    "maxent_solve": {"operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},
+}
+_JUNK = ["x", None, [], {}, -1.0, 0.0, float("nan"), float("inf")]
+_EDITS = {
+    ("model",): list(MODELS),
+    ("params",): [],
+    ("params", "W"): [5.0],
+    ("params", "beta_bath"): [1.0],
+    ("params", "omega0"): [2.0],
+    ("params", "Omega"): [5.0],
+    ("params", "omegaL"): [1.3],
+    ("initial",): [[0.4, 0.4, 0.0], [1.0, 0.0, 0.5], [0.2, 0.1, -0.1], [0.5, 0.0, 0.0], [1.0, 0.0], ["x", 0, 9]],
+    ("regime",): list(REGIMES),
+    ("t_max",): [0.1],
+    ("dt_out",): [0.05, 1.0],
+    ("tolerances",): [{"rel_tol": 1e-6}, {"abs_tol": 1.0}],
+    ("operator_set",): [{"kind": "fock", "dim": 8}, {"kind": "explicit", "operators": [_SZ], "pairing": [0]}],
+    ("operator_set", "dim"): [2, 8],
+    ("operator_set", "pairing"): [[1], [0.0]],
+    ("targets",): [[0.3], [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.3, 0.1], [0.0, 0.0]], [0.0, 0.2, 0.0]],
+}
+
+
+@st.composite
+def _edited_configs(draw):
+    model = draw(st.sampled_from(MODELS))
+    config = json.loads(json.dumps(dict(_BASE[model], model=model)))
+    for path in draw(st.lists(st.sampled_from(list(_EDITS)), max_size=3, unique=True)):
+        value = draw(st.sampled_from(_EDITS[path] + _JUNK))
+        *parents, last = path
+        owner = config
+        for key in parents:
+            owner = owner.get(key) if isinstance(owner, dict) else None
+        if isinstance(owner, dict):
+            owner[last] = copy.deepcopy(value)
+    return model, config
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@given(case=_edited_configs(), markovian=st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_any_config_exits_0_2_or_3(case, markovian):
+    model, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(dict(config, output_path=str(Path(tmp) / "out.csv"))))
+        argv = [model, "--config", str(path)] + (["--markovian"] if markovian else [])
+        assert main(argv) in (0, 2, 3)

@@ -18,6 +18,7 @@ from releq.tls import (
     TlsParams,
     TlsState,
     ValidityWarning,
+    check_domain,
     entropy,
     evolution_coeffs,
     inverse_temperature,
@@ -49,8 +50,9 @@ def admissible_grid(count_radius=10, count_angle=10):
 
 class TestParams:
     def test_strong_drive_warns(self, fig_bath):
-        with pytest.warns(ValidityWarning):
+        with pytest.warns(ValidityWarning) as record:
             TlsParams(omega0=1.0, omegaL=1.0, Omega=5.0, bath=fig_bath)
+        assert record[0].filename == __file__
 
     def test_weak_drive_does_not_warn(self, fig_bath):
         with warnings.catch_warnings():
@@ -216,6 +218,10 @@ class TestSimulate:
         run = simulate(TlsState(0.0, 0j), params, "non_markovian", t_max=5.0)
         radius = np.hypot(np.abs(run.mean_sp), run.mean_sz)
         assert np.max(radius) <= 0.5 + 1e-9
+
+    def test_leaving_the_ball_reports_the_radius_as_a_plain_float(self):
+        with pytest.raises(InvariantViolationError, match=r"X = 0\.6 > 1/2 at t = 0\.5;"):
+            check_domain(np.array([0.0, 0.5]), np.array([0.3, 0.6]), np.array([0j, 0j]))
 
     def test_entropy_and_beta_columns_consistent(self, fig_bath):
         params = resonant_params(fig_bath, Omega=0.2)
