@@ -14,8 +14,8 @@ approach constant long-time values whose real parts are pi*J(w0) and
 pi*J(w0)*coth(beta*w0/2).
 
 For production right-hand sides the kernels are tabulated once on a fine
-time grid and served through cubic splines; direct adaptive quadrature is
-kept as the reference evaluation path.
+time grid and served as piecewise cubics from one coefficient table; direct
+adaptive quadrature is kept as the reference evaluation path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .specfun import trigamma
 
@@ -175,14 +175,23 @@ def corr_f_beta(t: float, params: BathParams, rel_tol: float = 1e-9) -> complex:
 
 _GL_NODES, _GL_WEIGHTS = leggauss(4)
 
+# Panels evaluated at once by _panel_integrals.  The integrands allocate
+# several temporaries per node (trigamma most), so this bounds the memory of
+# a table build; every panel's value is the same in any chunk.
+_PANEL_CHUNK = 4096
+
 
 def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
     """4-point Gauss-Legendre integral of ``func`` over each edge interval."""
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    values = func(nodes.reshape(-1)).reshape(nodes.shape)
-    return half * (values @ _GL_WEIGHTS)
+    out = np.empty(edges.size - 1, dtype=complex)
+    for start in range(0, out.size, _PANEL_CHUNK):
+        part = edges[start : start + _PANEL_CHUNK + 1]
+        half = 0.5 * np.diff(part)
+        mid = part[:-1] + half
+        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+        values = func(nodes.reshape(-1)).reshape(nodes.shape)
+        out[start : start + half.size] = half * (values @ _GL_WEIGHTS)
+    return out
 
 
 def _composite_gl(func, a: float, b: float, max_step: float) -> complex:
@@ -194,14 +203,22 @@ def _composite_gl(func, a: float, b: float, max_step: float) -> complex:
 
 
 class CorrelatorCache:
-    """Spline tables of f(t) and f(t, beta) on a uniform grid.
+    """Table of f(t) and f(t, beta) on a uniform grid, served as cubics.
 
     The grid values are built by cumulative panelwise Gauss-Legendre
     integration of the closed-form kernel derivatives, so the table error
     sits far below the transport-equation tolerances (the spline
     interpolation error at the default millistep is ~1e-12 of the kernel
-    scale).  The table extends itself when evaluated past its current
-    horizon.
+    scale).  They are interpolated by not-a-knot cubic splines, kept as one
+    float table of shape (intervals, 16): row i holds, for the interval
+    [i*step, (i+1)*step), the power-basis coefficients (highest power first)
+    of Re f, Im f, Re f_beta and Im f_beta.  A lookup finds its row by index
+    arithmetic and evaluates in the operation order of scipy's ``PPoly``, so
+    its values are those of ``CubicSpline`` bit for bit.
+
+    The table extends itself when evaluated past its current horizon.  An
+    extension publishes a new table; a lookup running meanwhile reads the
+    one it started with, so concurrent lookups stay in range.
     """
 
     def __init__(self, params: BathParams, t_max: float = 25.0, step: float = 1e-3):
@@ -210,22 +227,20 @@ class CorrelatorCache:
         self.params = params
         self.step = step
         self._lock = threading.Lock()
+        self._integral = None
         self._build(max(t_max, 10 * step))
 
     def _build(self, t_max: float):
         n = int(math.ceil(t_max / self.step))
         grid = np.arange(n + 1) * self.step
-        f_vals = np.concatenate(
-            ([0j], np.cumsum(_panel_integrals(lambda s: corr_f_integrand(s, self.params), grid)))
-        )
-        fb_vals = np.concatenate(
-            ([0j], np.cumsum(_panel_integrals(lambda s: corr_f_beta_integrand(s, self.params), grid)))
-        )
-        self._spline_f = CubicSpline(grid, f_vals)
-        self._spline_f_beta = CubicSpline(grid, fb_vals)
-        self._spline_f_int = self._spline_f.antiderivative()
-        # Published last: readers that see the new horizon also see the new
-        # splines, so concurrent lookups during an extension stay in range.
+        table = np.empty((n, 4, 4))
+        for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
+            panels = _panel_integrals(lambda s, _g=integrand: _g(s, self.params), grid)
+            coeffs = CubicSpline(grid, np.concatenate(([0j], np.cumsum(panels)))).c.T
+            table[:, 2 * k] = coeffs.real
+            table[:, 2 * k + 1] = coeffs.imag
+        self._table = table.reshape(n, 16)
+        # Published last: a caller that sees the new horizon sees the new table.
         self.t_max = grid[-1]
 
     def ensure_horizon(self, t: float):
@@ -236,22 +251,75 @@ class CorrelatorCache:
             if t > self.t_max:
                 self._build(1.5 * t)
 
+    def pair(self, t: float) -> tuple[complex, complex]:
+        """(f(t), f(t, beta)) at one time; the scalar form of ``f``/``f_beta``."""
+        t = float(t)
+        table = self._table
+        step = self.step
+        i = int(t / step)
+        if t < i * step:
+            i -= 1
+        elif t >= (i + 1) * step:
+            i += 1
+        if i >= len(table):
+            if t > len(table) * step:
+                self.ensure_horizon(t)
+                return self.pair(t)
+            i = len(table) - 1  # t on the last node: the last interval is closed
+        elif i < 0:
+            i = 0  # before the grid: the first cubic, extrapolated
+        s = t - i * step
+        ss = s * s
+        sss = ss * s
+        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = table[i].tolist()
+        return (
+            complex(((a3 + a2 * s) + a1 * ss) + a0 * sss, ((b3 + b2 * s) + b1 * ss) + b0 * sss),
+            complex(((c3 + c2 * s) + c1 * ss) + c0 * sss, ((d3 + d2 * s) + d1 * ss) + d0 * sss),
+        )
+
+    def _evaluate(self, t, kernel: int) -> np.ndarray:
+        """f (``kernel`` 0) or f_beta (1) at an array of times; ``pair`` vectorised."""
+        self.ensure_horizon(float(np.max(t)))
+        table = self._table
+        times = np.asarray(t, dtype=float)
+        flat = times.reshape(-1)
+        i = (flat / self.step).astype(np.intp)
+        i -= flat < i * self.step
+        i += flat >= (i + 1) * self.step
+        np.clip(i, 0, len(table) - 1, out=i)
+        s = flat - i * self.step
+        ss = s * s
+        sss = ss * s
+        rows = table[i].reshape(-1, 4, 4)
+        out = np.empty(flat.shape, dtype=complex)
+        for part, c in ((out.real, rows[:, 2 * kernel]), (out.imag, rows[:, 2 * kernel + 1])):
+            part[...] = ((c[:, 3] + c[:, 2] * s) + c[:, 1] * ss) + c[:, 0] * sss
+        return out.reshape(times.shape)
+
     def f(self, t):
         """f(t), cubic interpolation on the table."""
-        self.ensure_horizon(float(np.max(t)))
-        out = self._spline_f(t)
-        return complex(out) if np.ndim(t) == 0 else out
+        return self.pair(t)[0] if np.ndim(t) == 0 else self._evaluate(t, 0)
 
     def f_beta(self, t):
         """f(t, beta), cubic interpolation on the table."""
-        self.ensure_horizon(float(np.max(t)))
-        out = self._spline_f_beta(t)
-        return complex(out) if np.ndim(t) == 0 else out
+        return self.pair(t)[1] if np.ndim(t) == 0 else self._evaluate(t, 1)
 
     def f_time_integral(self, t):
-        """integral_0^t f(s) ds, the exponent of the amplitude decay."""
+        """integral_0^t f(s) ds, the exponent of the amplitude decay.
+
+        The antiderivative is built from the f columns on first use and kept
+        with the table it came from, so an extension rebuilds it.
+        """
         self.ensure_horizon(float(np.max(t)))
-        out = self._spline_f_int(t)
+        table = self._table
+        integral = self._integral
+        if integral is None or integral[0] is not table:
+            coeffs = np.empty((4, len(table)), dtype=complex)
+            coeffs.real = table[:, 0:4].T
+            coeffs.imag = table[:, 4:8].T
+            grid = np.arange(len(table) + 1) * self.step
+            integral = self._integral = (table, PPoly(coeffs, grid).antiderivative())
+        out = integral[1](t)
         return complex(out) if np.ndim(t) == 0 else out
 
 
@@ -273,6 +341,10 @@ class MarkovianLimits:
     f_beta_inf: complex
     f_inf_error: float
     f_beta_inf_error: float
+
+    def pair(self, t: float) -> tuple[complex, complex]:
+        """(f_inf, f_beta_inf), the kernel pair at every t."""
+        return self.f_inf, self.f_beta_inf
 
 
 def windowed_correlator_average(
@@ -332,19 +404,20 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
     )
 
 
-def kernel_pair(t: float, params: BathParams, regime: str) -> tuple[complex, complex]:
+def kernel_pair(t: float, params: BathParams, regime: str, kernels=None) -> tuple[complex, complex]:
     """Kernel pair (f, f_beta) at time t for the requested regime.
 
-    The non-Markovian regime reads the shared table; the Markovian regime
-    returns the long-time values regardless of t.
+    The non-Markovian regime reads the shared table, extended past t when
+    needed; the Markovian regime returns the long-time values regardless of
+    t.  A run passes the ``kernels`` it bound once (a ``CorrelatorCache`` or
+    ``MarkovianLimits``, see ``transport.setup``), which skips the regime
+    dispatch and the shared-cache lookups.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if regime == "markovian":
-        limits = markovian_limits(params)
-        return limits.f_inf, limits.f_beta_inf
-    cache = correlator_cache(params)
-    return cache.f(t), cache.f_beta(t)
+    if kernels is None:
+        if regime not in REGIMES:
+            raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+        kernels = markovian_limits(params) if regime == "markovian" else correlator_cache(params)
+    return kernels.pair(t)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .bath import REGIMES, BathParams, QuadratureError
 from .odeint import OdeError, check_tolerances
 from .transport import InvariantViolationError, sample_times
 
-__all__ = ["ConfigError", "ScenarioConfig", "run", "main"]
+__all__ = ["MAX_FOCK_DIM", "MAX_SAMPLES", "ConfigError", "ScenarioConfig", "run", "main"]
 
 MODELS = ("oscillator", "tls", "corr", "maxent_solve")
 
@@ -44,6 +44,13 @@ _NUMERICAL_ERRORS = (
 
 # Raised while parsing by a value of the wrong type or outside its model's domain.
 _INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
+
+# Largest inputs a run accepts: the number of output samples (t_max / dt_out)
+# and the dimension of a Fock operator set (three dim x dim complex matrices,
+# one eigendecomposition per Newton step).  Larger requests exit 2 instead of
+# exhausting memory.
+MAX_SAMPLES = 10**6
+MAX_FOCK_DIM = 1024
 
 
 class ConfigError(ValueError):
@@ -98,11 +105,9 @@ class ScenarioConfig:
         if regime not in REGIMES:
             raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
 
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances must be an object with rel_tol/abs_tol")
-        rel_tol = float(tolerances.get("rel_tol", raw.get("rel_tol", 1e-9)))
-        abs_tol = float(tolerances.get("abs_tol", raw.get("abs_tol", 1e-12)))
+        tolerances = _field(raw, "tolerances", dict, "an object with rel_tol/abs_tol")
+        rel_tol = _number(tolerances, "rel_tol", raw.get("rel_tol", 1e-9))
+        abs_tol = _number(tolerances, "abs_tol", raw.get("abs_tol", 1e-12))
 
         output_path = output_override or raw.get("output_path", "")
         if not output_path:
@@ -110,8 +115,8 @@ class ScenarioConfig:
         if not Path(output_path).parent.is_dir():
             raise ConfigError(f"output directory {Path(output_path).parent} does not exist")
 
-        t_max = float(raw.get("t_max", 0.0))
-        dt_out = float(raw.get("dt_out", 0.0))
+        t_max = _number(raw, "t_max", 0.0)
+        dt_out = _number(raw, "dt_out", 0.0)
         if not (math.isfinite(t_max) and math.isfinite(dt_out)):
             raise ConfigError(f"t_max and dt_out must be finite, got {t_max} and {dt_out}")
         if model in ("oscillator", "tls"):
@@ -121,19 +126,23 @@ class ScenarioConfig:
         elif model == "corr":
             if t_max < 0 or (t_max > 0 and dt_out <= 0):
                 raise ConfigError(f"corr runs need t_max >= 0 and dt_out > 0, got {t_max} and {dt_out}")
+        if model != "maxent_solve" and t_max > 0 and not t_max / dt_out < MAX_SAMPLES:
+            raise ConfigError(
+                f"t_max / dt_out = {t_max / dt_out:.3g} asks for more than {MAX_SAMPLES} samples"
+            )
 
         return ScenarioConfig(
             model=model,
-            params=dict(raw.get("params", {})),
-            initial=list(raw.get("initial", [])),
+            params=_field(raw, "params", dict, "an object"),
+            initial=_field(raw, "initial", list, "a list"),
             regime=regime,
             t_max=t_max,
             dt_out=dt_out,
             rel_tol=rel_tol,
             abs_tol=abs_tol,
             output_path=str(output_path),
-            operator_set=dict(raw.get("operator_set", {})),
-            targets=list(raw.get("targets", [])),
+            operator_set=_field(raw, "operator_set", dict, "an object"),
+            targets=_field(raw, "targets", list, "a list"),
         )
 
     @cached_property
@@ -178,6 +187,22 @@ class ScenarioConfig:
         return params, initial
 
 
+def _field(raw: dict, name: str, kind: type, description: str):
+    """A copy of the object or list ``raw[name]`` (empty when absent)."""
+    value = raw.get(name, kind())
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {description}, got {value!r}")
+    return kind(value)
+
+
+def _number(raw: dict, name: str, default) -> float:
+    value = raw.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _format_cell(value) -> str:
     """An int as itself, anything else in shortest round-trip float form."""
     return str(value) if isinstance(value, int) else repr(float(value))
@@ -209,7 +234,10 @@ def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
     if kind == "spin":
         return maxent.spin_operator_set()
     if kind == "fock":
-        return maxent.fock_operator_set(int(spec.get("dim", 256)))
+        dim = int(spec.get("dim", 256))
+        if dim > MAX_FOCK_DIM:
+            raise ConfigError(f"operator_set.dim must be at most {MAX_FOCK_DIM}, got {dim}")
+        return maxent.fock_operator_set(dim)
     if kind == "explicit":
         try:
             operators = tuple(

@@ -89,10 +89,12 @@ class OscillatorMultipliers:
 
 def rhs(t: float, state: OscillatorState, bath, regime: str = "non_markovian"):
     """Time derivatives (d<a>/dt, d<n>/dt) of the transport equations."""
-    f, f_beta = kernel_pair(t, bath, regime)
-    d_mean_a = -state.mean_a * f.conjugate()
-    d_mean_n = -2.0 * f.real * state.mean_n + (f_beta - f).real
-    return d_mean_a, d_mean_n
+    return _rates(state.mean_a, state.mean_n, *kernel_pair(t, bath, regime))
+
+
+def _rates(mean_a: complex, mean_n: float, f: complex, f_beta: complex):
+    """(d<a>/dt, d<n>/dt) for the kernel values (f, f_beta)."""
+    return -mean_a * f.conjugate(), -2.0 * f.real * mean_n + (f_beta - f).real
 
 
 def multipliers(state: OscillatorState) -> OscillatorMultipliers:
@@ -262,9 +264,9 @@ def simulate(
     and value at fault rather than clamping.
     """
 
-    def vector_rhs(t, y):
-        state = OscillatorState(mean_a=complex(y[0]), mean_n=max(float(y[1].real), 0.0))
-        return np.array(rhs(t, state, params, regime), dtype=complex)
+    def vector_rhs(kernels, t, y):
+        mean_a, mean_n = y.tolist()
+        return _rates(mean_a, max(mean_n.real, 0.0), *kernel_pair(t, params, regime, kernels))
 
     problem, times = setup(
         vector_rhs, (initial.mean_a, initial.mean_n), params, regime, t_max, dt_out, rel_tol, abs_tol

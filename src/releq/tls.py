@@ -133,9 +133,13 @@ class TlsMultipliers:
 def rhs(t: float, state: TlsState, params: TlsParams, regime: str = "non_markovian"):
     """Time derivatives (d<s_z>/dt, d<s_+>/dt); the first is real exactly."""
     params.require_resonance()
-    f, f_beta = kernel_pair(t, params.bath, regime)
-    d_sz = 2.0 * params.Omega * state.mean_sp.imag - 2.0 * f_beta.real * state.mean_sz - f.real
-    d_sp = -2j * params.Omega * state.mean_sz - f_beta * state.mean_sp
+    return _rates(state.mean_sz, state.mean_sp, params.Omega, *kernel_pair(t, params.bath, regime))
+
+
+def _rates(mean_sz: float, mean_sp: complex, Omega: float, f: complex, f_beta: complex):
+    """(d<s_z>/dt, d<s_+>/dt) on resonance for the kernel values (f, f_beta)."""
+    d_sz = 2.0 * Omega * mean_sp.imag - 2.0 * f_beta.real * mean_sz - f.real
+    d_sp = -2j * Omega * mean_sz - f_beta * mean_sp
     return d_sz, d_sp
 
 
@@ -246,9 +250,12 @@ def simulate(
     leaving it aborts with the time and radius at fault.
     """
 
-    def vector_rhs(t, y):
-        state = TlsState(mean_sz=float(y[0].real), mean_sp=complex(y[1]))
-        return np.array(rhs(t, state, params, regime), dtype=complex)
+    params.require_resonance()
+    bath, drive = params.bath, params.Omega
+
+    def vector_rhs(kernels, t, y):
+        mean_sz, mean_sp = y.tolist()
+        return _rates(mean_sz.real, mean_sp, drive, *kernel_pair(t, bath, regime, kernels))
 
     problem, times = setup(
         vector_rhs, (initial.mean_sz, initial.mean_sp), params.bath, regime, t_max, dt_out, rel_tol, abs_tol

@@ -5,10 +5,11 @@ output grid, the argument checks, the kernel-table horizon and the step cap.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
-from .bath import REGIMES, BathParams, correlator_cache
+from .bath import REGIMES, BathParams, correlator_cache, markovian_limits
 from .odeint import OdeProblem
 
 
@@ -24,6 +25,11 @@ def sample_times(t_max: float, dt_out: float) -> np.ndarray:
 def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
     """``(OdeProblem, sample times)`` of one transport run.
 
+    The run's kernels are bound once: the shared table of ``bath``, extended
+    here past ``t_max``, or the long-time values.  They are the first
+    argument of the model's ``rhs(kernels, t, y)``, which the problem calls
+    as ``rhs(t, y)``.
+
     Steps are capped at 0.01 / omega0 so that the kernels, which oscillate
     at the system frequency, stay resolved.
     """
@@ -32,11 +38,14 @@ def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_to
     if not 0 < dt_out <= t_max:
         raise ValueError(f"need 0 < dt_out <= t_max, got dt_out = {dt_out}, t_max = {t_max}")
     if regime == "non_markovian":
-        correlator_cache(bath).ensure_horizon(t_max)
+        kernels = correlator_cache(bath)
+        kernels.ensure_horizon(t_max)
+    else:
+        kernels = markovian_limits(bath)
     times = sample_times(t_max, dt_out)
     problem = OdeProblem(
         dimension=2,
-        rhs=rhs,
+        rhs=partial(rhs, kernels),
         t_span=(0.0, float(times[-1])),
         y0=np.array(y0, dtype=complex),
         rel_tol=rel_tol,

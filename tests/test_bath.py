@@ -1,7 +1,10 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from oracles import (
     F_BETA_ORACLE_T1,
@@ -11,11 +14,13 @@ from oracles import (
 )
 from releq.bath import (
     BathParams,
+    CorrelatorCache,
     corr_f,
     corr_f_beta,
     correlator_cache,
     correlator_samples,
     coth,
+    kernel_pair,
     markovian_limits,
     spectral_density,
     windowed_correlator_average,
@@ -118,6 +123,84 @@ class TestCorrelatorCache:
         value = cache.f(cache.t_max + 3.0)
         assert np.isfinite(value)
         assert cache.t_max >= 28.0
+
+    def test_table_is_the_cubic_spline_bit_for_bit(self, fig_bath, rng):
+        # Node values are the same in every table that covers them, but a
+        # table's last node is held only by its last cubic, which reproduces
+        # it to rounding.  So the reference splines take their node values
+        # from the longer shared table.
+        shared = correlator_cache(fig_bath)
+        cache = CorrelatorCache(fig_bath, t_max=5.0)
+        for horizon in (5.0, 7.0):  # the second extends the table to 10.5
+            cache.ensure_horizon(horizon)
+            grid = np.arange(round(cache.t_max / cache.step) + 1) * cache.step
+            assert grid[-1] == cache.t_max < shared.t_max
+            ref_f = CubicSpline(grid, shared.f(grid))
+            ref_f_beta = CubicSpline(grid, shared.f_beta(grid))
+            times = np.concatenate(
+                ([0.0], grid, grid[:-1] + 0.5 * cache.step, rng.uniform(0.0, cache.t_max, 400), [cache.t_max])
+            )
+            assert cache.f(times).tobytes() == ref_f(times).tobytes()
+            assert cache.f_beta(times).tobytes() == ref_f_beta(times).tobytes()
+            expected = list(zip(ref_f(times).tolist(), ref_f_beta(times).tolist()))
+            assert [cache.pair(t) for t in times] == expected
+            for t, pair in list(zip(times, expected))[::50]:
+                assert kernel_pair(t, fig_bath, "non_markovian", cache) == pair
+                assert (cache.f(t), cache.f_beta(t)) == pair
+
+    def test_kernel_pair_past_the_horizon_extends_the_table(self):
+        params = BathParams(W=10.0, beta=3.0, omega0=2.0)
+        cache = correlator_cache(params)
+        t = cache.t_max + 1.0
+        pair = kernel_pair(t, params, "non_markovian")
+        assert cache.t_max >= 1.5 * t
+        assert pair == cache.pair(t)
+
+    def test_lookups_while_the_table_grows(self, fig_bath):
+        # Lookups past the first horizon extend the table themselves.  Every
+        # table gives the same values at times well inside it, so the longer
+        # shared table supplies the expected ones.  Times near the first
+        # horizon are left out: its last cubic ends there.
+        shared = correlator_cache(fig_bath)
+        cache = CorrelatorCache(fig_bath, t_max=2.0)
+        times = np.concatenate((np.linspace(0.0, 1.9, 77), np.linspace(2.1, 2.6, 21)))
+        expected_pairs = [shared.pair(t) for t in times]
+        expected_f = shared.f(times)
+        errors, mismatches, rounds = [], [], []
+
+        def look():
+            try:
+                while True:
+                    if [cache.pair(t) for t in times] != expected_pairs:
+                        mismatches.append("pair")
+                    if cache.f(times).tobytes() != expected_f.tobytes():
+                        mismatches.append("f")
+                    rounds.append(1)
+                    if not grower.is_alive():
+                        return
+            except Exception as exc:
+                errors.append(exc)
+
+        def grow():
+            for horizon in (3.0, 6.0, 12.0, 20.0):
+                cache.ensure_horizon(horizon)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            grower = threading.Thread(target=grow)
+            lookers = [threading.Thread(target=look) for _ in range(4)]
+            grower.start()
+            for thread in lookers:
+                thread.start()
+            for thread in [grower, *lookers]:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and mismatches == []
+        assert len(rounds) >= 4
+        assert cache.t_max >= 30.0
 
 
 class TestMarkovianLimits:

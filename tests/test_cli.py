@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from releq import oscillator
+from releq import oscillator, tls
 from releq.bath import REGIMES
-from releq.cli import MODELS, ConfigError, ScenarioConfig, main, run
+from releq.cli import MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
 
 
 TLS_PARAMS = {"omega0": 1.0, "omegaL": 1.0, "W": 10.0, "beta_bath": 3.0, "Omega": 0.3}
@@ -90,18 +91,25 @@ class TestConfigValidation:
         assert main(["tls", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides, named",
         [
-            {"initial": [1, 0, -1]},
-            {"initial": ["x", 0, 9]},
-            {"params": {"W": -1, "beta_bath": 3.0}},
-            {"initial": [1, 0, 0.5]},
-            {"model": "tls", "params": TLS_PARAMS, "initial": [0.4, 0.4, 0.0]},
-            {"model": "tls", "params": dict(TLS_PARAMS, omegaL=1.3), "initial": [0.0, 0.0, 0.0]},
-            {"t_max": float("nan")},
-            {"tolerances": {"rel_tol": 0.0}},
-            {"output_path": "missing-directory/out.csv"},
-            {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.3, 0.0]], "initial": []},
+            ({"initial": [1, 0, -1]}, ""),
+            ({"initial": ["x", 0, 9]}, ""),
+            ({"params": {"W": -1, "beta_bath": 3.0}}, ""),
+            ({"initial": [1, 0, 0.5]}, ""),
+            ({"model": "tls", "params": TLS_PARAMS, "initial": [0.4, 0.4, 0.0]}, ""),
+            ({"model": "tls", "params": dict(TLS_PARAMS, omegaL=1.3), "initial": [0.0, 0.0, 0.0]}, ""),
+            ({"t_max": float("nan")}, ""),
+            ({"tolerances": {"rel_tol": 0.0}}, ""),
+            ({"output_path": "missing-directory/out.csv"}, ""),
+            ({"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.3, 0.0]], "initial": []}, ""),
+            ({"model": "corr", "t_max": 10.0, "dt_out": 1e-13, "initial": []}, "samples"),
+            ({"t_max": 1e4, "dt_out": 1e-3}, "samples"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": 4096}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim"),
+            ({"initial": 0.5}, "initial"),
+            ({"params": "x"}, "params"),
+            ({"model": "maxent_solve", "operator_set": 3, "targets": [0.0, 0.3, 0.0], "initial": []}, "operator_set"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": 1, "initial": []}, "targets"),
         ],
         ids=[
             "negative-n",
@@ -114,14 +122,30 @@ class TestConfigValidation:
             "zero-tolerance",
             "missing-output-directory",
             "target-count",
+            "corr-sample-cap",
+            "oscillator-sample-cap",
+            "fock-dim-cap",
+            "initial-not-a-list",
+            "params-not-an-object",
+            "operator-set-not-an-object",
+            "targets-not-a-list",
         ],
     )
-    def test_input_errors_exit_2_before_the_run(self, tmp_path, capsys, overrides):
+    def test_input_errors_exit_2_before_the_run(self, tmp_path, capsys, overrides, named):
         path = tmp_path / "cfg.json"
         config = write_config(path, **overrides)
         assert main([config["model"], "--config", str(path)]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert named in err
         assert not (tmp_path / "out.csv").exists()
+
+    def test_sample_cap_admits_the_largest_grid(self):
+        corr = {"model": "corr", "params": {"W": 10, "beta_bath": 3}, "output_path": "x.csv"}
+        largest = ScenarioConfig.from_dict(dict(corr, t_max=MAX_SAMPLES - 1, dt_out=1.0))
+        assert largest.inputs[1].size == MAX_SAMPLES
+        with pytest.raises(ConfigError, match="samples"):
+            ScenarioConfig.from_dict(dict(corr, t_max=MAX_SAMPLES, dt_out=1.0))
 
 
 class TestOscillatorRuns:
@@ -371,6 +395,39 @@ def test_readme_csv_bytes_are_pinned(tmp_path, config, digest):
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+# Right-hand-side evaluations of the README runs, counted the way the
+# benchmark's tracer counts them: by wrapping the problem's ``rhs`` on its
+# way into ``integrate``.  They depend only on the step control, so a change
+# to it shows here as a count before it shows as a CSV digest.
+RHS_EVALUATIONS = [
+    (dict(_README_OSCILLATOR, regime="non_markovian"), 13238),
+    (dict(_README_OSCILLATOR, regime="markovian"), 13412),
+    (dict(_README_TLS, regime="non_markovian"), 12464),
+    (dict(_README_TLS, regime="markovian"), 12386),
+]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("config, evaluations", RHS_EVALUATIONS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
+def test_readme_rhs_evaluations_are_pinned(tmp_path, monkeypatch, config, evaluations):
+    module = oscillator if config["model"] == "oscillator" else tls
+    integrate = module.integrate
+    calls = []
+
+    def counting_integrate(problem, sample_times):
+        def rhs(t, y):
+            calls.append(t)
+            return problem.rhs(t, y)
+
+        return integrate(dataclasses.replace(problem, rhs=rhs), sample_times)
+
+    monkeypatch.setattr(module, "integrate", counting_integrate)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
+    assert main([config["model"], "--config", str(path)]) == 0
+    assert len(calls) == evaluations
 
 
 # Each example starts from a valid configuration of one model and applies up
