@@ -233,10 +233,21 @@ class CorrelatorCache:
     def _build(self, t_max: float):
         n = int(math.ceil(t_max / self.step))
         grid = np.arange(n + 1) * self.step
+        # An extension keeps the node values of the old table, which its
+        # constant coefficients hold exactly (CubicSpline stores y[:-1] as
+        # c[3], columns 3, 7, 11 and 15), and integrates on from its last
+        # stored node; the sums continue in the order of a fresh build.
+        old = getattr(self, "_table", None)
+        start = 0 if old is None else len(old) - 1
         table = np.empty((n, 4, 4))
         for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
-            panels = _panel_integrals(lambda s, _g=integrand: _g(s, self.params), grid)
-            coeffs = CubicSpline(grid, np.concatenate(([0j], np.cumsum(panels)))).c.T
+            values = np.zeros(n + 1, dtype=complex)
+            if old is not None:
+                values.real[: start + 1] = old[:, 8 * k + 3]
+                values.imag[: start + 1] = old[:, 8 * k + 7]
+            panels = _panel_integrals(lambda s, _g=integrand: _g(s, self.params), grid[start:])
+            values[start:] = np.cumsum(np.concatenate((values[start : start + 1], panels)))
+            coeffs = CubicSpline(grid, values).c.T
             table[:, 2 * k] = coeffs.real
             table[:, 2 * k + 1] = coeffs.imag
         self._table = table.reshape(n, 16)

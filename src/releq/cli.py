@@ -39,7 +39,6 @@ _NUMERICAL_ERRORS = (
     QuadratureError,
     InvariantViolationError,
     maxent.MaxEntError,
-    tls.BoundaryStateError,
 )
 
 # Raised while parsing by a value of the wrong type or outside its model's domain.

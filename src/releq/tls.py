@@ -247,7 +247,8 @@ def simulate(
     """Integrate the transport equations and derive entropy and temperature.
 
     Trajectories must stay inside the Bloch ball (X <= 1/2 within 1e-9);
-    leaving it aborts with the time and radius at fault.
+    leaving it aborts with the time and radius at fault.  Samples on its
+    boundary get the pure-state limits, with one ``BoundaryStateWarning``.
     """
 
     params.require_resonance()
@@ -266,13 +267,28 @@ def simulate(
     check_domain(times, mean_sz, mean_sp)
 
     # Per-sample scalar formulas: a vectorised form moves S and beta in the
-    # last bits, and this loop is a small share of a run.
+    # last bits, and this loop is a small share of a run.  A pure state
+    # (X = 1/2) has S = 0 and beta = -sign(<s_z>) inf, the limits of both
+    # formulas; beta is 0 for a pure state with <s_z> = 0.
     entropy_series = np.empty(times.size)
     beta_series = np.empty(times.size)
+    boundary = []
     for k in range(times.size):
         state = TlsState(mean_sz=float(mean_sz[k]), mean_sp=complex(mean_sp[k]))
-        entropy_series[k] = entropy(state)
-        beta_series[k] = inverse_temperature(state, params.omega0)
+        if state.bloch_radius >= 0.5 - _BOUNDARY_TOL:
+            boundary.append(k)
+            entropy_series[k] = 0.0
+            beta_series[k] = -math.copysign(math.inf, state.mean_sz) / params.omega0 if state.mean_sz else 0.0
+        else:
+            entropy_series[k] = entropy(state)
+            beta_series[k] = inverse_temperature(state, params.omega0)
+    if boundary:
+        warnings.warn(
+            f"pure state (Bloch radius X = 1/2) at {len(boundary)} of {times.size} samples, "
+            f"first at t = {times[boundary[0]]:.6g}; entropy 0 and infinite beta there",
+            BoundaryStateWarning,
+            stacklevel=2,
+        )
     return TlsRun(
         times=times,
         mean_sz=mean_sz,

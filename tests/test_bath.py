@@ -148,6 +148,15 @@ class TestCorrelatorCache:
                 assert kernel_pair(t, fig_bath, "non_markovian", cache) == pair
                 assert (cache.f(t), cache.f_beta(t)) == pair
 
+    def test_extension_equals_a_fresh_build(self):
+        params = BathParams(W=5.0, beta=2.0, omega0=1.0)
+        cache = CorrelatorCache(params)
+        old_table = cache._table
+        cache.ensure_horizon(40.0)
+        assert cache._table is not old_table
+        assert cache.t_max == 60.0
+        assert np.array_equal(cache._table, CorrelatorCache(params, t_max=60.0)._table)
+
     def test_kernel_pair_past_the_horizon_extends_the_table(self):
         params = BathParams(W=10.0, beta=3.0, omega0=2.0)
         cache = correlator_cache(params)

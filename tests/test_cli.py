@@ -217,6 +217,17 @@ class TestOtherModels:
         first = [float(x) for x in lines[1].split(",")]
         assert first[4] == pytest.approx(math.log(2.0), rel=1e-12)
 
+    def test_tls_pure_initial_state_runs(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        write_config(path, model="tls", params=TLS_PARAMS, initial=[0.5, 0.0, 0.0])
+        with pytest.warns(tls.BoundaryStateWarning, match="1 of 5 samples"):
+            assert main(["tls", "--config", str(path)]) == 0
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        first = [float(x) for x in lines[1].split(",")]
+        assert first[4] == 0.0
+        assert first[5] == -math.inf
+        assert all(math.isfinite(float(x)) for line in lines[2:] for x in line.split(","))
+
     def test_corr_degenerate_horizon(self, tmp_path):
         path = tmp_path / "cfg.json"
         write_config(path, model="corr", t_max=0.0, initial=[])
@@ -428,6 +439,28 @@ def test_readme_rhs_evaluations_are_pinned(tmp_path, monkeypatch, config, evalua
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
     assert len(calls) == evaluations
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("config, evaluations", RHS_EVALUATIONS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
+def test_readme_step_statistics_count_the_pinned_evaluations(tmp_path, monkeypatch, config, evaluations):
+    module = oscillator if config["model"] == "oscillator" else tls
+    integrate = module.integrate
+    trajectories = []
+
+    def recording_integrate(problem, sample_times):
+        trajectories.append(integrate(problem, sample_times))
+        return trajectories[-1]
+
+    monkeypatch.setattr(module, "integrate", recording_integrate)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
+    assert main([config["model"], "--config", str(path)]) == 0
+    (trajectory,) = trajectories
+    stats = trajectory.stats
+    # The formula by which the benchmark's tracer derives attempted steps.
+    assert stats.rhs_evals == 6 * (stats.accepted + stats.rejected) + 2 == evaluations
+    assert 0.0 < stats.h_min <= stats.h_max <= 0.01
 
 
 # Each example starts from a valid configuration of one model and applies up

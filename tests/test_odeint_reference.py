@@ -1,0 +1,135 @@
+"""``integrate`` against ``oracles.reference_integrate``, the same method run
+step by step on numpy arrays: the states must agree bit for bit."""
+
+import numpy as np
+import pytest
+
+from releq import odeint
+from releq.odeint import OdeError, OdeProblem, integrate
+
+from oracles import reference_integrate
+
+# A damped linear system with complex coefficients, driven by a cosine and a
+# short pulse at t = 1.5 that uncapped steps first overrun; the first
+# ``dimension`` components are used.
+_COUPLING = np.array(
+    [
+        [-0.3 + 1.1j, 0.2, 0.05j],
+        [-0.1j, -0.5 + 0.3j, 0.1],
+        [0.0, 0.2 - 0.1j, -0.2 - 2.0j],
+    ]
+)
+_DRIVE = np.array([0.1, 0.02j, -0.05 + 0.01j])
+
+
+def linear_problem(dimension, max_step=0.01, rel_tol=1e-9, t_span=(0.0, 3.0), rhs_calls=None):
+    coupling = _COUPLING[:dimension, :dimension]
+    drive = _DRIVE[:dimension]
+
+    def rhs(t, y):
+        if rhs_calls is not None:
+            rhs_calls.append(t)
+        return coupling @ y + (np.cos(2.0 * t) + 5.0 * np.exp(-(((t - 1.5) / 0.02) ** 2))) * drive
+
+    return OdeProblem(
+        dimension=dimension,
+        rhs=rhs,
+        t_span=t_span,
+        y0=np.array([1.0 + 0.5j, -0.3 + 0j, 0.2j][:dimension]),
+        rel_tol=rel_tol,
+        abs_tol=rel_tol * 1e-3,
+        max_step=max_step,
+    )
+
+
+def assert_matches_reference(problem, times):
+    trajectory = integrate(problem, times)
+    assert np.array_equal(trajectory.states, reference_integrate(problem, times))
+    return trajectory
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_linear_problems(dimension):
+    assert_matches_reference(linear_problem(dimension), np.arange(301) * 0.01)
+
+
+@pytest.mark.parametrize("dimension", [4, 9])
+def test_many_components(dimension):
+    # From 4 components numpy's stage sums fuse multiply-adds, and from 8
+    # its mean sums pairwise.
+    rates = -0.1 * np.arange(1, dimension + 1) + 1j * np.linspace(-1.0, 1.0, dimension)
+    problem = OdeProblem(
+        dimension=dimension,
+        rhs=lambda t, y: rates * y + np.sin(t),
+        t_span=(0.0, 2.0),
+        y0=np.linspace(1.0, 2.0, dimension) + 0.5j,
+        rel_tol=1e-8,
+        abs_tol=1e-11,
+        max_step=np.inf,
+    )
+    assert_matches_reference(problem, np.linspace(0.0, 2.0, 41))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_uncapped_steps_with_rejections_and_many_samples_per_step(dimension):
+    problem = linear_problem(dimension, max_step=np.inf, rel_tol=1e-6)
+    trajectory = assert_matches_reference(problem, np.linspace(0.0, 3.0, 997))
+    stats = trajectory.stats
+    assert stats.rejected > 0
+    assert stats.accepted < 997 / 4  # several samples inside one step
+
+
+def test_samples_at_both_ends_and_on_a_step_end():
+    calls = []
+    problem = linear_problem(2, max_step=0.05, t_span=(0.0, 1.0), rhs_calls=calls)
+    trajectory = integrate(problem, [0.0, 1.0])
+    assert trajectory.stats.rejected == 0
+    # Calls 0 and 1 start the run; the last of each step's 6 is at its end.
+    step_end = calls[7::6][10]
+    times = [0.0, 0.5 * step_end, step_end, 0.5 * (step_end + 1.0), 1.0]
+    assert_matches_reference(problem, times)
+
+
+def test_dense_output_chunk_boundaries(monkeypatch):
+    problem = linear_problem(2, max_step=np.inf, rel_tol=1e-7)
+    many = np.linspace(0.0, 3.0, odeint._DENSE_CHUNK + 1000)
+    assert_matches_reference(problem, many)
+    # A small chunk: boundaries fall inside steps and between them.
+    monkeypatch.setattr(odeint, "_DENSE_CHUNK", 7)
+    assert_matches_reference(problem, np.linspace(0.0, 3.0, 101))
+    assert_matches_reference(linear_problem(3), np.arange(301) * 0.01)
+
+
+def test_blowup_stops_at_the_same_time():
+    def rhs(t, y):
+        return y * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t)
+
+    problem = OdeProblem(
+        dimension=1,
+        rhs=rhs,
+        t_span=(0.0, 2.0),
+        y0=np.array([1.0 + 0j]),
+        rel_tol=1e-6,
+        abs_tol=1e-9,
+        max_step=np.inf,
+    )
+    with pytest.raises(OdeError) as ours:
+        integrate(problem, [2.0])
+    with pytest.raises(OdeError) as reference:
+        reference_integrate(problem, [2.0])
+    assert ours.value.last_time == reference.value.last_time
+
+
+def test_stats_count_the_work():
+    calls = []
+    problem = linear_problem(3, max_step=np.inf, rel_tol=1e-6, rhs_calls=calls)
+    stats = integrate(problem, np.linspace(0.0, 3.0, 31)).stats
+    assert stats.rejected > 0
+    assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 2
+    assert 0.0 < stats.h_min < stats.h_max
+
+
+def test_rhs_of_the_wrong_length_rejected():
+    problem = OdeProblem(dimension=2, rhs=lambda t, y: y[:1], t_span=(0.0, 1.0), y0=np.ones(2))
+    with pytest.raises(ValueError, match="shape"):
+        integrate(problem, [1.0])
