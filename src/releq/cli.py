@@ -13,7 +13,6 @@ starts), 3 numerical failure (during the run).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -202,16 +201,13 @@ def _number(raw: dict, name: str, default) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
-def _format_cell(value) -> str:
-    """An int as itself, anything else in shortest round-trip float form."""
-    return str(value) if isinstance(value, int) else repr(float(value))
-
-
 def _write_csv(path: str, header: str, rows) -> None:
+    """Rows of Python ints and floats; ``repr`` writes an int as itself and
+    a float in shortest round-trip form (a numpy scalar would not be)."""
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
         for row in rows:
-            handle.write(",".join(map(_format_cell, row)) + "\n")
+            handle.write(",".join(map(repr, row)) + "\n")
 
 
 def _complex_pairs(values, size: int, name: str) -> np.ndarray:
@@ -264,7 +260,8 @@ def _run_transport(config: ScenarioConfig) -> None:
         rel_tol=config.rel_tol,
         abs_tol=config.abs_tol,
     )
-    _write_csv(config.output_path, run_data.csv_header, zip(*run_data.csv_columns()))
+    columns = [column.tolist() for column in run_data.csv_columns()]
+    _write_csv(config.output_path, run_data.csv_header, zip(*columns))
 
 
 def _run_corr(config: ScenarioConfig) -> None:
@@ -277,7 +274,8 @@ def _run_maxent(config: ScenarioConfig) -> dict:
     ops, targets, initial = config.inputs
     solution = maxent.solve_self_consistency(targets, ops, initial_F=initial)
     state = maxent.build_state(solution, ops)
-    rows = ((m, f.real, f.imag, t.real, t.imag) for m, (f, t) in enumerate(zip(solution, targets)))
+    pairs = zip(solution.tolist(), targets.tolist())
+    rows = ((m, f.real, f.imag, t.real, t.imag) for m, (f, t) in enumerate(pairs))
     _write_csv(config.output_path, "m,re_F,im_F,re_target,im_target", rows)
     return {
         "phi": state.phi,
@@ -356,7 +354,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--sweep",
         metavar="DIR",
-        help="run every *.json configuration in DIR concurrently",
+        help="run every *.json configuration in DIR, in file-name order",
     )
     args = parser.parse_args(argv)
 
@@ -368,9 +366,7 @@ def main(argv=None) -> int:
         if args.output and len(configs) > 1:
             print("--output cannot be shared by a sweep", file=sys.stderr)
             return 2
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            codes = list(pool.map(lambda p: _sweep_one(str(p), args), configs))
-        return max(codes)
+        return max(_sweep_one(str(path), args) for path in configs)
 
     if not args.model or not args.config:
         parser.print_usage(sys.stderr)

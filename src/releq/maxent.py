@@ -40,6 +40,7 @@ __all__ = [
     "check_fock_tail",
     "build_state",
     "moments",
+    "moment_jacobian",
     "entropy",
     "von_neumann",
     "solve_self_consistency",
@@ -123,11 +124,17 @@ class RelevantOperatorSet:
 
 @dataclass(frozen=True)
 class RelevantState:
-    """Multipliers with the resulting normalization value and density matrix."""
+    """Multipliers with the resulting normalization value and density matrix.
+
+    ``levels`` and ``vectors`` are the eigendecomposition of the exponent
+    sum_m F_m P_m that ``rho`` was built from.
+    """
 
     multipliers: np.ndarray
     phi: float
     rho: np.ndarray
+    levels: np.ndarray
+    vectors: np.ndarray
 
 
 def validate_multipliers(F, ops: RelevantOperatorSet, tol: float = _PAIRING_TOL) -> np.ndarray:
@@ -181,7 +188,7 @@ def build_state(F, ops: RelevantOperatorSet) -> RelevantState:
         )
     weights = np.exp(neg - phi)
     rho = (vectors * weights) @ vectors.conj().T
-    return RelevantState(multipliers=F.copy(), phi=float(phi), rho=rho)
+    return RelevantState(multipliers=F.copy(), phi=float(phi), rho=rho, levels=levels, vectors=vectors)
 
 
 def moments(state: RelevantState, ops: RelevantOperatorSet) -> np.ndarray:
@@ -228,38 +235,57 @@ def von_neumann(rho, tol: float = 1e-10) -> float:
 # Newton inversion of the moment map.
 
 
-def _independent_coords(pairing: tuple[int, ...]) -> list[tuple[str, int]]:
-    """Real coordinates spanning the admissible multiplier manifold."""
-    coords: list[tuple[str, int]] = []
+def moment_jacobian(state: RelevantState, ops: RelevantOperatorSet) -> np.ndarray:
+    """Derivatives d<P_m>/dF_n at ``state``, from its eigendecomposition.
+
+    With the exponent's eigenpairs (lambda_i, V), weights
+    p_i = exp(-lambda_i - phi) and rotated operators Q_m = V^dagger P_m V,
+
+        d<P_m>/dF_n = -sum_ij (Q_m)_ij (Q_n)_ji k_ij + <P_m><P_n>,
+
+    where k_ij = (p_i - p_j) / (lambda_j - lambda_i) and k_ii = p_i: minus
+    the Kubo-Mori covariance, the Hessian of phi (Petz and Toth 1993).  Only
+    admissible directions dF are meaningful, but those span every index.
+    """
+    levels, vectors = state.levels, state.vectors
+    weights = np.exp(-levels - state.phi)
+    gap = np.abs(levels[:, None] - levels[None, :])
+    # k_ij = max(p_i, p_j) (1 - exp(-gap)) / gap: no cancellation between
+    # near-degenerate levels, no overflow between far-apart ones, and the
+    # limit 1 on the diagonal and at F = 0, where every level is equal.
+    ratio = np.ones_like(gap)
+    np.divide(-np.expm1(-gap), gap, out=ratio, where=gap > 0.0)
+    root_kernel = np.sqrt(np.maximum.outer(weights, weights) * ratio)
+
+    # Q_m' = Q_m^dagger for adjoint partners, so one product per pair.
+    adjoint = vectors.conj().T
+    rotated = np.empty((len(ops), ops.dim, ops.dim), dtype=complex)
+    for m, m_adj in enumerate(ops.pairing):
+        if m <= m_adj:
+            rotated[m] = adjoint @ (ops.operators[m] @ vectors)
+            rotated[m_adj] = rotated[m].conj().T
+    means = np.einsum("mii,i->m", rotated, weights)
+    # (Q_n)_ji = conj(Q_n')_ij, so the sum is the Gram matrix of the
+    # Q_m sqrt(k), read at the partner column n'.
+    scaled = (rotated * root_kernel).reshape(len(ops), -1)
+    gram = scaled @ scaled.conj().T
+    return np.outer(means, means) - gram[:, list(ops.pairing)]
+
+
+def _real_basis(pairing: tuple[int, ...]) -> np.ndarray:
+    """Columns spanning the admissible multipliers: F = basis @ x, x real.
+
+    A self-paired index gets the unit column e_m; a pair (m, m') gets
+    e_m + e_m' and i (e_m - e_m'), so F_m' = conj(F_m) for every x.
+    """
+    eye = np.eye(len(pairing))
+    columns = []
     for m, m_adj in enumerate(pairing):
         if m_adj == m:
-            coords.append(("real", m))
+            columns.append(eye[m])
         elif m < m_adj:
-            coords.append(("pair_re", m))
-            coords.append(("pair_im", m))
-    return coords
-
-
-def _unpack(x: np.ndarray, coords, pairing, size: int) -> np.ndarray:
-    F = np.zeros(size, dtype=complex)
-    for value, (kind, m) in zip(x, coords):
-        if kind == "real":
-            F[m] += value
-        elif kind == "pair_re":
-            F[m] += value
-            F[pairing[m]] += value
-        else:
-            F[m] += 1j * value
-            F[pairing[m]] -= 1j * value
-    return F
-
-
-def _pack(values: np.ndarray, coords) -> np.ndarray:
-    """Real coordinates of a multiplier or residual vector; undoes ``_unpack``."""
-    out = np.empty(len(coords))
-    for k, (kind, m) in enumerate(coords):
-        out[k] = values[m].imag if kind == "pair_im" else values[m].real
-    return out
+            columns += [eye[m] + eye[m_adj], 1j * (eye[m] - eye[m_adj])]
+    return np.array(columns, dtype=complex).T
 
 
 def solve_self_consistency(
@@ -272,10 +298,14 @@ def solve_self_consistency(
 ) -> np.ndarray:
     """Find multipliers whose state reproduces ``targets``.
 
-    Damped Newton iteration on the packed real residual with a
-    finite-difference Jacobian and a backtracking line search on the
-    residual norm.  Convergence means the max-norm of the complex moment
-    residual drops below ``tol``.
+    Damped Newton iteration in the real coordinates x of F = basis @ x on
+    the residual basis^T (<P> - targets), which is minus the gradient of
+    the convex dual phi(F) + sum_m F_m targets_m.  The Jacobian is exact
+    (``moment_jacobian``), and the backtracking line search asks the
+    residual norm to fall: near convergence the dual's own decrease is
+    below its rounding.  Each trial costs one eigendecomposition, and the
+    accepted one serves the next iteration.  Convergence means the max-norm
+    of the complex moment residual drops below ``tol``.
 
     Raises
     ------
@@ -292,57 +322,50 @@ def solve_self_consistency(
         If ``max_iter`` damped steps do not reach ``tol``.
     """
     targets = _pairing_consistent_targets(targets, ops)
-    coords = _independent_coords(ops.pairing)
+    basis = _real_basis(ops.pairing)
 
     if initial_F is None:
-        x = np.zeros(len(coords))
+        x = np.zeros(basis.shape[1])
     else:
-        x = _pack(validate_multipliers(initial_F, ops), coords)
+        F = validate_multipliers(initial_F, ops)
+        x = (basis.conj().T @ F).real / np.sum(np.abs(basis) ** 2, axis=0)
 
-    def residual_of(x_vec: np.ndarray) -> tuple[np.ndarray, float]:
-        F = _unpack(x_vec, coords, ops.pairing, len(ops))
-        res = moments(build_state(F, ops), ops) - targets
-        return _pack(res, coords), float(np.max(np.abs(res)))
+    def evaluate(x_vec: np.ndarray) -> tuple[RelevantState, np.ndarray, float]:
+        state = build_state(basis @ x_vec, ops)
+        res = moments(state, ops) - targets
+        return state, (basis.T @ res).real, float(np.max(np.abs(res)))
 
-    packed, res_inf = residual_of(x)
+    state, residual, res_inf = evaluate(x)
     best = res_inf
-    fd_step = 1e-6
 
     for _ in range(max_iter):
         if res_inf <= tol:
-            return _unpack(x, coords, ops.pairing, len(ops))
+            return basis @ x
         if np.max(np.abs(x)) > multiplier_bound:
             raise InfeasibleTargetsError(
                 f"multipliers exceeded {multiplier_bound} with residual {res_inf:.3e}; "
                 "targets look infeasible (boundary or exterior of the moment region)"
             )
 
-        jac = np.empty((len(coords), len(coords)))
-        for j in range(len(coords)):
-            bump = np.zeros(len(coords))
-            bump[j] = fd_step
-            r_plus, _ = residual_of(x + bump)
-            r_minus, _ = residual_of(x - bump)
-            jac[:, j] = (r_plus - r_minus) / (2.0 * fd_step)
-
+        jac = (basis.T @ moment_jacobian(state, ops) @ basis).real
         try:
-            step = np.linalg.solve(jac, -packed)
+            step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -packed, rcond=None)[0]
+            step = np.linalg.lstsq(jac, -residual, rcond=None)[0]
 
-        norm0 = np.linalg.norm(packed)
+        norm0 = np.linalg.norm(residual)
         damping = 1.0
-        while damping >= 2.0**-30:
-            trial_packed, trial_inf = residual_of(x + damping * step)
-            if np.linalg.norm(trial_packed) <= (1.0 - 1e-4 * damping) * norm0:
+        while True:
+            trial_x = x + damping * step
+            trial_state, trial_residual, trial_inf = evaluate(trial_x)
+            if damping <= 2.0**-30 or np.linalg.norm(trial_residual) <= (1.0 - 1e-4 * damping) * norm0:
                 break
             damping *= 0.5
-        x = x + damping * step
-        packed, res_inf = trial_packed, trial_inf
+        x, state, residual, res_inf = trial_x, trial_state, trial_residual, trial_inf
         best = min(best, res_inf)
 
     if res_inf <= tol:
-        return _unpack(x, coords, ops.pairing, len(ops))
+        return basis @ x
     raise NonConvergenceError(
         f"Newton inversion did not reach {tol} in {max_iter} iterations "
         f"(best residual {best:.3e})",

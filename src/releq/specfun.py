@@ -74,8 +74,11 @@ def trigamma(z):
     shifted = np.zeros_like(w)
     mask = w.real < _SHIFT_THRESHOLD
     while np.any(mask):
-        shifted[mask] += 1.0 / (w[mask] * w[mask])
-        w[mask] += 1.0
+        # Points of a kernel table share Re z, so all of them need every
+        # shift; the whole array then costs less than a gather and a scatter.
+        part = slice(None) if mask.all() else mask
+        shifted[part] += 1.0 / (w[part] * w[part])
+        w[part] += 1.0
         mask = w.real < _SHIFT_THRESHOLD
 
     inv = 1.0 / w

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's evaluation paths: the
 correlator oracle does the full two-dimensional frequency-time quadrature,
 the long-time frequency shift comes from a principal-value integral, the
-trigamma oracle is a direct series with a midpoint tail correction, and the
-integrator oracle runs each Dormand-Prince step on numpy arrays.
+trigamma oracle is a direct series with a midpoint tail correction, the
+masked trigamma applies the library's recurrence and asymptotic series one
+boolean selection at a time, and the integrator oracle runs each
+Dormand-Prince step on numpy arrays.
 """
 
 import math
@@ -25,6 +27,28 @@ def trigamma_series(z: complex, terms: int = 200_000) -> complex:
     partial = complex(np.sum(1.0 / (z + k) ** 2))
     w = z + terms - 0.5
     return partial + 1.0 / w - 1.0 / (12.0 * w**3)
+
+
+def masked_trigamma(z) -> np.ndarray:
+    """The recurrence and Bernoulli tail of ``releq.specfun.trigamma`` on a
+    1-D array, shifting only the points selected by a boolean mask."""
+    from releq.specfun import _BERNOULLI, _SHIFT_THRESHOLD
+
+    w = np.array(z, dtype=complex)
+    shifted = np.zeros_like(w)
+    mask = w.real < _SHIFT_THRESHOLD
+    while np.any(mask):
+        shifted[mask] += 1.0 / (w[mask] * w[mask])
+        w[mask] += 1.0
+        mask = w.real < _SHIFT_THRESHOLD
+    inv = 1.0 / w
+    inv2 = inv * inv
+    tail = np.zeros_like(w)
+    power = inv * inv2
+    for coeff in _BERNOULLI:
+        tail += coeff * power
+        power *= inv2
+    return shifted + inv + 0.5 * inv2 + tail
 
 
 def coth_product(w: float, beta: float, W: float) -> float:

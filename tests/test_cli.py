@@ -346,6 +346,36 @@ class TestSweep:
         assert str(sweep_dir / "bad.json") in err
         assert str(sweep_dir / "good.json") not in err
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_sweep_matches_single_runs_in_file_name_order(self, tmp_path, capsys):
+        spin = {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "initial": []}
+        good = {
+            "d_osc": {"t_max": 0.5},
+            "c_tls": {"model": "tls", "params": TLS_PARAMS, "initial": [0.2, 0.1, -0.1], "t_max": 0.5},
+            "b_corr": {"model": "corr", "t_max": 0.5, "initial": []},
+            "a_maxent": dict(spin, targets=[[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]),
+        }
+        bad = {
+            "z_config": {"initial": [1, 0, -1]},  # exit 2
+            "e_infeasible": dict(spin, targets=[[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),  # exit 3
+        }
+        sweep_dir, out_dir, single_dir = (tmp_path / name for name in ("sweep", "out", "single"))
+        for directory in (sweep_dir, out_dir, single_dir):
+            directory.mkdir()
+        for name, overrides in {**bad, **good}.items():
+            write_config(sweep_dir / f"{name}.json", output_path=str(out_dir / f"{name}.csv"), **overrides)
+
+        assert main(["--sweep", str(sweep_dir)]) == 3
+        err = capsys.readouterr().err
+        positions = [err.find(str(sweep_dir / f"{name}.json")) for name in sorted(bad)]
+        assert 0 <= positions[0] < positions[1]
+        for name, overrides in good.items():
+            assert str(sweep_dir / f"{name}.json") not in err
+            single = single_dir / f"{name}.csv"
+            model = overrides.get("model", "oscillator")
+            assert main([model, "--config", str(sweep_dir / f"{name}.json"), "--output", str(single)]) == 0
+            assert (out_dir / f"{name}.csv").read_bytes() == single.read_bytes()
+
     def test_empty_sweep_dir(self, tmp_path):
         sweep_dir = tmp_path / "sweep"
         sweep_dir.mkdir()
@@ -359,6 +389,7 @@ class TestSweep:
 # The README configurations, both regimes where they apply.  The digests are
 # those of the output before the oscillator and two-level runs shared one
 # set-up and one CSV writer; any change to a number or its text shows here.
+# The maxent digest is that of the Newton solve with the exact Jacobian.
 # They were taken on x86-64 with numpy 2.4.6 and scipy 1.17.1; another libm
 # or BLAS may move last bits.
 _README_OSCILLATOR = {
@@ -390,7 +421,7 @@ PINNED_CSV = [
     ),
     (
         {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},
-        "8a59c0d17ccb998108549e7c4b061f351c639f07d7c7edb994d18a197f8a94da",
+        "f4314401403da1face8f1928c79787998322c90460d34d098fb4eb7020eac85b",
     ),
 ]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trigamma_series
+from oracles import masked_trigamma, trigamma_series
 from releq.specfun import PoleError, arctanh_ratio, trigamma
 
 # Oracle values frozen from a 50-digit mpmath computation, cross-checked by
@@ -43,6 +43,17 @@ class TestTrigamma:
         assert values.shape == zs.shape
         for z, v in zip(zs.ravel(), values.ravel()):
             assert v == pytest.approx(trigamma(complex(z)), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["table", "mixed"])
+    def test_equals_the_masked_shifts_bit_for_bit(self, rng, kind):
+        if kind == "table":
+            # A kernel table's arguments (1 - i t W)/(W beta): every point
+            # needs the same number of shifts.
+            t = np.linspace(0.0, 25.0, 5001)
+            z = (1.0 - 1j * t * 10.0) / (10.0 * 3.0)
+        else:
+            z = rng.uniform(0.01, 30.0, 2000) + 1j * rng.uniform(-50.0, 50.0, 2000)
+        assert np.array_equal(trigamma(z), masked_trigamma(z))
 
     @given(
         st.floats(min_value=1e-3, max_value=50.0),
