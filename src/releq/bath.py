@@ -14,8 +14,10 @@ approach constant long-time values whose real parts are pi*J(w0) and
 pi*J(w0)*coth(beta*w0/2).
 
 For production right-hand sides the kernels are tabulated once on a fine
-time grid and served as piecewise cubics from one coefficient table; direct
-adaptive quadrature is kept as the reference evaluation path.
+time grid and served from one coefficient table of cubic Hermite pieces,
+each built from the node values and the closed-form derivatives above.
+Direct adaptive quadrature (scipy's ``quad``, imported only when called) is
+kept as the reference evaluation path.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PPoly
 
 from .specfun import trigamma
 
@@ -53,8 +53,6 @@ __all__ = [
     "windowed_correlator_average",
 ]
 
-_SUPPORTED_MODELS = ("ohmic-exp",)
-
 REGIMES = ("markovian", "non_markovian")
 
 
@@ -71,26 +69,18 @@ class BathParams:
     """Bath and system-frequency parameters.
 
     W is the spectral cutoff, beta the bath inverse temperature, omega0 the
-    system transition frequency.  ``spectral_model`` is a tag for future
-    spectral families; only the exponentially cut off Ohmic form is
-    supported.
+    system transition frequency.
     """
 
     W: float
     beta: float
     omega0: float
-    spectral_model: str = "ohmic-exp"
 
     def __post_init__(self):
         for name in ("W", "beta", "omega0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.spectral_model not in _SUPPORTED_MODELS:
-            raise ValueError(
-                f"unsupported spectral_model {self.spectral_model!r}; "
-                f"supported: {_SUPPORTED_MODELS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -140,6 +130,8 @@ def corr_f_beta_integrand(t, params: BathParams):
 
 def _quad_complex(func, a: float, b: float, rel_tol: float) -> tuple[complex, float]:
     """Adaptive quadrature of a complex integrand; returns value and estimate."""
+    from scipy.integrate import quad
+
     re, re_err = quad(lambda s: func(s).real, a, b, epsabs=1e-14, epsrel=rel_tol, limit=400)
     im, im_err = quad(lambda s: func(s).imag, a, b, epsabs=1e-14, epsrel=rel_tol, limit=400)
     return complex(re, im), math.hypot(re_err, im_err)
@@ -202,55 +194,59 @@ def _composite_gl(func, a: float, b: float, max_step: float) -> complex:
     return complex(np.sum(_panel_integrals(func, edges)))
 
 
+# Grid step of the kernel table.  The Hermite error on an interval is at most
+# step**4/384 * max|f''''| (de Boor, A Practical Guide to Splines, ch. IV).
+# It is largest at t = 0, where |f''''| = 24 W**5: about 6e-14 * W**5.
+_TABLE_STEP = 1e-3
+
+
 class CorrelatorCache:
     """Table of f(t) and f(t, beta) on a uniform grid, served as cubics.
 
-    The grid values are built by cumulative panelwise Gauss-Legendre
-    integration of the closed-form kernel derivatives, so the table error
-    sits far below the transport-equation tolerances (the spline
-    interpolation error at the default millistep is ~1e-12 of the kernel
-    scale).  They are interpolated by not-a-knot cubic splines, kept as one
-    float table of shape (intervals, 16): row i holds, for the interval
+    The node values are built by cumulative panelwise Gauss-Legendre
+    integration of the closed-form kernel derivatives, and each interval is
+    the cubic Hermite piece through its two node values and the exact
+    derivatives there, so the table error sits far below the
+    transport-equation tolerances.  The pieces are kept as one float table
+    of shape (intervals, 16): row i holds, for the interval
     [i*step, (i+1)*step), the power-basis coefficients (highest power first)
     of Re f, Im f, Re f_beta and Im f_beta.  A lookup finds its row by index
-    arithmetic and evaluates in the operation order of scipy's ``PPoly``, so
-    its values are those of ``CubicSpline`` bit for bit.
+    arithmetic.
 
-    The table extends itself when evaluated past its current horizon.  An
-    extension publishes a new table; a lookup running meanwhile reads the
-    one it started with, so concurrent lookups stay in range.
+    The table extends itself when evaluated past its current horizon.  The
+    pieces are local, so an extension appends rows and leaves the old ones
+    as they were, and it publishes a new table; a lookup running meanwhile
+    reads the one it started with, so concurrent lookups stay in range.
     """
 
-    def __init__(self, params: BathParams, t_max: float = 25.0, step: float = 1e-3):
-        if step <= 0.0:
-            raise ValueError(f"grid step must be positive, got {step}")
+    def __init__(self, params: BathParams, t_max: float = 25.0):
         self.params = params
-        self.step = step
         self._lock = threading.Lock()
-        self._integral = None
-        self._build(max(t_max, 10 * step))
+        self._table = np.empty((0, 16))
+        self._build(max(t_max, 10 * _TABLE_STEP))
 
     def _build(self, t_max: float):
-        n = int(math.ceil(t_max / self.step))
-        grid = np.arange(n + 1) * self.step
-        # An extension keeps the node values of the old table, which its
-        # constant coefficients hold exactly (CubicSpline stores y[:-1] as
-        # c[3], columns 3, 7, 11 and 15), and integrates on from its last
-        # stored node; the sums continue in the order of a fresh build.
-        old = getattr(self, "_table", None)
-        start = 0 if old is None else len(old) - 1
-        table = np.empty((n, 4, 4))
+        h = _TABLE_STEP
+        n = int(math.ceil(t_max / h))
+        grid = np.arange(n + 1) * h
+        old = self._table
+        first = len(old)  # the first new row
+        # An extension sums on from the first node of the old last row, whose
+        # constant coefficients hold that node's value exactly.  The sums
+        # then run in the order of a fresh build, and so do the new rows.
+        start = max(first - 1, 0)
+        rows = np.empty((n - first, 4, 4))
         for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
-            values = np.zeros(n + 1, dtype=complex)
-            if old is not None:
-                values.real[: start + 1] = old[:, 8 * k + 3]
-                values.imag[: start + 1] = old[:, 8 * k + 7]
-            panels = _panel_integrals(lambda s, _g=integrand: _g(s, self.params), grid[start:])
-            values[start:] = np.cumsum(np.concatenate((values[start : start + 1], panels)))
-            coeffs = CubicSpline(grid, values).c.T
-            table[:, 2 * k] = coeffs.real
-            table[:, 2 * k + 1] = coeffs.imag
-        self._table = table.reshape(n, 16)
+            g = lambda s, _g=integrand: _g(s, self.params)
+            y_start = complex(old[start, 8 * k + 3], old[start, 8 * k + 7]) if first else 0j
+            y = np.cumsum(np.concatenate(([y_start], _panel_integrals(g, grid[start:]))))[first - start :]
+            d = g(grid[first:])
+            d0, d1 = d[:-1], d[1:]
+            slope = np.diff(y) / h
+            coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
+            rows[:, 2 * k] = coeffs.real
+            rows[:, 2 * k + 1] = coeffs.imag
+        self._table = np.concatenate((old, rows.reshape(-1, 16)))
         # Published last: a caller that sees the new horizon sees the new table.
         self.t_max = grid[-1]
 
@@ -266,7 +262,7 @@ class CorrelatorCache:
         """(f(t), f(t, beta)) at one time; the scalar form of ``f``/``f_beta``."""
         t = float(t)
         table = self._table
-        step = self.step
+        step = _TABLE_STEP
         i = int(t / step)
         if t < i * step:
             i -= 1
@@ -288,24 +284,27 @@ class CorrelatorCache:
             complex(((c3 + c2 * s) + c1 * ss) + c0 * sss, ((d3 + d2 * s) + d1 * ss) + d0 * sss),
         )
 
-    def _evaluate(self, t, kernel: int) -> np.ndarray:
-        """f (``kernel`` 0) or f_beta (1) at an array of times; ``pair`` vectorised."""
+    def _locate(self, t):
+        """(table, rows, offsets) of an array of times; ``pair``'s index arithmetic."""
         self.ensure_horizon(float(np.max(t)))
         table = self._table
-        times = np.asarray(t, dtype=float)
-        flat = times.reshape(-1)
-        i = (flat / self.step).astype(np.intp)
-        i -= flat < i * self.step
-        i += flat >= (i + 1) * self.step
+        flat = np.asarray(t, dtype=float).reshape(-1)
+        i = (flat / _TABLE_STEP).astype(np.intp)
+        i -= flat < i * _TABLE_STEP
+        i += flat >= (i + 1) * _TABLE_STEP
         np.clip(i, 0, len(table) - 1, out=i)
-        s = flat - i * self.step
+        return table, i, flat - i * _TABLE_STEP
+
+    def _evaluate(self, t, kernel: int) -> np.ndarray:
+        """f (``kernel`` 0) or f_beta (1) at an array of times; ``pair`` vectorised."""
+        table, i, s = self._locate(t)
         ss = s * s
         sss = ss * s
         rows = table[i].reshape(-1, 4, 4)
-        out = np.empty(flat.shape, dtype=complex)
+        out = np.empty(s.shape, dtype=complex)
         for part, c in ((out.real, rows[:, 2 * kernel]), (out.imag, rows[:, 2 * kernel + 1])):
             part[...] = ((c[:, 3] + c[:, 2] * s) + c[:, 1] * ss) + c[:, 0] * sss
-        return out.reshape(times.shape)
+        return out.reshape(np.shape(t))
 
     def f(self, t):
         """f(t), cubic interpolation on the table."""
@@ -316,28 +315,24 @@ class CorrelatorCache:
         return self.pair(t)[1] if np.ndim(t) == 0 else self._evaluate(t, 1)
 
     def f_time_integral(self, t):
-        """integral_0^t f(s) ds, the exponent of the amplitude decay.
+        """integral_0^t f(s) ds of the interpolated f, the exponent of the
+        amplitude decay: the whole intervals before t, then the part of the
+        one that holds t."""
+        table, i, s = self._locate(t)
+        c = table[:, 0:4] + 1j * table[:, 4:8]
 
-        The antiderivative is built from the f columns on first use and kept
-        with the table it came from, so an extension rebuilds it.
-        """
-        self.ensure_horizon(float(np.max(t)))
-        table = self._table
-        integral = self._integral
-        if integral is None or integral[0] is not table:
-            coeffs = np.empty((4, len(table)), dtype=complex)
-            coeffs.real = table[:, 0:4].T
-            coeffs.imag = table[:, 4:8].T
-            grid = np.arange(len(table) + 1) * self.step
-            integral = self._integral = (table, PPoly(coeffs, grid).antiderivative())
-        out = integral[1](t)
-        return complex(out) if np.ndim(t) == 0 else out
+        def integral(c, s):  # of the cubics c (highest power first) over [0, s]
+            return s * (c[:, 3] + s * (c[:, 2] / 2 + s * (c[:, 1] / 3 + s * (c[:, 0] / 4))))
+
+        whole = np.concatenate(([0j], np.cumsum(integral(c, _TABLE_STEP))))
+        out = whole[i] + integral(c[i], s)
+        return complex(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 @lru_cache(maxsize=16)
-def correlator_cache(params: BathParams, step: float = 1e-3) -> CorrelatorCache:
+def correlator_cache(params: BathParams) -> CorrelatorCache:
     """Shared per-parameter kernel table (immutable params make this safe)."""
-    return CorrelatorCache(params, step=step)
+    return CorrelatorCache(params)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ correlator oracle does the full two-dimensional frequency-time quadrature,
 the long-time frequency shift comes from a principal-value integral, the
 trigamma oracle is a direct series with a midpoint tail correction, the
 masked trigamma applies the library's recurrence and asymptotic series one
-boolean selection at a time, and the integrator oracle runs each
+boolean selection at a time, the Hermite oracle evaluates the cardinal
+basis on intervals found by bisection, and the integrator oracle runs each
 Dormand-Prince step on numpy arrays.
 """
 
@@ -49,6 +50,28 @@ def masked_trigamma(z) -> np.ndarray:
         tail += coeff * power
         power *= inv2
     return shifted + inv + 0.5 * inv2 + tail
+
+
+def cubic_hermite(nodes, values, derivatives, times) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant through ``values`` and
+    ``derivatives`` at the sorted ``nodes``, evaluated at ``times`` in the
+    cardinal basis h00, h10, h01, h11.  Intervals are half-open except the
+    last, which is closed."""
+    nodes = np.asarray(nodes, dtype=float)
+    times = np.asarray(times, dtype=float)
+    i = np.clip(np.searchsorted(nodes, times, side="right") - 1, 0, nodes.size - 2)
+    h = nodes[i + 1] - nodes[i]
+    u = (times - nodes[i]) / h
+    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+    return (
+        h00 * values[i]
+        + h10 * h * derivatives[i]
+        + h01 * values[i + 1]
+        + h11 * h * derivatives[i + 1]
+    )
 
 
 def coth_product(w: float, beta: float, W: float) -> float:

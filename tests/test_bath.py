@@ -4,19 +4,23 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.integrate import quad
 
 from oracles import (
     F_BETA_ORACLE_T1,
     F_ORACLE_T1,
     corr_oracle_2d,
+    cubic_hermite,
     pv_frequency_shift,
 )
 from releq.bath import (
+    _TABLE_STEP,
     BathParams,
     CorrelatorCache,
     corr_f,
     corr_f_beta,
+    corr_f_beta_integrand,
+    corr_f_integrand,
     correlator_cache,
     correlator_samples,
     coth,
@@ -39,10 +43,6 @@ class TestBathParams:
         fields.update(bad)
         with pytest.raises(ValueError):
             BathParams(**fields)
-
-    def test_unknown_spectral_model_rejected(self):
-        with pytest.raises(ValueError, match="spectral_model"):
-            BathParams(W=10.0, beta=3.0, omega0=1.0, spectral_model="drude")
 
 
 class TestSpectralDensity:
@@ -118,33 +118,48 @@ class TestCorrelatorCache:
         assert derivative == pytest.approx(cache.f(t), rel=1e-6)
         assert cache.f_time_integral(0.0) == 0j
 
+    def test_time_integral_against_quadrature_of_the_table(self, fig_bath):
+        cache = correlator_cache(fig_bath)
+        times = (0.0037, 0.41, 2.5, 6.283, 19.99)
+        values = cache.f_time_integral(np.array(times))
+        for t, value in zip(times, values):
+            for part, got in (("real", value.real), ("imag", value.imag)):
+                expected, _ = quad(lambda s: getattr(cache.f(s), part), 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
+                assert got == pytest.approx(expected, rel=1e-10)
+            assert cache.f_time_integral(t) == value
+
     def test_auto_extension(self, fig_bath):
         cache = correlator_cache(fig_bath)
         value = cache.f(cache.t_max + 3.0)
         assert np.isfinite(value)
         assert cache.t_max >= 28.0
 
-    def test_table_is_the_cubic_spline_bit_for_bit(self, fig_bath, rng):
+    def test_table_is_the_cubic_hermite_interpolant(self, fig_bath, rng):
         # Node values are the same in every table that covers them, but a
         # table's last node is held only by its last cubic, which reproduces
-        # it to rounding.  So the reference splines take their node values
-        # from the longer shared table.
+        # it to rounding.  So the reference takes its node values from the
+        # longer shared table, and its derivatives from the closed forms.
         shared = correlator_cache(fig_bath)
         cache = CorrelatorCache(fig_bath, t_max=5.0)
         for horizon in (5.0, 7.0):  # the second extends the table to 10.5
             cache.ensure_horizon(horizon)
-            grid = np.arange(round(cache.t_max / cache.step) + 1) * cache.step
+            grid = np.arange(round(cache.t_max / _TABLE_STEP) + 1) * _TABLE_STEP
             assert grid[-1] == cache.t_max < shared.t_max
-            ref_f = CubicSpline(grid, shared.f(grid))
-            ref_f_beta = CubicSpline(grid, shared.f_beta(grid))
             times = np.concatenate(
-                ([0.0], grid, grid[:-1] + 0.5 * cache.step, rng.uniform(0.0, cache.t_max, 400), [cache.t_max])
+                ([0.0], grid, grid[:-1] + 0.5 * _TABLE_STEP, rng.uniform(0.0, cache.t_max, 400), [cache.t_max])
             )
-            assert cache.f(times).tobytes() == ref_f(times).tobytes()
-            assert cache.f_beta(times).tobytes() == ref_f_beta(times).tobytes()
-            expected = list(zip(ref_f(times).tolist(), ref_f_beta(times).tolist()))
-            assert [cache.pair(t) for t in times] == expected
-            for t, pair in list(zip(times, expected))[::50]:
+            f, f_beta = cache.f(times), cache.f_beta(times)
+            for got, node_values, derivative in (
+                (f, shared.f(grid), corr_f_integrand),
+                (f_beta, shared.f_beta(grid), corr_f_beta_integrand),
+            ):
+                expected = cubic_hermite(grid, node_values, derivative(grid, fig_bath), times)
+                # The power basis and the cardinal basis round differently.
+                tolerance = 32 * np.finfo(float).eps * np.max(np.abs(expected))
+                assert np.max(np.abs(got - expected)) <= tolerance
+            pairs = list(zip(f.tolist(), f_beta.tolist()))
+            assert [cache.pair(t) for t in times] == pairs
+            for t, pair in list(zip(times, pairs))[::50]:
                 assert kernel_pair(t, fig_bath, "non_markovian", cache) == pair
                 assert (cache.f(t), cache.f_beta(t)) == pair
 
@@ -152,9 +167,12 @@ class TestCorrelatorCache:
         params = BathParams(W=5.0, beta=2.0, omega0=1.0)
         cache = CorrelatorCache(params)
         old_table = cache._table
+        old_rows = old_table.copy()
         cache.ensure_horizon(40.0)
         assert cache._table is not old_table
         assert cache.t_max == 60.0
+        assert np.array_equal(old_table, old_rows)
+        assert cache._table[: len(old_rows)].tobytes() == old_rows.tobytes()
         assert np.array_equal(cache._table, CorrelatorCache(params, t_max=60.0)._table)
 
     def test_kernel_pair_past_the_horizon_extends_the_table(self):
@@ -166,13 +184,15 @@ class TestCorrelatorCache:
         assert pair == cache.pair(t)
 
     def test_lookups_while_the_table_grows(self, fig_bath):
-        # Lookups past the first horizon extend the table themselves.  Every
-        # table gives the same values at times well inside it, so the longer
-        # shared table supplies the expected ones.  Times near the first
-        # horizon are left out: its last cubic ends there.
+        # Lookups past the first horizon extend the table themselves.  An
+        # extension leaves the old rows as they were, so every table gives
+        # the same values at times inside it and the longer shared table
+        # supplies the expected ones.  The first horizon itself is left out:
+        # its last cubic reproduces the node value there only to rounding.
         shared = correlator_cache(fig_bath)
         cache = CorrelatorCache(fig_bath, t_max=2.0)
-        times = np.concatenate((np.linspace(0.0, 1.9, 77), np.linspace(2.1, 2.6, 21)))
+        near = np.logspace(-12, -4, 5)
+        times = np.concatenate((np.linspace(0.0, 2.6, 99), 2.0 - near, 2.0 + near))
         expected_pairs = [shared.pair(t) for t in times]
         expected_f = shared.f(times)
         errors, mismatches, rounds = [], [], []

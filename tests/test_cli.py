@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import releq
 from releq import oscillator, tls
 from releq.bath import REGIMES
 from releq.cli import MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
@@ -386,12 +390,12 @@ class TestSweep:
         assert "required" in capsys.readouterr().err
 
 
-# The README configurations, both regimes where they apply.  The digests are
-# those of the output before the oscillator and two-level runs shared one
-# set-up and one CSV writer; any change to a number or its text shows here.
-# The maxent digest is that of the Newton solve with the exact Jacobian.
-# They were taken on x86-64 with numpy 2.4.6 and scipy 1.17.1; another libm
-# or BLAS may move last bits.
+# The README configurations, both regimes where they apply; any change to a
+# number or its text shows here.  The non-Markovian transport digests are
+# those of the kernel table built from cubic Hermite pieces, and the maxent
+# digest is that of the Newton solve with the exact Jacobian.  They were
+# taken on x86-64 with numpy 2.4.6, and no scipy code runs in these
+# configurations; another libm or BLAS may move last bits.
 _README_OSCILLATOR = {
     "model": "oscillator",
     "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0},
@@ -409,11 +413,11 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "64f2a99aceb4cc117ed80b5fdd74e6e7b027effe9647be6a705890835c3bfa65"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "57aba068c339544ca2a1e22054a8a0065721e5dc91e8168f91de0ad40dc6d8c9"),
     (dict(_README_OSCILLATOR, regime="markovian"), "7a91de2b1f3ca302677c4904329e5eec56a09c140c9ca08809a28c74479ecbbc"),
-    (dict(_README_TLS, regime="non_markovian"), "2b704cbb6dd51e6acc38a14b5679812ec666cca241c930926cbdae4513fd97d6"),
+    (dict(_README_TLS, regime="non_markovian"), "f00c9e3b4983af33377133a951f95f17bb2cca549d17acf691294e32617c7afe"),
     (dict(_README_TLS, regime="markovian"), "7f0aa9cc41153e91c4bf00b01e38fec5dadcdb9651315b5745b1a41d9108967f"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "c683215637a31e7911b59b2e0c800c6ce61b3d29b1cb530de1728f40727b6b55"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "5dc7c0f526f19570514f623f8c0adbe8297fad1652cae6fca098ee9cebc4dcbd"),
     (dict(_WEAK_TLS, regime="markovian"), "c85c295a8bec721def0ceeccd9b68a4680dc0e4b8c77d442d6c752560f0cfc44"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
@@ -437,6 +441,17 @@ def test_readme_csv_bytes_are_pinned(tmp_path, config, digest):
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+def test_the_cli_imports_no_scipy():
+    # scipy serves only the direct reference quadrature of the kernels, so
+    # a run does not pay for importing it.
+    code = "import sys, releq.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    src = str(Path(releq.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # Right-hand-side evaluations of the README runs, counted the way the
