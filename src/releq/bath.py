@@ -50,7 +50,6 @@ __all__ = [
     "kernel_pair",
     "markovian_limits",
     "spectral_density",
-    "windowed_correlator_average",
 ]
 
 REGIMES = ("markovian", "non_markovian")
@@ -184,14 +183,6 @@ def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
         values = func(nodes.reshape(-1)).reshape(nodes.shape)
         out[start : start + half.size] = half * (values @ _GL_WEIGHTS)
     return out
-
-
-def _composite_gl(func, a: float, b: float, max_step: float) -> complex:
-    if b <= a:
-        return 0j
-    n = max(1, int(math.ceil((b - a) / max_step)))
-    edges = np.linspace(a, b, n + 1)
-    return complex(np.sum(_panel_integrals(func, edges)))
 
 
 # Grid step of the kernel table.  The Hermite error on an interval is at most
@@ -341,7 +332,7 @@ def correlator_cache(params: BathParams) -> CorrelatorCache:
 
 @dataclass(frozen=True)
 class MarkovianLimits:
-    """Long-time kernel values with stability estimates for the averaged parts."""
+    """Long-time kernel values with error estimates for their imaginary parts."""
 
     f_inf: complex
     f_beta_inf: complex
@@ -353,41 +344,38 @@ class MarkovianLimits:
         return self.f_inf, self.f_beta_inf
 
 
-def windowed_correlator_average(
-    params: BathParams,
-    window_start: float | None = None,
-    separation_periods: int = 10,
-):
-    """Average f(t) and f(t, beta) over one oscillation period at large t.
+def _frequency_shifts(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """Principal values P int_0^inf g(w) / (w - w0) dw for g = J and
+    g = J coth(beta w / 2), with their error estimates.
 
-    Both kernels approach their long-time values with an oscillating tail;
-    averaging over one period of the system frequency removes the leading
-    oscillation.  Returns the two window averages together with stability
-    estimates taken as the change between this window and a second one
-    ``separation_periods`` later.
+    The pole is removed by subtracting g(w0) on [0, 2 w0], over which
+    1/(w - w0) integrates to zero.  That interval is cut into panels halving
+    towards w = 0, where the cutoff and thermal scales sit; the tail out to
+    2 w0 + 60 W, where the cutoff leaves e**-60, into panels growing
+    geometrically away from the pole.  The values take 48-node
+    Gauss-Legendre rules on every panel; the estimate is their difference
+    from 32-node rules plus a rounding bound on the sum of the terms.
     """
-    w0 = params.omega0
-    period = 2.0 * math.pi / w0
-    t1 = 500.0 / w0 if window_start is None else float(window_start)
-    t2 = t1 + separation_periods * period
-    step = 0.02 / max(w0, 0.2 * params.W)
+    W, beta, w0 = params.W, params.beta, params.omega0
 
-    averages = []
-    for integrand in (corr_f_integrand, corr_f_beta_integrand):
-        g = lambda s, _f=integrand: _f(s, params)
-        base = _composite_gl(g, 0.0, t1, step)
-        tail = _composite_gl(g, t1, t2, step)
-        windows = []
-        for start, cumulative in ((t1, base), (t2, base + tail)):
-            # One-period average of the cumulative kernel, with the double
-            # integral collapsed to a single weighted pass over the window.
-            weighted = _composite_gl(
-                lambda s, _s=start, _g=g: (_s + period - s) * _g(s), start, start + period, step
-            )
-            windows.append(cumulative + weighted / period)
-        averages.append((windows[0], abs(windows[0] - windows[1])))
-    (avg_f, err_f), (avg_fb, err_fb) = averages
-    return avg_f, avg_fb, err_f, err_fb
+    def g(w):  # J and J coth(beta w / 2), with the thermal factor kept finite
+        j = w * np.exp(-w / W)
+        return np.stack((j, j * (1.0 + 2.0 * np.exp(-beta * w) / -np.expm1(-beta * w))))
+
+    near = w0 * 0.5 ** np.arange(23, -1, -1)  # w0 / 2**23, ..., w0
+    tail = w0 + w0 * (1.0 + 60.0 * W / w0) ** (np.arange(25) / 24)  # 2 w0, ..., 2 w0 + 60 W
+    edges = np.concatenate(([0.0], near, tail))
+    half = 0.5 * np.diff(edges)
+    g0 = g(np.array([w0]))
+
+    def terms(nodes, weights):  # weighted integrand values of one rule, per g
+        w = ((edges[:-1] + half)[:, None] + half[:, None] * nodes).reshape(-1)
+        return (g(w) - np.where(w < 2.0 * w0, g0, 0.0)) / (w - w0) * (half[:, None] * weights).reshape(-1)
+
+    high, low = (terms(*leggauss(n)) for n in (48, 32))
+    shifts = high.sum(axis=1)
+    rounding = 50.0 * np.finfo(float).eps * np.abs(high).sum(axis=1)
+    return shifts, np.abs(shifts - low.sum(axis=1)) + rounding
 
 
 @lru_cache(maxsize=16)
@@ -395,18 +383,18 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
     """Long-time kernel values f(inf) and f(inf, beta).
 
     The real parts are the golden-rule rates pi*J(w0) and
-    pi*J(w0)*coth(beta*w0/2); the imaginary (frequency-shift) parts come
-    from the windowed large-time average, whose stability estimate is
-    reported alongside.
+    pi*J(w0)*coth(beta*w0/2); the imaginary parts are the frequency shifts,
+    principal values of J(w)/(w - w0) and J(w)coth(beta*w/2)/(w - w0) over
+    w > 0, whose error estimates are reported alongside.
     """
     re_f = math.pi * spectral_density(params.omega0, params)
     re_fb = re_f * coth(0.5 * params.beta * params.omega0)
-    avg_f, avg_fb, err_f, err_fb = windowed_correlator_average(params)
+    (im_f, im_fb), (err_f, err_fb) = _frequency_shifts(params)
     return MarkovianLimits(
-        f_inf=complex(re_f, avg_f.imag),
-        f_beta_inf=complex(re_fb, avg_fb.imag),
-        f_inf_error=err_f,
-        f_beta_inf_error=err_fb,
+        f_inf=complex(re_f, im_f),
+        f_beta_inf=complex(re_fb, im_fb),
+        f_inf_error=float(err_f),
+        f_beta_inf_error=float(err_fb),
     )
 
 

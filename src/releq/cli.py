@@ -229,9 +229,9 @@ def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
     if kind == "spin":
         return maxent.spin_operator_set()
     if kind == "fock":
-        dim = int(spec.get("dim", 256))
-        if dim > MAX_FOCK_DIM:
-            raise ConfigError(f"operator_set.dim must be at most {MAX_FOCK_DIM}, got {dim}")
+        dim = spec.get("dim", 256)
+        if type(dim) is not int or not 2 <= dim <= MAX_FOCK_DIM:
+            raise ConfigError(f"operator_set.dim must be an integer from 2 to {MAX_FOCK_DIM}, got {dim!r}")
         return maxent.fock_operator_set(dim)
     if kind == "explicit":
         try:

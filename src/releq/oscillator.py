@@ -142,13 +142,15 @@ def quartic_correlator(state: OscillatorState) -> float:
 
 _GL_NODES4, _GL_WEIGHTS4 = np.polynomial.legendre.leggauss(4)
 
+# Largest interval of the occupation march in closed_form_trajectory.
+_SUBSTEP = 0.01
+
 
 def closed_form_trajectory(
     sample_times,
     initial: OscillatorState,
     params: BathParams,
     regime: str = "non_markovian",
-    substep: float = 0.01,
 ):
     """Quadrature evaluation of the integrating-factor solution.
 
@@ -183,8 +185,8 @@ def closed_form_trajectory(
     if t_end == 0.0:
         return mean_a, np.full(times.size, n0)
 
-    # March on a grid that contains every sample time, refined to substep.
-    grid = np.union1d(times, np.arange(0.0, t_end, substep))
+    # March on a grid that contains every sample time, refined to _SUBSTEP.
+    grid = np.union1d(times, np.arange(0.0, t_end, _SUBSTEP))
     half = 0.5 * np.diff(grid)
     nodes = (grid[:-1] + half)[:, None] + half[:, None] * _GL_NODES4[None, :]
     flat = nodes.reshape(-1)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's evaluation paths: the
 correlator oracle does the full two-dimensional frequency-time quadrature,
-the long-time frequency shift comes from a principal-value integral, the
+the long-time frequency shift comes from a principal-value integral and,
+in the time domain, from a windowed average of the kernels, the
 trigamma oracle is a direct series with a midpoint tail correction, the
 masked trigamma applies the library's recurrence and asymptotic series one
 boolean selection at a time, the Hermite oracle evaluates the cardinal
@@ -128,6 +129,55 @@ def pv_frequency_shift(params, finite_beta: bool) -> float:
             lambda w: g(w) / (w - w0), 2 * w0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400
         )
     return singular + tail
+
+
+def _composite_gl(func, a: float, b: float, max_step: float) -> complex:
+    """4-point Gauss-Legendre over panels of at most ``max_step`` in [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(a, b, max(1, math.ceil((b - a) / max_step)) + 1)
+    half = 0.5 * np.diff(edges)
+    total = 0j
+    for start in range(0, half.size, 4096):  # bounds the memory of the nodes
+        h = half[start : start + 4096]
+        points = (edges[start : start + h.size] + h)[:, None] + h[:, None] * nodes
+        total += complex(np.sum(h * (func(points.reshape(-1)).reshape(points.shape) @ weights)))
+    return total
+
+
+def windowed_correlator_average(params):
+    """Average f(t) and f(t, beta) over one oscillation period at large t.
+
+    Both kernels approach their long-time values with an oscillating tail;
+    averaging the cumulative integrals of ``releq.bath``'s kernel
+    derivatives over one period of the system frequency, from t = 500/w0,
+    removes the leading oscillation.  Returns the two window averages
+    together with stability estimates taken as the change between this
+    window and a second one ten periods later.
+    """
+    from releq.bath import corr_f_beta_integrand, corr_f_integrand
+
+    w0 = params.omega0
+    period = 2.0 * math.pi / w0
+    t1 = 500.0 / w0
+    t2 = t1 + 10 * period
+    step = 0.02 / max(w0, 0.2 * params.W)
+
+    averages = []
+    for integrand in (corr_f_integrand, corr_f_beta_integrand):
+        g = lambda s, _f=integrand: _f(s, params)
+        base = _composite_gl(g, 0.0, t1, step)
+        tail = _composite_gl(g, t1, t2, step)
+        windows = []
+        for start, cumulative in ((t1, base), (t2, base + tail)):
+            # One-period average of the cumulative kernel, with the double
+            # integral collapsed to a single weighted pass over the window.
+            weighted = _composite_gl(
+                lambda s, _s=start, _g=g: (_s + period - s) * _g(s), start, start + period, step
+            )
+            windows.append(cumulative + weighted / period)
+        averages.append((windows[0], abs(windows[0] - windows[1])))
+    (avg_f, err_f), (avg_fb, err_fb) = averages
+    return avg_f, avg_fb, err_f, err_fb
 
 
 def binary_entropy(p: float) -> float:

@@ -18,6 +18,7 @@ from oracles import (
     corr_oracle_2d,
     project_moment_neutral,
     pv_frequency_shift,
+    windowed_correlator_average,
 )
 from releq import maxent, oscillator, tls
 from releq.bath import (
@@ -25,7 +26,6 @@ from releq.bath import (
     corr_f,
     corr_f_beta,
     markovian_limits,
-    windowed_correlator_average,
 )
 from releq.specfun import trigamma
 

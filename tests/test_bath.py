@@ -12,6 +12,7 @@ from oracles import (
     corr_oracle_2d,
     cubic_hermite,
     pv_frequency_shift,
+    windowed_correlator_average,
 )
 from releq.bath import (
     _TABLE_STEP,
@@ -27,13 +28,21 @@ from releq.bath import (
     kernel_pair,
     markovian_limits,
     spectral_density,
-    windowed_correlator_average,
 )
 
 F_AT_1 = F_ORACLE_T1
 F_BETA_AT_1 = F_BETA_ORACLE_T1
 
 ORACLE_TIMES = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+
+# Baths of the frequency-shift checks: three cutoffs, each hot and cold, and
+# a system frequency above the cutoff.
+SHIFT_BATHS = [
+    BathParams(W=W, beta=beta, omega0=omega0)
+    for W, omega0 in ((5.0, 1.0), (10.0, 1.0), (20.0, 1.0), (1.0, 2.5))
+    for beta in (0.2, 9.0)
+]
+SHIFT_IDS = [f"W{p.W:g}-beta{p.beta:g}-omega{p.omega0:g}" for p in SHIFT_BATHS]
 
 
 class TestBathParams:
@@ -255,13 +264,26 @@ class TestMarkovianLimits:
             pv_frequency_shift(fig_bath, finite_beta=True), abs=1e-4
         )
 
-    def test_zero_temperature_shift_closed_form(self, fig_bath):
+    @pytest.mark.parametrize("params", SHIFT_BATHS, ids=SHIFT_IDS)
+    def test_shifts_match_the_principal_value_oracle(self, params):
+        limits = markovian_limits(params)
+        for shift, error, finite_beta in (
+            (limits.f_inf.imag, limits.f_inf_error, False),
+            (limits.f_beta_inf.imag, limits.f_beta_inf_error, True),
+        ):
+            actual = abs(shift - pv_frequency_shift(params, finite_beta))
+            assert actual <= 1e-9
+            assert actual <= error
+
+    @pytest.mark.parametrize("params", SHIFT_BATHS, ids=SHIFT_IDS)
+    def test_zero_temperature_shift_closed_form(self, params):
         # Independent closed form W - w0 exp(-w0/W) Ei(w0/W) for the
         # zero-temperature frequency shift.
         from scipy.special import expi
 
-        closed = fig_bath.W - math.exp(-0.1) * expi(0.1)
-        assert markovian_limits(fig_bath).f_inf.imag == pytest.approx(closed, abs=1e-4)
+        W, w0 = params.W, params.omega0
+        closed = W - w0 * math.exp(-w0 / W) * expi(w0 / W)
+        assert markovian_limits(params).f_inf.imag == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 class TestSamplesAndCsv:

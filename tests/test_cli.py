@@ -110,6 +110,12 @@ class TestConfigValidation:
             ({"model": "corr", "t_max": 10.0, "dt_out": 1e-13, "initial": []}, "samples"),
             ({"t_max": 1e4, "dt_out": 1e-3}, "samples"),
             ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": 4096}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": 2.7}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim must be an integer from 2 to 1024, got 2.7"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": 1.5}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim must be an integer from 2 to 1024, got 1.5"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": 0}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim must be an integer from 2 to 1024, got 0"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": -3}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim must be an integer from 2 to 1024, got -3"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": True}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim must be an integer from 2 to 1024, got True"),
+            ({"model": "maxent_solve", "operator_set": {"kind": "fock", "dim": [4]}, "targets": [0.0, 1.0, 0.0], "initial": []}, "operator_set.dim must be an integer from 2 to 1024, got [4]"),
             ({"initial": 0.5}, "initial"),
             ({"params": "x"}, "params"),
             ({"model": "maxent_solve", "operator_set": 3, "targets": [0.0, 0.3, 0.0], "initial": []}, "operator_set"),
@@ -129,6 +135,12 @@ class TestConfigValidation:
             "corr-sample-cap",
             "oscillator-sample-cap",
             "fock-dim-cap",
+            "fock-dim-fraction",
+            "fock-dim-below-two",
+            "fock-dim-zero",
+            "fock-dim-negative",
+            "fock-dim-boolean",
+            "fock-dim-list",
             "initial-not-a-list",
             "params-not-an-object",
             "operator-set-not-an-object",
@@ -392,8 +404,9 @@ class TestSweep:
 
 # The README configurations, both regimes where they apply; any change to a
 # number or its text shows here.  The non-Markovian transport digests are
-# those of the kernel table built from cubic Hermite pieces, and the maxent
-# digest is that of the Newton solve with the exact Jacobian.  They were
+# those of the kernel table built from cubic Hermite pieces, the Markovian
+# ones those of the principal-value frequency shifts, and the maxent digest
+# is that of the Newton solve with the exact Jacobian.  They were
 # taken on x86-64 with numpy 2.4.6, and no scipy code runs in these
 # configurations; another libm or BLAS may move last bits.
 _README_OSCILLATOR = {
@@ -414,11 +427,11 @@ _README_TLS = {
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
     (dict(_README_OSCILLATOR, regime="non_markovian"), "57aba068c339544ca2a1e22054a8a0065721e5dc91e8168f91de0ad40dc6d8c9"),
-    (dict(_README_OSCILLATOR, regime="markovian"), "7a91de2b1f3ca302677c4904329e5eec56a09c140c9ca08809a28c74479ecbbc"),
+    (dict(_README_OSCILLATOR, regime="markovian"), "93daba6eabf79e52c2b4ff97f4c7481ab95d381c7ee5690d7ae0361fda9a9623"),
     (dict(_README_TLS, regime="non_markovian"), "f00c9e3b4983af33377133a951f95f17bb2cca549d17acf691294e32617c7afe"),
-    (dict(_README_TLS, regime="markovian"), "7f0aa9cc41153e91c4bf00b01e38fec5dadcdb9651315b5745b1a41d9108967f"),
+    (dict(_README_TLS, regime="markovian"), "3924e4285208536306ee049e581f99f8411abb69ea1a5e834e2893a0a4098279"),
     (dict(_WEAK_TLS, regime="non_markovian"), "5dc7c0f526f19570514f623f8c0adbe8297fad1652cae6fca098ee9cebc4dcbd"),
-    (dict(_WEAK_TLS, regime="markovian"), "c85c295a8bec721def0ceeccd9b68a4680dc0e4b8c77d442d6c752560f0cfc44"),
+    (dict(_WEAK_TLS, regime="markovian"), "ee2ea1607199ad64388cfc8ea413518a80806fcd0fba92f82325fcc4d45b3634"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
         "a637aa0e6a4596d1b78a0d3feb64aca15581db58dfe60fd9547e4d55f773ff23",
@@ -443,15 +456,23 @@ def test_readme_csv_bytes_are_pinned(tmp_path, config, digest):
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
 
 
-def test_the_cli_imports_no_scipy():
+def test_the_cli_imports_no_scipy(tmp_path):
     # scipy serves only the direct reference quadrature of the kernels, so
-    # a run does not pay for importing it.
-    code = "import sys, releq.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    # a run does not pay for importing it; the Markovian run computes the
+    # frequency shifts too.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_README_OSCILLATOR, output_path=str(tmp_path / "out.csv"))))
+    code = (
+        "import sys, releq.cli; "
+        f"assert releq.cli.main(['oscillator', '--config', {str(path)!r}, '--markovian']) == 0; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
     src = str(Path(releq.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+    assert (tmp_path / "out.csv").exists()
 
 
 # Right-hand-side evaluations of the README runs, counted the way the
