@@ -104,8 +104,8 @@ class ScenarioConfig:
             raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
 
         tolerances = _field(raw, "tolerances", dict, "an object with rel_tol/abs_tol")
-        rel_tol = _number(tolerances, "rel_tol", raw.get("rel_tol", 1e-9))
-        abs_tol = _number(tolerances, "abs_tol", raw.get("abs_tol", 1e-12))
+        rel_tol = _number(tolerances.get("rel_tol", raw.get("rel_tol", 1e-9)), "rel_tol")
+        abs_tol = _number(tolerances.get("abs_tol", raw.get("abs_tol", 1e-12)), "abs_tol")
 
         output_path = output_override or raw.get("output_path", "")
         if not output_path:
@@ -113,8 +113,8 @@ class ScenarioConfig:
         if not Path(output_path).parent.is_dir():
             raise ConfigError(f"output directory {Path(output_path).parent} does not exist")
 
-        t_max = _number(raw, "t_max", 0.0)
-        dt_out = _number(raw, "dt_out", 0.0)
+        t_max = _number(raw.get("t_max", 0.0), "t_max")
+        dt_out = _number(raw.get("dt_out", 0.0), "dt_out")
         if not (math.isfinite(t_max) and math.isfinite(dt_out)):
             raise ConfigError(f"t_max and dt_out must be finite, got {t_max} and {dt_out}")
         if model in ("oscillator", "tls"):
@@ -159,13 +159,13 @@ class ScenarioConfig:
             if name not in self.params:
                 raise ConfigError(f"params.{name} is required for model {self.model}")
         bath_params = BathParams(
-            W=float(self.params["W"]),
-            beta=float(self.params["beta_bath"]),
-            omega0=float(self.params.get("omega0", 1.0)),
+            W=_number(self.params["W"], "params.W"),
+            beta=_number(self.params["beta_bath"], "params.beta_bath"),
+            omega0=_number(self.params.get("omega0", 1.0), "params.omega0"),
         )
         if self.model == "corr":
             return bath_params, sample_times(self.t_max, self.dt_out) if self.t_max > 0 else np.empty(0)
-        values = [float(v) for v in self.initial]
+        values = [_number(v, "initial") for v in self.initial]
         if len(values) != 3 or not all(map(math.isfinite, values)):
             names = "[re_a, im_a, n]" if self.model == "oscillator" else "[sz, re_sp, im_sp]"
             raise ConfigError(f"{self.model} initial must be three finite numbers {names}")
@@ -175,8 +175,8 @@ class ScenarioConfig:
             return bath_params, initial
         params = tls.TlsParams(
             omega0=bath_params.omega0,
-            omegaL=float(self.params.get("omegaL", bath_params.omega0)),
-            Omega=float(self.params["Omega"]),
+            omegaL=_number(self.params.get("omegaL", bath_params.omega0), "params.omegaL"),
+            Omega=_number(self.params["Omega"], "params.Omega"),
             bath=bath_params,
         )
         params.require_resonance()
@@ -193,12 +193,11 @@ def _field(raw: dict, name: str, kind: type, description: str):
     return kind(value)
 
 
-def _number(raw: dict, name: str, default) -> float:
-    value = raw.get(name, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number; booleans and strings are not."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -213,11 +212,8 @@ def _write_csv(path: str, header: str, rows) -> None:
 def _complex_pairs(values, size: int, name: str) -> np.ndarray:
     out = []
     for entry in values:
-        if isinstance(entry, (int, float)):
-            out.append(complex(entry))
-        else:
-            re, im = entry
-            out.append(complex(float(re), float(im)))
+        re, im = entry if isinstance(entry, list) and len(entry) == 2 else (entry, 0.0)
+        out.append(complex(_number(re, name), _number(im, name)))
     out = np.array(out, dtype=complex)
     if out.size != size or not np.all(np.isfinite(out)):
         raise ConfigError(f"{name} must be {size} finite numbers or [re, im] pairs")
@@ -237,7 +233,10 @@ def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
         try:
             operators = tuple(
                 np.array(
-                    [[complex(cell[0], cell[1]) for cell in row] for row in op],
+                    [
+                        [complex(_number(cell[0], "an entry"), _number(cell[1], "an entry")) for cell in row]
+                        for row in op
+                    ],
                     dtype=complex,
                 )
                 for op in spec["operators"]

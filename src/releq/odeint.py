@@ -96,8 +96,8 @@ def check_tolerances(rel_tol: float, abs_tol: float) -> None:
 class OdeProblem:
     """An initial-value problem dy/dt = rhs(t, y) on a finite interval.
 
-    ``max_step`` defaults to 0.01; widen it where pure error control is
-    preferable.
+    The step size is chosen by the error control alone unless ``max_step``
+    caps it.
     """
 
     dimension: int
@@ -106,7 +106,7 @@ class OdeProblem:
     y0: np.ndarray = field(repr=False)
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = 0.01
+    max_step: float = math.inf
 
     def __post_init__(self):
         t0, t1 = self.t_span

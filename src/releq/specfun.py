@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["PoleError", "trigamma", "arctanh_ratio"]
+__all__ = ["PoleError", "trigamma", "arctanh_ratio", "arctanh_ratio_array"]
 
 
 class PoleError(ValueError):
@@ -95,6 +95,12 @@ def trigamma(z):
     return result.reshape(arr.shape)
 
 
+def _arctanh_ratio_series(x):
+    """Four-term Taylor expansion of arctanh(2x)/x, for a float or an array."""
+    x2 = x * x
+    return 2.0 + x2 * (8.0 / 3.0 + x2 * (32.0 / 5.0 + x2 * (128.0 / 7.0)))
+
+
 def arctanh_ratio(x: float) -> float:
     """Evaluate arctanh(2x)/x on [0, 1/2), continuous at x = 0 with value 2.
 
@@ -107,6 +113,18 @@ def arctanh_ratio(x: float) -> float:
     if not 0.0 <= x < 0.5:
         raise ValueError(f"arctanh_ratio requires 0 <= x < 1/2, got {x}")
     if x < 1e-4:
-        x2 = x * x
-        return 2.0 + x2 * (8.0 / 3.0 + x2 * (32.0 / 5.0 + x2 * (128.0 / 7.0)))
+        return _arctanh_ratio_series(x)
     return math.atanh(2.0 * x) / x
+
+
+def arctanh_ratio_array(x) -> np.ndarray:
+    """``arctanh_ratio`` elementwise over an array, with the same series branch.
+
+    numpy's arctanh may differ from ``math.atanh`` in the last bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all((x >= 0.0) & (x < 0.5)):
+        raise ValueError("arctanh_ratio_array requires 0 <= x < 1/2 throughout")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.arctanh(2.0 * x) / x
+    return np.where(x < 1e-4, _arctanh_ratio_series(x), direct)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bath import REGIMES, BathParams, kernel_pair
 from .odeint import integrate
-from .specfun import arctanh_ratio
+from .specfun import arctanh_ratio, arctanh_ratio_array
 from .transport import InvariantViolationError, setup
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "inverse_temperature",
     "evolution_coeffs",
     "check_domain",
+    "thermodynamic_series",
     "simulate",
 ]
 
@@ -81,8 +82,13 @@ class TlsState:
 
     @property
     def bloch_radius(self) -> float:
-        """Half-length X of the Bloch vector; X <= 1/2, pure states at 1/2."""
-        return math.hypot(abs(self.mean_sp), self.mean_sz)
+        """Half-length X of the Bloch vector; X <= 1/2, pure states at 1/2.
+
+        The square root of a sum of squares, as ``thermodynamic_series``
+        computes it: R(X) near X = 1/2 magnifies a last-bit difference in X.
+        """
+        sp = complex(self.mean_sp)
+        return math.sqrt(self.mean_sz * self.mean_sz + sp.real * sp.real + sp.imag * sp.imag)
 
 
 @dataclass(frozen=True)
@@ -207,6 +213,31 @@ def evolution_coeffs(t: float, t_prime: float, params: TlsParams):
     return c, d, k
 
 
+def _bloch_radii(mean_sz, mean_sp) -> np.ndarray:
+    """``TlsState.bloch_radius`` of each sample, bit for bit."""
+    mean_sz = np.asarray(mean_sz, dtype=float)
+    mean_sp = np.asarray(mean_sp, dtype=complex)
+    return np.sqrt(mean_sz * mean_sz + mean_sp.real * mean_sp.real + mean_sp.imag * mean_sp.imag)
+
+
+def thermodynamic_series(mean_sz, mean_sp, omega0: float):
+    """``entropy`` and ``inverse_temperature`` of sampled states, as array formulas.
+
+    Returns ``(entropy, beta, pure)``; ``pure`` marks the samples on the
+    boundary (X = 1/2), which get the limits of both formulas without a
+    warning: S = 0 and beta = -sign(<s_z>) inf, or 0 where <s_z> = 0.
+    """
+    mean_sz = np.asarray(mean_sz, dtype=float)
+    radius = _bloch_radii(mean_sz, mean_sp)
+    pure = radius >= 0.5 - _BOUNDARY_TOL
+    x = np.where(pure, 0.0, radius)
+    ratio = arctanh_ratio_array(x)
+    entropy_series = np.where(pure, 0.0, -2.0 * x * x * ratio + math.log(2.0) - 0.5 * np.log1p(-4.0 * x * x))
+    pure_beta = np.where(mean_sz == 0.0, 0.0, -np.copysign(np.inf, mean_sz))
+    beta_series = np.where(pure, pure_beta, -2.0 * mean_sz * ratio) / omega0
+    return entropy_series, beta_series, pure
+
+
 @dataclass(frozen=True)
 class TlsRun:
     """Sampled trajectory with the derived thermodynamic series."""
@@ -226,7 +257,7 @@ class TlsRun:
 
 def check_domain(times, mean_sz, mean_sp) -> None:
     """Raise where a sampled state lies outside the Bloch ball (X > 1/2 + 1e-9)."""
-    radius = np.hypot(np.abs(mean_sp), mean_sz)
+    radius = _bloch_radii(mean_sz, mean_sp)
     if np.any(radius > 0.5 + 1e-9):
         bad = int(np.argmax(radius > 0.5 + 1e-9))
         raise InvariantViolationError(
@@ -266,26 +297,11 @@ def simulate(
     mean_sp = states[:, 1]
     check_domain(times, mean_sz, mean_sp)
 
-    # Per-sample scalar formulas: a vectorised form moves S and beta in the
-    # last bits, and this loop is a small share of a run.  A pure state
-    # (X = 1/2) has S = 0 and beta = -sign(<s_z>) inf, the limits of both
-    # formulas; beta is 0 for a pure state with <s_z> = 0.
-    entropy_series = np.empty(times.size)
-    beta_series = np.empty(times.size)
-    boundary = []
-    for k in range(times.size):
-        state = TlsState(mean_sz=float(mean_sz[k]), mean_sp=complex(mean_sp[k]))
-        if state.bloch_radius >= 0.5 - _BOUNDARY_TOL:
-            boundary.append(k)
-            entropy_series[k] = 0.0
-            beta_series[k] = -math.copysign(math.inf, state.mean_sz) / params.omega0 if state.mean_sz else 0.0
-        else:
-            entropy_series[k] = entropy(state)
-            beta_series[k] = inverse_temperature(state, params.omega0)
-    if boundary:
+    entropy_series, beta_series, pure = thermodynamic_series(mean_sz, mean_sp, params.omega0)
+    if pure.any():
         warnings.warn(
-            f"pure state (Bloch radius X = 1/2) at {len(boundary)} of {times.size} samples, "
-            f"first at t = {times[boundary[0]]:.6g}; entropy 0 and infinite beta there",
+            f"pure state (Bloch radius X = 1/2) at {np.count_nonzero(pure)} of {times.size} samples, "
+            f"first at t = {times[np.argmax(pure)]:.6g}; entropy 0 and infinite beta there",
             BoundaryStateWarning,
             stacklevel=2,
         )

@@ -1,5 +1,5 @@
 """Run set-up shared by the oscillator and two-level transport models: the
-output grid, the argument checks, the kernel-table horizon and the step cap.
+output grid, the argument checks and the kernel-table horizon.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_to
     argument of the model's ``rhs(kernels, t, y)``, which the problem calls
     as ``rhs(t, y)``.
 
-    Steps are capped at 0.01 / omega0 so that the kernels, which oscillate
-    at the system frequency, stay resolved.
+    The step size is left to the integrator's error control alone: the
+    kernels are smooth in t, and the local error estimate already resolves
+    their oscillation at the system frequency.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -50,6 +51,5 @@ def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_to
         y0=np.array(y0, dtype=complex),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
-        max_step=0.01 / bath.omega0,
     )
     return problem, times

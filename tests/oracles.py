@@ -112,23 +112,39 @@ def corr_oracle_2d(t, params, finite_beta: bool, kernel_sign: int = 1) -> comple
 
 
 def pv_frequency_shift(params, finite_beta: bool) -> float:
-    """Principal value of int_0^inf J(w)[coth(beta w/2)]/(w - w0) dw."""
-    w0 = params.omega0
+    """Principal value of int_0^inf J(w)[coth(beta w/2)]/(w - w0) dw.
+
+    The thermal part of coth lives on the scale 1/beta near w = 0, which
+    QAWC on all of [0, 2 w0] misses on a cold bath; so [0, near] with near
+    = min(40/beta, w0/2) is a plain quadrature with break points at 1/beta
+    and 10/beta, and the Cauchy weight covers [near, 2 w0] with the pole.
+    """
+    w0, beta = params.omega0, params.beta
 
     def g(w: float) -> float:
         if finite_beta:
-            return coth_product(w, params.beta, params.W)
+            return coth_product(w, beta, params.W)
         return w * math.exp(-w / params.W)
 
+    near = min(40.0 / beta, 0.5 * w0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
+        thermal, _ = quad(
+            lambda w: g(w) / (w - w0),
+            0.0,
+            near,
+            points=[x / beta for x in (1.0, 10.0) if x / beta < near],
+            epsabs=1e-13,
+            epsrel=1e-12,
+            limit=400,
+        )
         singular, _ = quad(
-            g, 0.0, 2 * w0, weight="cauchy", wvar=w0, epsabs=1e-12, epsrel=1e-10, limit=400
+            g, near, 2 * w0, weight="cauchy", wvar=w0, epsabs=1e-12, epsrel=1e-10, limit=400
         )
         tail, _ = quad(
             lambda w: g(w) / (w - w0), 2 * w0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400
         )
-    return singular + tail
+    return thermal + singular + tail
 
 
 def _composite_gl(func, a: float, b: float, max_step: float) -> complex:

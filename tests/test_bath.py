@@ -41,6 +41,11 @@ SHIFT_BATHS = [
     BathParams(W=W, beta=beta, omega0=omega0)
     for W, omega0 in ((5.0, 1.0), (10.0, 1.0), (20.0, 1.0), (1.0, 2.5))
     for beta in (0.2, 9.0)
+] + [
+    # Cold baths: the thermal part of the shift sits on w < 1/beta, far
+    # below the pole.
+    BathParams(W=5.0, beta=300.0, omega0=100.0),
+    BathParams(W=10.0, beta=1e6, omega0=1.0),
 ]
 SHIFT_IDS = [f"W{p.W:g}-beta{p.beta:g}-omega{p.omega0:g}" for p in SHIFT_BATHS]
 

@@ -25,6 +25,7 @@ from releq.tls import (
     multipliers,
     rhs,
     simulate,
+    thermodynamic_series,
 )
 
 
@@ -201,6 +202,58 @@ class TestEvolutionCoeffs:
             params = TlsParams(omega0=1.0, omegaL=1.0 + detuning, Omega=drive, bath=bath)
         c, d, _ = evolution_coeffs(t, t_prime, params)
         assert abs(c) ** 2 + abs(d) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def random_bloch_states(rng, radii):
+    """Bloch vectors of the given half-lengths in uniformly random directions."""
+    direction = rng.normal(size=(radii.size, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    sz = radii * direction[:, 0]
+    sp = radii * (direction[:, 1] + 1j * direction[:, 2])
+    return sz, sp
+
+
+class TestThermodynamicSeries:
+    def test_matches_the_scalar_formulas(self):
+        rng = np.random.default_rng(20141023)
+        radii = np.concatenate(
+            [
+                0.5 * rng.uniform(size=2000) ** (1 / 3),  # uniform in the ball
+                10.0 ** rng.uniform(-12, -4, size=300),  # series branch of R
+                [0.0, 9.9999e-5, 1.0001e-4],
+                0.5 - 10.0 ** rng.uniform(-11.5, -2, size=300),  # near the boundary
+            ]
+        )
+        sz, sp = random_bloch_states(rng, radii)
+        omega0 = 1.7
+        s_series, beta_series, pure = thermodynamic_series(sz, sp, omega0)
+        assert not pure.any()
+        worst_s = worst_beta = 0.0
+        for k in range(sz.size):
+            state = TlsState(float(sz[k]), complex(sp[k]))
+            x = state.bloch_radius
+            # S cancels terms of size up to ln 2 + 2 X^2 R(X) (about 14 near
+            # the boundary), so its error is measured against that scale.
+            scale = math.log(2.0) + 2.0 * x * x * multipliers(state).R
+            worst_s = max(worst_s, abs(s_series[k] - entropy(state)) / scale)
+            beta = inverse_temperature(state, omega0)
+            if beta != 0.0:
+                worst_beta = max(worst_beta, abs(beta_series[k] - beta) / abs(beta))
+            else:
+                assert beta_series[k] == 0.0
+        # numpy's arctanh and log1p may differ from math's by an ulp.
+        assert worst_s <= 8 * np.finfo(float).eps
+        assert worst_beta <= 8 * np.finfo(float).eps
+
+    def test_pure_rows_get_the_limits(self):
+        sz = np.array([0.5, -0.5, 0.3, -0.3, 0.0, -0.0, 0.0])
+        sp = np.array([0j, 0j, 0.4j, -0.4 + 0j, 0.3 + 0.4j, 0.5j, 0.5 - 1e-13 + 0j])
+        s_series, beta_series, pure = thermodynamic_series(sz, sp, 2.0)
+        assert pure.tolist() == [True] * 7
+        assert s_series.tolist() == [0.0] * 7
+        assert beta_series.tolist() == [-math.inf, math.inf, -math.inf, math.inf, 0.0, 0.0, 0.0]
+        with pytest.warns(BoundaryStateWarning):
+            assert entropy(TlsState(0.3, 0.4j)) == 0.0
 
 
 class TestSimulate:
