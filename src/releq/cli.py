@@ -269,8 +269,30 @@ def _run_corr(config: ScenarioConfig) -> None:
     _write_csv(config.output_path, "t,re_f,im_f,re_f_beta,im_f_beta", rows)
 
 
+def _closed_form_start(kind: str, targets: np.ndarray) -> np.ndarray | None:
+    """Multipliers of the closed-form maximum-entropy state of ``targets``.
+
+    The displaced thermal state for a ``fock`` set, the two-level state for
+    ``spin``; None for an ``explicit`` set and for targets the closed form
+    rejects (pure, degenerate or out-of-range states), which start at F = 0.
+    """
+    try:
+        if kind == "fock":
+            state = oscillator.OscillatorState(mean_a=complex(targets[2]), mean_n=float(targets[1].real))
+            start = oscillator.multipliers(state)
+        elif kind == "spin":
+            start = tls.multipliers(tls.TlsState(mean_sz=float(targets[1].real), mean_sp=complex(targets[0])))
+        else:
+            return None
+    except (ValueError, ArithmeticError):
+        return None
+    return np.array([start.F1, start.F2, start.F3], dtype=complex)
+
+
 def _run_maxent(config: ScenarioConfig) -> dict:
     ops, targets, initial = config.inputs
+    if initial is None:
+        initial = _closed_form_start(config.operator_set["kind"], targets)
     solution = maxent.solve_self_consistency(targets, ops, initial_F=initial)
     state = maxent.build_state(solution, ops)
     pairs = zip(solution.tolist(), targets.tolist())

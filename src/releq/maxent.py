@@ -312,6 +312,8 @@ def solve_self_consistency(
     InfeasibleTargetsError
         If the multipliers run away beyond ``multiplier_bound``, the
         signature of targets on or outside the attainable moment region.
+        The bound is checked before convergence, so it holds for the start
+        and for the returned multipliers too.
         Boundary targets (pure states) would otherwise "converge" to
         arbitrary huge multipliers once the residual saturates below
         ``tol``; the default bound of 20 rejects them while leaving ample
@@ -338,14 +340,16 @@ def solve_self_consistency(
     state, residual, res_inf = evaluate(x)
     best = res_inf
 
-    for _ in range(max_iter):
-        if res_inf <= tol:
-            return basis @ x
+    for iteration in range(max_iter + 1):
         if np.max(np.abs(x)) > multiplier_bound:
             raise InfeasibleTargetsError(
                 f"multipliers exceeded {multiplier_bound} with residual {res_inf:.3e}; "
                 "targets look infeasible (boundary or exterior of the moment region)"
             )
+        if res_inf <= tol:
+            return basis @ x
+        if iteration == max_iter:
+            break
 
         jac = (basis.T @ moment_jacobian(state, ops) @ basis).real
         try:
@@ -364,8 +368,6 @@ def solve_self_consistency(
         x, state, residual, res_inf = trial_x, trial_state, trial_residual, trial_inf
         best = min(best, res_inf)
 
-    if res_inf <= tol:
-        return basis @ x
     raise NonConvergenceError(
         f"Newton inversion did not reach {tol} in {max_iter} iterations "
         f"(best residual {best:.3e})",

@@ -9,12 +9,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import releq
-from releq import oscillator, tls
+from releq import maxent, oscillator, tls
 from releq.bath import REGIMES
 from releq.cli import MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
 
@@ -292,7 +293,7 @@ class TestOtherModels:
         assert lines[0] == "m,re_F,im_F,re_target,im_target"
         row = lines[2].split(",")
         assert int(row[0]) == 1
-        assert float(row[1]) == pytest.approx(-2.0 * math.log(2.0), abs=1e-9)
+        assert float(row[1]) == pytest.approx(-math.log(4.0), rel=1e-15)
         meta = json.loads((tmp_path / "out.meta.json").read_text())
         assert meta["solution"]["entropy"] == pytest.approx(0.5004024235381879, abs=1e-9)
         assert meta["solution"]["residual"] <= 1e-10
@@ -312,16 +313,20 @@ class TestOtherModels:
         assert float(row[1]) == pytest.approx(-2.0 * math.log(2.0), abs=1e-9)
 
     def test_infeasible_target_exits_3(self, tmp_path, capsys):
+        # A pure spin state, and two states 1e-10 inside the boundary whose
+        # closed-form start already meets tol but lies beyond the multiplier
+        # bound: the spin state with F2 about -23.7 and the Fock-64 state
+        # with n_eff = 1e-10.
+        cases = [
+            ({"kind": "spin"}, [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
+            ({"kind": "spin"}, [[0.0, 0.0], [0.4999999999, 0.0], [0.0, 0.0]]),
+            ({"kind": "fock", "dim": 64}, [[1.0, 0.0], [1.0 + 1e-10, 0.0], [1.0, 0.0]]),
+        ]
         path = tmp_path / "cfg.json"
-        write_config(
-            path,
-            model="maxent_solve",
-            operator_set={"kind": "spin"},
-            targets=[[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
-            initial=[],
-        )
-        assert main(["maxent_solve", "--config", str(path)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        for operator_set, targets in cases:
+            write_config(path, model="maxent_solve", operator_set=operator_set, targets=targets, initial=[])
+            assert main(["maxent_solve", "--config", str(path)]) == 3, targets
+            assert "numerical failure" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -425,7 +430,8 @@ class TestSweep:
 # chosen by error control alone and of the array formulas for the two-level
 # S and beta, on the kernel table built from cubic Hermite pieces
 # (non-Markovian) or the principal-value frequency shifts (Markovian); the
-# maxent digest is that of the Newton solve with the exact Jacobian.  They were
+# maxent digest is that of the Newton solve with the exact Jacobian, started
+# from the closed-form two-level multipliers of the targets.  They were
 # taken on x86-64 with numpy 2.4.6, and no scipy code runs in these
 # configurations; another libm or BLAS may move last bits.
 _README_OSCILLATOR = {
@@ -457,7 +463,7 @@ PINNED_CSV = [
     ),
     (
         {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},
-        "f4314401403da1face8f1928c79787998322c90460d34d098fb4eb7020eac85b",
+        "63fe65cd62428ba71038b078bba8529fe28c9aa67032b5d445c9e433065c216c",
     ),
 ]
 
@@ -551,6 +557,44 @@ def test_readme_step_statistics_count_the_pinned_evaluations(tmp_path, monkeypat
     assert stats.h_max > 0.01
 
 
+# Eigendecompositions of a CLI max-ent solve without ``initial``: Newton starts
+# from the closed-form multipliers of the targets, so on a wide Fock ladder or
+# the spin set the start is the solution (one build_state in the solve, one in
+# the CLI's rebuild); a narrow ladder needs a few steps for its truncation.
+MAXENT_BUILDS = [
+    (
+        {"kind": "fock", "dim": 256},
+        [0.2566560186502818 + 0.40218191069958376j, 1.0224499203400177, 0.2566560186502818 - 0.40218191069958376j],
+        (2, 2),
+    ),
+    ({"kind": "spin"}, [0.0, 0.3, 0.0], (2, 2)),
+    ({"kind": "fock", "dim": 32}, [0.5 - 0.3j, 2.4, 0.5 + 0.3j], (2, 5)),
+]
+
+
+@pytest.mark.parametrize("operator_set, targets, builds", MAXENT_BUILDS, ids=["fock-256", "spin", "fock-32"])
+def test_cli_maxent_solve_starts_from_the_closed_form(tmp_path, monkeypatch, operator_set, targets, builds):
+    ops = maxent.fock_operator_set(operator_set["dim"]) if operator_set["kind"] == "fock" else maxent.spin_operator_set()
+    reference = maxent.solve_self_consistency(targets, ops)
+    build_state = maxent.build_state
+    calls = []
+
+    def counting_build_state(F, ops):
+        calls.append(F)
+        return build_state(F, ops)
+
+    monkeypatch.setattr(maxent, "build_state", counting_build_state)
+    path = tmp_path / "cfg.json"
+    pairs = [[complex(t).real, complex(t).imag] for t in targets]
+    write_config(path, model="maxent_solve", operator_set=operator_set, targets=pairs, initial=[])
+    assert main(["maxent_solve", "--config", str(path)]) == 0
+    assert builds[0] <= len(calls) <= builds[1]
+    rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    F = np.array([complex(float(row[1]), float(row[2])) for row in rows])
+    assert np.max(np.abs(F - reference)) <= 1e-9
+    assert json.loads((tmp_path / "out.meta.json").read_text())["solution"]["residual"] <= 1e-10
+
+
 # Each example starts from a valid configuration of one model and applies up
 # to three edits of a field, each to a plausible value or to one of the wrong
 # type or range.
@@ -582,7 +626,13 @@ _EDITS = {
     ("operator_set",): [{"kind": "fock", "dim": 8}, {"kind": "explicit", "operators": [_SZ], "pairing": [0]}],
     ("operator_set", "dim"): [2, 8],
     ("operator_set", "pairing"): [[1], [0.0]],
-    ("targets",): [[0.3], [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]], [[0.1, 0.0], [0.3, 0.1], [0.0, 0.0]], [0.0, 0.2, 0.0]],
+    ("targets",): [
+        [0.3],
+        [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.4999999999, 0.0], [0.0, 0.0]],
+        [[0.1, 0.0], [0.3, 0.1], [0.0, 0.0]],
+        [0.0, 0.2, 0.0],
+    ],
 }
 
 

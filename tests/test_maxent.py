@@ -183,6 +183,14 @@ class TestSolveSelfConsistency:
         with pytest.raises(InfeasibleTargetsError):
             solve_self_consistency([0.0, 0.5, 0.0], ops)
 
+    def test_start_beyond_the_bound_is_infeasible_even_at_the_solution(self):
+        # exact multipliers of a state 1e-10 inside the boundary: F2 = -2 arctanh(2 sz),
+        # about -23.7, which meets tol at once but lies beyond the default bound of 20
+        ops = spin_operator_set()
+        sz = 0.4999999999
+        with pytest.raises(InfeasibleTargetsError):
+            solve_self_consistency([0.0, sz, 0.0], ops, initial_F=[0.0, -2.0 * math.atanh(2.0 * sz), 0.0])
+
     def test_pairing_violating_targets_rejected(self):
         ops = spin_operator_set()
         with pytest.raises(PairingError):
