@@ -6,14 +6,21 @@ integrator never has to land on them.  States are complex vectors
 throughout, which keeps the transport equations in their natural variables
 instead of splitting real and imaginary parts.
 
+The right-hand side is called as ``rhs(t, y)`` with ``y`` a tuple of
+Python ``complex``, one per component, and returns a sequence of that many
+real or complex numbers.
+
 The systems are a few components long, where a numpy call costs more than
 its arithmetic.  So a step of a 2- or 3-component system combines its
 stages in Python: each component is a left-to-right sum of ``complex``
 products that starts from ``0j``, which equals numpy's matrix-vector
-product (``K[:s].T @ _A[s, :s]``) bit for bit.  The numbers are those of
-the earlier all-numpy step, and the CSV output with them.  Three kinds of
-operation stay in numpy, because Python 3.11 has no fused multiply-add and
-plain Python would change the last bits:
+product (``K[:s].T @ _A[s, :s]``) bit for bit.  The two-component step,
+the shape of both transport models, is written out on scalars with the
+zero weights of ``_B`` and ``_E`` kept, so that it builds nothing per
+stage.  The numbers are those of the earlier all-numpy step, and the CSV
+output with them.  Three kinds of operation stay in numpy, because
+Python 3.11 has no fused multiply-add and plain Python would change the
+last bits:
 
 * complex ``abs`` (the error norm and the step's scale): numpy computes the
   modulus as ``hi * sqrt(fma(q, q, 1))``, unlike Python's ``abs``;
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from operator import mul
 from typing import Callable, Sequence
 
@@ -96,12 +104,14 @@ def check_tolerances(rel_tol: float, abs_tol: float) -> None:
 class OdeProblem:
     """An initial-value problem dy/dt = rhs(t, y) on a finite interval.
 
-    The step size is chosen by the error control alone unless ``max_step``
-    caps it.
+    ``rhs(t, y)`` receives ``y`` as a tuple of ``dimension`` Python
+    ``complex`` and returns a sequence of ``dimension`` real or complex
+    numbers.  The step size is chosen by the error control alone unless
+    ``max_step`` caps it.
     """
 
     dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, tuple[complex, ...]], Sequence[complex]]
     t_span: tuple[float, float]
     y0: np.ndarray = field(repr=False)
     rel_tol: float = 1e-9
@@ -113,13 +123,15 @@ class OdeProblem:
         if not t1 > t0:
             raise ValueError(f"t_span must satisfy t1 > t0, got {self.t_span}")
         check_tolerances(self.rel_tol, self.abs_tol)
-        if self.max_step <= 0.0:
+        if not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
         y0 = np.asarray(self.y0, dtype=complex).reshape(-1)
         if y0.size != self.dimension:
             raise ValueError(
                 f"y0 has {y0.size} components, expected dimension {self.dimension}"
             )
+        if not np.all(np.isfinite(y0)):
+            raise ValueError(f"y0 must be finite, got {y0}")
         object.__setattr__(self, "y0", y0)
 
 
@@ -179,9 +191,11 @@ def _initial_step(problem: OdeProblem, f0: np.ndarray) -> float:
     d0 = _error_norm(y0, scale)
     d1 = _error_norm(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:
+        return h0  # d1 overflowed: integrate reports the step at once
 
     y1 = y0 + h0 * f0
-    f1 = np.asarray(problem.rhs(t0 + h0, y1), dtype=complex)
+    f1 = np.asarray(problem.rhs(t0 + h0, tuple(y1.tolist())), dtype=complex)
     d2 = _error_norm(f1 - f0, scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -226,19 +240,89 @@ def _numpy_combine(stages: list, weights: tuple) -> list:
     return (np.array(stages).T.copy().T @ np.array(weights)).tolist()
 
 
+def _step(rhs, t: float, h: float, y: tuple, f: tuple, combine):
+    """One Dormand-Prince step from ``(t, y)`` with derivative ``f``.
+
+    Returns ``(y_new, f_new, error, stages)``: the 5th-order state and its
+    derivative as tuples of ``complex``, the stages contracted with ``_E``,
+    and the 7 stages by component (``stages[d][s]``).
+    """
+    stages = [[f_d] for f_d in f]
+    for s in range(1, 6):
+        stage_y = tuple([y_d + h * c for y_d, c in zip(y, combine(stages, _A[s]))])
+        for k_d, value in zip(stages, rhs(t + _C[s] * h, stage_y)):
+            k_d.append(complex(value))
+    y_new = tuple([y_d + h * c for y_d, c in zip(y, combine(stages, _B))])
+    f_new = tuple(map(complex, rhs(t + h, y_new)))
+    for k_d, value in zip(stages, f_new):
+        k_d.append(value)
+    return y_new, f_new, combine(stages, _E), stages
+
+
+def _step_2(rhs, t: float, h: float, y: tuple, f: tuple):
+    """``_step`` of a 2-component system, written out on scalars.
+
+    The components are ``u`` and ``v``, and ``p<s>``, ``q<s>`` their
+    derivatives at stage s.  Each stage sum is ``0j + p0 * a0 + ...`` in
+    the order of ``_combine``, zero weights included, so the bits are its
+    bits.
+    """
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
+    (a50, a51, a52, a53, a54), (b0, b1, b2, b3, b4, b5) = _A[5:]
+    e0, e1, e2, e3, e4, e5, e6 = _E
+    _, c1, c2, c3, c4, _, _ = _C  # _C[5] == _C[6] == 1.0
+    u, v = y
+    p0, q0 = f
+    stage = (u + h * (0j + p0 * a10), v + h * (0j + q0 * a10))
+    p1, q1 = map(complex, rhs(t + c1 * h, stage))
+    stage = (
+        u + h * (0j + p0 * a20 + p1 * a21),
+        v + h * (0j + q0 * a20 + q1 * a21),
+    )
+    p2, q2 = map(complex, rhs(t + c2 * h, stage))
+    stage = (
+        u + h * (0j + p0 * a30 + p1 * a31 + p2 * a32),
+        v + h * (0j + q0 * a30 + q1 * a31 + q2 * a32),
+    )
+    p3, q3 = map(complex, rhs(t + c3 * h, stage))
+    stage = (
+        u + h * (0j + p0 * a40 + p1 * a41 + p2 * a42 + p3 * a43),
+        v + h * (0j + q0 * a40 + q1 * a41 + q2 * a42 + q3 * a43),
+    )
+    p4, q4 = map(complex, rhs(t + c4 * h, stage))
+    stage = (
+        u + h * (0j + p0 * a50 + p1 * a51 + p2 * a52 + p3 * a53 + p4 * a54),
+        v + h * (0j + q0 * a50 + q1 * a51 + q2 * a52 + q3 * a53 + q4 * a54),
+    )
+    p5, q5 = map(complex, rhs(t + h, stage))
+    y_new = (
+        u + h * (0j + p0 * b0 + p1 * b1 + p2 * b2 + p3 * b3 + p4 * b4 + p5 * b5),
+        v + h * (0j + q0 * b0 + q1 * b1 + q2 * b2 + q3 * b3 + q4 * b4 + q5 * b5),
+    )
+    p6, q6 = f_new = tuple(map(complex, rhs(t + h, y_new)))
+    error = (
+        0j + p0 * e0 + p1 * e1 + p2 * e2 + p3 * e3 + p4 * e4 + p5 * e5 + p6 * e6,
+        0j + q0 * e0 + q1 * e1 + q2 * e2 + q3 * e3 + q4 * e4 + q5 * e5 + q6 * e6,
+    )
+    return y_new, f_new, error, ((p0, p1, p2, p3, p4, p5, p6), (q0, q1, q2, q3, q4, q5, q6))
+
+
 def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
     """Integrate ``problem`` and return the solution at ``sample_times``.
 
     The requested times must be ascending and lie inside the problem's time
-    span.  Local error per step is kept below
+    span, within 1e-12.  Local error per step is kept below
     ``rel_tol * |y| + abs_tol`` componentwise (in the RMS sense); output
     values between accepted steps come from the quartic interpolant of the
-    accepted stages.  ``rhs(t, y)`` receives ``y`` as a 1-D complex array.
+    accepted stages.  ``rhs(t, y)`` receives ``y`` as a tuple of Python
+    ``complex``.  A two-component system takes ``_step_2``, every other
+    size the generic ``_step``; both give the bits of the all-numpy step.
 
     Raises
     ------
     OdeError
-        If the step size underflows (stiffness or blow-up); the exception
+        If the derivative at the start is not finite, or the step size
+        underflows (stiffness or blow-up) or is not finite; the exception
         carries the last successfully reached time.
     """
     times = np.asarray(sample_times, dtype=float)
@@ -255,22 +339,28 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         raise ValueError(f"sample_times must lie within t_span {problem.t_span}")
 
     rhs = problem.rhs
-    combine = _combine if problem.dimension in (2, 3) else _numpy_combine
+    if problem.dimension == 2:
+        step = _step_2
+    else:
+        step = partial(_step, combine=_combine if problem.dimension == 3 else _numpy_combine)
     rel_tol, abs_tol, max_step = problem.rel_tol, problem.abs_tol, problem.max_step
     out = np.empty((times.size, problem.dimension), dtype=complex)
     grid = times.tolist()
     next_out = 0
 
     t = t0
-    f0 = np.asarray(rhs(t, problem.y0.copy()), dtype=complex)
+    y = tuple(problem.y0.tolist())
+    f0 = np.asarray(rhs(t, y), dtype=complex)
     if f0.shape != problem.y0.shape:
         raise ValueError(f"rhs returned shape {f0.shape}, expected {problem.y0.shape}")
+    if not np.all(np.isfinite(f0)):
+        raise OdeError(f"rhs is not finite at t = {t:.6g}", t)
     while next_out < len(grid) and grid[next_out] <= t:
         out[next_out] = problem.y0
         next_out += 1
 
     h = _initial_step(problem, f0)
-    y, f, abs_y = problem.y0.tolist(), f0.tolist(), np.abs(problem.y0).tolist()
+    f, abs_y = tuple(f0.tolist()), np.abs(problem.y0).tolist()
     accepted = rejected = 0
     rhs_evals = 2  # f0 and the probe of _initial_step
     h_min, h_max = math.inf, 0.0
@@ -282,31 +372,20 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         if next_out >= len(grid) or t >= t1:
             break
         h = min(h, max_step, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise OdeError(f"step size underflow at t = {t:.6g}", t)
+        if not h >= 1e-14 * max(1.0, abs(t)):
+            raise OdeError(f"step size {h:.3g} underflowed or is not finite at t = {t:.6g}", t)
 
-        # The stages by component: stages[d][s] is component d of stage s.
-        stages = [[f_d] for f_d in f]
-        for s in range(1, 6):
-            weights = _A[s]
-            stage_y = [y_d + h * c for y_d, c in zip(y, combine(stages, weights))]
-            for k_d, value in zip(stages, rhs(t + _C[s] * h, np.array(stage_y))):
-                k_d.append(complex(value))
-        y_new = [y_d + h * c for y_d, c in zip(y, combine(stages, _B))]
-        y_new_array = np.array(y_new)
-        f_new = list(map(complex, rhs(t + h, y_new_array)))
+        y_new, f_new, error, stages = step(rhs, t, h, y, f)
         rhs_evals += 6
-        for k_d, value in zip(stages, f_new):
-            k_d.append(value)
 
         # Dividing a complex array by a real one, numpy multiplies by the
         # reciprocal; so does this.  Python's max drops a NaN modulus that
         # np.maximum would keep, but a NaN in y_new comes with a NaN or
         # infinite error, and the step is rejected by 0.2 either way.
-        abs_new = np.abs(y_new_array).tolist()
+        abs_new = np.abs(np.array(y_new)).tolist()
         scaled = [
             h * c * (1.0 / (abs_tol + rel_tol * max(a, b)))
-            for c, a, b in zip(combine(stages, _E), abs_y, abs_new)
+            for c, a, b in zip(error, abs_y, abs_new)
         ]
         norm = _rms(np.abs(np.array(scaled)).tolist())
 
@@ -314,8 +393,11 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
             accepted += 1
             h_min, h_max = min(h_min, h), max(h_max, h)
             t_new = t + h
+            # The last step also fills the samples that lie past t1 by no
+            # more than the 1e-12 the check above lets through.
+            reach = t_new + 1e-14 if t_new < t1 else math.inf
             owner = None
-            while next_out < len(grid) and grid[next_out] <= t_new + 1e-14:
+            while next_out < len(grid) and grid[next_out] <= reach:
                 if owner is None:
                     owner = len(steps)
                     steps.append((h, y, stages))

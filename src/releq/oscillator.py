@@ -267,7 +267,7 @@ def simulate(
     """
 
     def vector_rhs(kernels, t, y):
-        mean_a, mean_n = y.tolist()
+        mean_a, mean_n = y
         return _rates(mean_a, max(mean_n.real, 0.0), *kernel_pair(t, params, regime, kernels))
 
     problem, times = setup(

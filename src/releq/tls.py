@@ -286,7 +286,7 @@ def simulate(
     bath, drive = params.bath, params.Omega
 
     def vector_rhs(kernels, t, y):
-        mean_sz, mean_sp = y.tolist()
+        mean_sz, mean_sp = y
         return _rates(mean_sz.real, mean_sp, drive, *kernel_pair(t, bath, regime, kernels))
 
     problem, times = setup(

@@ -28,7 +28,10 @@ def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_to
     The run's kernels are bound once: the shared table of ``bath``, extended
     here past ``t_max``, or the long-time values.  They are the first
     argument of the model's ``rhs(kernels, t, y)``, which the problem calls
-    as ``rhs(t, y)``.
+    as ``rhs(t, y)``: ``y`` is the tuple of the two components as Python
+    ``complex``, and the model returns their two derivatives, real or
+    complex.  The integrator steps such a two-component problem with its
+    written-out scalar step.
 
     The step size is left to the integrator's error control alone: the
     kernels are smooth in t, and the local error estimate already resolves

@@ -283,7 +283,8 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
     """States of ``problem`` at ``sample_times`` by the same Dormand-Prince
     5(4) method, step control and quartic dense output as
     ``releq.odeint.integrate``, with every step and every sample done by
-    numpy on arrays.  Raises ``releq.odeint.OdeError`` where it does.
+    numpy on arrays.  Like ``integrate``, it hands the RHS ``y`` as a tuple
+    of ``complex``.  Raises ``releq.odeint.OdeError`` where it does.
     """
     from releq.odeint import OdeError
 
@@ -294,7 +295,7 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
 
     t = t0
     y = problem.y0.copy()
-    f = np.asarray(problem.rhs(t, y), dtype=complex)
+    f = np.asarray(problem.rhs(t, tuple(y.tolist())), dtype=complex)
     while next_out < times.size and times[next_out] <= t:
         out[next_out] = y
         next_out += 1
@@ -303,7 +304,7 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
     d0 = _dp_error_norm(y, scale)
     d1 = _dp_error_norm(f, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = np.asarray(problem.rhs(t0 + h0, y + h0 * f), dtype=complex)
+    f1 = np.asarray(problem.rhs(t0 + h0, tuple((y + h0 * f).tolist())), dtype=complex)
     d2 = _dp_error_norm(f1 - f, scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h = min(100 * h0, h1, problem.max_step, t1 - t0)
@@ -315,9 +316,9 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
             raise OdeError(f"step size underflow at t = {t:.6g}", t)
         K[0] = f
         for s in range(1, 6):
-            K[s] = problem.rhs(t + _DP_C[s] * h, y + h * (K[:s].T @ _DP_A[s, :s]))
+            K[s] = problem.rhs(t + _DP_C[s] * h, tuple((y + h * (K[:s].T @ _DP_A[s, :s])).tolist()))
         y_new = y + h * (K[:6].T @ _DP_B[:6])
-        f_new = np.asarray(problem.rhs(t + h, y_new), dtype=complex)
+        f_new = np.asarray(problem.rhs(t + h, tuple(y_new.tolist())), dtype=complex)
         K[6] = f_new
         scale = problem.abs_tol + problem.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         norm = _dp_error_norm(h * (K.T @ _DP_E), scale)

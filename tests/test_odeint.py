@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from releq import odeint
 from releq.odeint import OdeError, OdeProblem, Trajectory, integrate
 
 
 def exponential_problem(rel_tol, max_step=np.inf, span=(0.0, 1.0)):
     return OdeProblem(
         dimension=1,
-        rhs=lambda t, y: -y,
+        rhs=lambda t, y: (-y[0],),
         t_span=span,
         y0=np.array([1.0 + 0j]),
         rel_tol=rel_tol,
@@ -38,6 +39,21 @@ class TestProblemValidation:
                 y0=np.array([1.0 + 0j]),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_state_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            OdeProblem(
+                dimension=2,
+                rhs=lambda t, y: y,
+                t_span=(0.0, 1.0),
+                y0=np.array([1.0, complex(0.0, bad)]),
+            )
+
+    @pytest.mark.parametrize("max_step", [math.nan, 0.0, -1.0, -math.inf])
+    def test_max_step_must_be_positive(self, max_step):
+        with pytest.raises(ValueError, match="max_step"):
+            exponential_problem(1e-9, max_step=max_step)
+
     def test_trajectory_requires_increasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 1)))
@@ -51,7 +67,7 @@ class TestAccuracy:
     def test_rotation_preserves_modulus(self):
         problem = OdeProblem(
             dimension=1,
-            rhs=lambda t, y: 1j * y,
+            rhs=lambda t, y: (1j * y[0],),
             t_span=(0.0, math.pi),
             y0=np.array([1.0 + 0j]),
             rel_tol=1e-10,
@@ -66,7 +82,7 @@ class TestAccuracy:
         c = 0.7 + 0.4j
         problem = OdeProblem(
             dimension=1,
-            rhs=lambda t, y: -c * y,
+            rhs=lambda t, y: (-c * y[0],),
             t_span=(0.0, 2.0),
             y0=np.array([1.0 + 0j]),
             rel_tol=1e-10,
@@ -81,6 +97,14 @@ class TestAccuracy:
         trajectory = integrate(problem, times)
         assert np.max(np.abs(trajectory.states[:, 0] - np.exp(-times))) < 1e-8
 
+    def test_samples_just_past_the_end(self):
+        # The check lets samples through up to 1e-12 past t1; the last step
+        # fills them from its interpolant.
+        times = np.array([0.5, 1.0 + 5e-13])
+        for rel_tol in (1e-9, 1e-6):
+            states = integrate(exponential_problem(rel_tol), times).states[:, 0]
+            assert np.max(np.abs(states - np.exp(-times))) < 1e3 * rel_tol
+
     def test_sample_at_both_endpoints(self):
         trajectory = integrate(exponential_problem(1e-9), [0.0, 1.0])
         assert trajectory.states[0, 0] == 1.0 + 0j
@@ -89,8 +113,8 @@ class TestAccuracy:
 
 class TestProperties:
     def test_halving_tolerance_reduces_error(self):
-        # Error control must be the binding constraint, so the transport
-        # step cap is lifted for this check.
+        # Error control must be the binding constraint, so no max_step
+        # caps the step.
         coarse = abs(
             integrate(exponential_problem(1e-6, max_step=np.inf), [1.0]).states[0, 0]
             - math.exp(-1.0)
@@ -116,7 +140,7 @@ class TestProperties:
 
         def rhs(t, y):
             calls.append(t)
-            return -y
+            return (-y[0],)
 
         problem = OdeProblem(
             dimension=1,
@@ -135,7 +159,7 @@ class TestProperties:
 class TestFailures:
     def test_blowup_reports_last_good_time(self):
         def rhs(t, y):
-            return y * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t)
+            return (y[0] * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t),)
 
         problem = OdeProblem(
             dimension=1,
@@ -149,6 +173,36 @@ class TestFailures:
         with pytest.raises(OdeError) as excinfo:
             integrate(problem, [2.0])
         assert 0.0 <= excinfo.value.last_time <= 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("y0", [1.0, 0.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+    def test_non_finite_or_huge_derivative_at_the_start_fails_at_once(self, y0, bad):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (bad if t == 0.0 else -y[0],)
+
+        problem = OdeProblem(dimension=1, rhs=rhs, t_span=(0.0, 1.0), y0=np.array([y0]))
+        with pytest.raises(OdeError) as excinfo:
+            integrate(problem, [1.0])
+        assert excinfo.value.last_time == 0.0
+        assert len(calls) <= 2  # the derivative at t0 and the initial-step probe
+
+    def test_step_that_is_not_finite_fails_at_once(self, monkeypatch):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (-y[0],)
+
+        monkeypatch.setattr(odeint, "_initial_step", lambda problem, f0: math.nan)
+        monkeypatch.setattr(odeint, "_MAX_STEPS", 100)
+        problem = OdeProblem(dimension=1, rhs=rhs, t_span=(0.0, 1.0), y0=np.array([1.0]))
+        with pytest.raises(OdeError, match="not finite"):
+            integrate(problem, [1.0])
+        assert calls == [0.0]
 
     def test_samples_outside_span_rejected(self):
         with pytest.raises(ValueError, match="within t_span"):

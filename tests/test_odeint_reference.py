@@ -1,6 +1,9 @@
 """``integrate`` against ``oracles.reference_integrate``, the same method run
 step by step on numpy arrays: the states must agree bit for bit."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -102,7 +105,7 @@ def test_dense_output_chunk_boundaries(monkeypatch):
 
 def test_blowup_stops_at_the_same_time():
     def rhs(t, y):
-        return y * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t)
+        return (y[0] * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t),)
 
     problem = OdeProblem(
         dimension=1,
@@ -127,6 +130,63 @@ def test_stats_count_the_work():
     assert stats.rejected > 0
     assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 2
     assert 0.0 < stats.h_min < stats.h_max
+
+
+def oscillator_like_problem():
+    """Two components whose RHS returns ``(complex, float)``, as the
+    oscillator's does: an amplitude and a real occupation."""
+
+    def rhs(t, y):
+        mean_a, mean_n = y
+        drive = 0.3 * math.cos(2.0 * t)
+        return (-0.2 + 1.0j) * mean_a + drive, -0.4 * mean_n.real + 0.5 * abs(mean_a) ** 2 + 0.1
+
+    return OdeProblem(
+        dimension=2,
+        rhs=rhs,
+        t_span=(0.0, 6.0),
+        y0=np.array([0.8 - 0.4j, 1.5]),
+        rel_tol=1e-7,
+        abs_tol=1e-10,
+    )
+
+
+def test_rhs_returning_complex_and_float():
+    trajectory = assert_matches_reference(oscillator_like_problem(), np.linspace(0.0, 6.0, 601))
+    assert trajectory.stats.rejected > 0
+
+
+def recording(problem, arguments):
+    """``problem`` with an RHS that appends each ``y`` it receives."""
+    rhs = problem.rhs
+
+    def recorded(t, y):
+        arguments.append(y)
+        return rhs(t, y)
+
+    return dataclasses.replace(problem, rhs=recorded)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        linear_problem(1, max_step=np.inf, rel_tol=1e-6),
+        linear_problem(2, max_step=np.inf, rel_tol=1e-6),
+        linear_problem(3, max_step=np.inf, rel_tol=1e-6),
+        oscillator_like_problem(),
+    ],
+    ids=["dimension 1", "dimension 2", "dimension 3", "complex and float"],
+)
+def test_rhs_receives_a_tuple_of_complex(problem):
+    # linear_problem's RHS returns a numpy array, so the stages come back as
+    # numpy scalars and must still reach the RHS as Python complex.
+    arguments = []
+    stats = integrate(recording(problem, arguments), np.linspace(*problem.t_span, 31)).stats
+    assert stats.rejected > 0
+    assert len(arguments) == stats.rhs_evals
+    for y in arguments:
+        assert type(y) is tuple and len(y) == problem.dimension
+        assert all(type(y_d) is complex for y_d in y)
 
 
 def test_rhs_of_the_wrong_length_rejected():
