@@ -11,21 +11,21 @@ Python ``complex``, one per component, and returns a sequence of that many
 real or complex numbers.
 
 The systems are a few components long, where a numpy call costs more than
-its arithmetic.  So a step of a 2- or 3-component system combines its
-stages in Python: each component is a left-to-right sum of ``complex``
-products that starts from ``0j``, which equals numpy's matrix-vector
-product (``K[:s].T @ _A[s, :s]``) bit for bit.  The two-component step,
-the shape of both transport models, is written out on scalars with the
-zero weights of ``_B`` and ``_E`` kept, so that it builds nothing per
-stage.  The numbers are those of the earlier all-numpy step, and the CSV
+its arithmetic.  So the step of a 2-component system, the shape of both
+transport models, is written out on Python scalars and builds nothing per
+stage: each component's stage sum is ``0j + k0 * a0 + k1 * a1 + ...``,
+zero weights of ``_B`` and ``_E`` included, which is how numpy's
+matrix-vector product (``K[:s].T @ _A[s, :s]``) sums 2 components, bit for
+bit.  The numbers are those of the earlier all-numpy step, and the CSV
 output with them.  Three kinds of operation stay in numpy, because
 Python 3.11 has no fused multiply-add and plain Python would change the
 last bits:
 
 * complex ``abs`` (the error norm and the step's scale): numpy computes the
   modulus as ``hi * sqrt(fma(q, q, 1))``, unlike Python's ``abs``;
-* the stage sums of systems with 1 or more than 3 components, which BLAS
-  computes with fused multiply-adds (``zdotu``, ``zgemv``);
+* the stage sums of systems of any other size, which numpy's product gives
+  (for 1 or more than 3 components BLAS, with fused multiply-adds:
+  ``zdotu``, ``zgemv``);
 * the dense output, ``K.T @ _P`` and its product with the powers of theta,
   which numpy hands to BLAS (``zgemm``, ``zgemv``).  It is deferred and
   evaluated for many samples at once, in stacked products that give the
@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -228,19 +226,12 @@ def _dense_output(out: np.ndarray, stop: int, steps: list, owners: list, thetas:
 
 
 def _combine(stages: list, weights: tuple) -> list:
-    """``K[:s].T @ weights`` from the stages by component (``stages[d][s]``):
-    per component a left-to-right sum from 0j, as numpy gives it for 2 or 3
-    components."""
-    return [sum(map(mul, k_d, weights), 0j) for k_d in stages]
-
-
-def _numpy_combine(stages: list, weights: tuple) -> list:
-    """``_combine`` by numpy, with ``K`` laid out stage-major as BLAS saw it
-    in the all-numpy step."""
+    """``K[:s].T @ weights`` from the stages by component (``stages[d][s]``),
+    with ``K`` laid out stage-major as BLAS saw it in the all-numpy step."""
     return (np.array(stages).T.copy().T @ np.array(weights)).tolist()
 
 
-def _step(rhs, t: float, h: float, y: tuple, f: tuple, combine):
+def _step(rhs, t: float, h: float, y: tuple, f: tuple):
     """One Dormand-Prince step from ``(t, y)`` with derivative ``f``.
 
     Returns ``(y_new, f_new, error, stages)``: the 5th-order state and its
@@ -249,23 +240,23 @@ def _step(rhs, t: float, h: float, y: tuple, f: tuple, combine):
     """
     stages = [[f_d] for f_d in f]
     for s in range(1, 6):
-        stage_y = tuple([y_d + h * c for y_d, c in zip(y, combine(stages, _A[s]))])
+        stage_y = tuple([y_d + h * c for y_d, c in zip(y, _combine(stages, _A[s]))])
         for k_d, value in zip(stages, rhs(t + _C[s] * h, stage_y)):
             k_d.append(complex(value))
-    y_new = tuple([y_d + h * c for y_d, c in zip(y, combine(stages, _B))])
+    y_new = tuple([y_d + h * c for y_d, c in zip(y, _combine(stages, _B))])
     f_new = tuple(map(complex, rhs(t + h, y_new)))
     for k_d, value in zip(stages, f_new):
         k_d.append(value)
-    return y_new, f_new, combine(stages, _E), stages
+    return y_new, f_new, _combine(stages, _E), stages
 
 
 def _step_2(rhs, t: float, h: float, y: tuple, f: tuple):
     """``_step`` of a 2-component system, written out on scalars.
 
     The components are ``u`` and ``v``, and ``p<s>``, ``q<s>`` their
-    derivatives at stage s.  Each stage sum is ``0j + p0 * a0 + ...`` in
-    the order of ``_combine``, zero weights included, so the bits are its
-    bits.
+    derivatives at stage s.  Each stage sum is ``0j + p0 * a0 + ...``,
+    zero weights included, the order in which ``_combine`` sums 2
+    components, so the bits are its bits.
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
     (a50, a51, a52, a53, a54), (b0, b1, b2, b3, b4, b5) = _A[5:]
@@ -339,10 +330,7 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         raise ValueError(f"sample_times must lie within t_span {problem.t_span}")
 
     rhs = problem.rhs
-    if problem.dimension == 2:
-        step = _step_2
-    else:
-        step = partial(_step, combine=_combine if problem.dimension == 3 else _numpy_combine)
+    step = _step_2 if problem.dimension == 2 else _step
     rel_tol, abs_tol, max_step = problem.rel_tol, problem.abs_tol, problem.max_step
     out = np.empty((times.size, problem.dimension), dtype=complex)
     grid = times.tolist()
@@ -394,8 +382,9 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
             h_min, h_max = min(h_min, h), max(h_max, h)
             t_new = t + h
             # The last step also fills the samples that lie past t1 by no
-            # more than the 1e-12 the check above lets through.
-            reach = t_new + 1e-14 if t_new < t1 else math.inf
+            # more than the 1e-12 the check above lets through.  A step
+            # clipped to t1 is the last even where t + h rounds below t1.
+            reach = math.inf if t_new >= t1 or h == t1 - t else t_new + 1e-14
             owner = None
             while next_out < len(grid) and grid[next_out] <= reach:
                 if owner is None:

@@ -104,6 +104,11 @@ class TestAccuracy:
         for rel_tol in (1e-9, 1e-6):
             states = integrate(exponential_problem(rel_tol), times).states[:, 0]
             assert np.max(np.abs(states - np.exp(-times))) < 1e3 * rel_tol
+        # On this span the step clipped to t1 ends at t + h, one ulp below t1.
+        times = np.array([-1.0, 0.05 + 5e-13])
+        problem = exponential_problem(1e-6, max_step=0.25, span=(-1.6, 0.05))
+        states = integrate(problem, times).states[:, 0]
+        assert np.max(np.abs(states - np.exp(-(times + 1.6)))) < 1e-3
 
     def test_sample_at_both_endpoints(self):
         trajectory = integrate(exponential_problem(1e-9), [0.0, 1.0])
