@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, bath, maxent, oscillator, tls
 from .bath import REGIMES, BathParams, QuadratureError
 from .odeint import OdeError, check_tolerances
-from .transport import InvariantViolationError, sample_times
+from .transport import InvariantViolationError, PropagationError, sample_times
 
 __all__ = ["MAX_FOCK_DIM", "MAX_SAMPLES", "ConfigError", "ScenarioConfig", "run", "main"]
 
@@ -37,6 +37,7 @@ _NUMERICAL_ERRORS = (
     OdeError,
     QuadratureError,
     InvariantViolationError,
+    PropagationError,
     maxent.MaxEntError,
 )
 

@@ -7,7 +7,12 @@ To second order in the system-bath coupling they obey
     d<n>/dt  = -2 Re f(t) * <n> + Re[f(t, beta) - f(t)]
 
 with the bath kernels of :mod:`releq.bath`; the Markovian variant freezes
-the kernels at their long-time values.  The maximum-entropy state matching
+the kernels at their long-time values.  ``simulate`` integrates the
+non-Markovian equations, with the occupation clamped at max(n, 0) in the
+right-hand side, and propagates the Markovian ones exactly
+(``transport.propagate_linear``): with the pump Re[f(inf, beta) - f(inf)]
+> 0 their occupation never goes negative for n(0) >= 0, so that path has
+no clamp.  The maximum-entropy state matching
 (<a>, <n>) is a displaced thermal state, so multipliers, entropy, and the
 effective inverse temperature have closed forms in terms of the incoherent
 occupation n_eff = <n> - |<a>|**2.
@@ -29,7 +34,7 @@ from .bath import (
     markovian_limits,
 )
 from .odeint import integrate
-from .transport import InvariantViolationError, setup
+from .transport import InvariantViolationError, bind, propagate_linear, setup
 
 __all__ = [
     "REGIMES",
@@ -95,6 +100,13 @@ def rhs(t: float, state: OscillatorState, bath, regime: str = "non_markovian"):
 def _rates(mean_a: complex, mean_n: float, f: complex, f_beta: complex):
     """(d<a>/dt, d<n>/dt) for the kernel values (f, f_beta)."""
     return -mean_a * f.conjugate(), -2.0 * f.real * mean_n + (f_beta - f).real
+
+
+def _linear_system(f: complex, f_beta: complex):
+    """``(A, b)`` of ``_rates`` on (Re <a>, Im <a>, <n>) for constant kernels."""
+    decay, shift = f.real, f.imag
+    A = [[-decay, -shift, 0.0], [shift, -decay, 0.0], [0.0, 0.0, -2.0 * decay]]
+    return A, [0.0, 0.0, (f_beta - f).real]
 
 
 def multipliers(state: OscillatorState) -> OscillatorMultipliers:
@@ -259,23 +271,32 @@ def simulate(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
 ) -> OscillatorRun:
-    """Integrate the transport equations and derive entropy and temperature.
+    """Solve the transport equations and derive entropy and temperature.
 
+    The non-Markovian equations are integrated with ``rel_tol`` and
+    ``abs_tol``; the Markovian ones have constant coefficients and are
+    propagated exactly, so the tolerances are checked but do not enter.
     The incoherent occupation must stay positive along the trajectory for
     the thermodynamic formulas to apply; a violation aborts with the time
     and value at fault rather than clamping.
     """
+    a0, n0 = complex(initial.mean_a), float(initial.mean_n)
+    if regime == "markovian":
+        kernels, times = bind(params, regime, t_max, dt_out, rel_tol, abs_tol)
+        A, b = _linear_system(*kernel_pair(0.0, params, regime, kernels))
+        states = propagate_linear(A, b, (a0.real, a0.imag, n0), times)
+        mean_a = states[:, 0] + 1j * states[:, 1]
+        mean_n = states[:, 2]
+    else:
 
-    def vector_rhs(kernels, t, y):
-        mean_a, mean_n = y
-        return _rates(mean_a, max(mean_n.real, 0.0), *kernel_pair(t, params, regime, kernels))
+        def vector_rhs(kernels, t, y):
+            mean_a, mean_n = y
+            return _rates(mean_a, max(mean_n.real, 0.0), *kernel_pair(t, params, regime, kernels))
 
-    problem, times = setup(
-        vector_rhs, (initial.mean_a, initial.mean_n), params, regime, t_max, dt_out, rel_tol, abs_tol
-    )
-    states = integrate(problem, times).states
-    mean_a = states[:, 0]
-    mean_n = states[:, 1].real
+        problem, times = setup(vector_rhs, (a0, n0), params, regime, t_max, dt_out, rel_tol, abs_tol)
+        states = integrate(problem, times).states
+        mean_a = states[:, 0]
+        mean_n = states[:, 1].real
     n_eff = check_domain(times, mean_a, mean_n)
     return OscillatorRun(
         times=times,

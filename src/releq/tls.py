@@ -7,7 +7,11 @@ level splitting) the second-order transport equations read
     d<s_z>/dt = 2 Omega Im<s_+> - 2 Re f(t, beta) <s_z> - Re f(t)
     d<s_+>/dt = -2i Omega <s_z> - f(t, beta) <s_+>
 
-with the bath kernels of :mod:`releq.bath`.  The maximum-entropy state for
+with the bath kernels of :mod:`releq.bath`.  ``simulate`` integrates them
+in the non-Markovian regime; in the Markovian regime, where the kernels are
+frozen at their long-time values, it propagates them exactly as a linear
+system on (<s_z>, Re<s_+>, Im<s_+>) (``transport.propagate_linear``).
+The maximum-entropy state for
 a Bloch vector of half-length X = sqrt(|<s_+>|**2 + <s_z>**2) < 1/2 gives
 multipliers through R(X) = arctanh(2X)/X and the entropy in closed form;
 X = 1/2 marks pure states where the multipliers diverge.
@@ -28,7 +32,7 @@ import numpy as np
 from .bath import REGIMES, BathParams, kernel_pair
 from .odeint import integrate
 from .specfun import arctanh_ratio, arctanh_ratio_array
-from .transport import InvariantViolationError, setup
+from .transport import InvariantViolationError, bind, propagate_linear, setup
 
 __all__ = [
     "REGIMES",
@@ -147,6 +151,13 @@ def _rates(mean_sz: float, mean_sp: complex, Omega: float, f: complex, f_beta: c
     d_sz = 2.0 * Omega * mean_sp.imag - 2.0 * f_beta.real * mean_sz - f.real
     d_sp = -2j * Omega * mean_sz - f_beta * mean_sp
     return d_sz, d_sp
+
+
+def _linear_system(Omega: float, f: complex, f_beta: complex):
+    """``(A, b)`` of ``_rates`` on (<s_z>, Re <s_+>, Im <s_+>) for constant kernels."""
+    decay, shift = f_beta.real, f_beta.imag
+    A = [[-2.0 * decay, 0.0, 2.0 * Omega], [0.0, -decay, shift], [-2.0 * Omega, -shift, -decay]]
+    return A, [-f.real, 0.0, 0.0]
 
 
 def multipliers(state: TlsState) -> TlsMultipliers:
@@ -275,8 +286,11 @@ def simulate(
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
 ) -> TlsRun:
-    """Integrate the transport equations and derive entropy and temperature.
+    """Solve the transport equations and derive entropy and temperature.
 
+    The non-Markovian equations are integrated with ``rel_tol`` and
+    ``abs_tol``; the Markovian ones have constant coefficients and are
+    propagated exactly, so the tolerances are checked but do not enter.
     Trajectories must stay inside the Bloch ball (X <= 1/2 within 1e-9);
     leaving it aborts with the time and radius at fault.  Samples on its
     boundary get the pure-state limits, with one ``BoundaryStateWarning``.
@@ -284,17 +298,23 @@ def simulate(
 
     params.require_resonance()
     bath, drive = params.bath, params.Omega
+    sz0, sp0 = float(initial.mean_sz), complex(initial.mean_sp)
+    if regime == "markovian":
+        kernels, times = bind(bath, regime, t_max, dt_out, rel_tol, abs_tol)
+        A, b = _linear_system(drive, *kernel_pair(0.0, bath, regime, kernels))
+        states = propagate_linear(A, b, (sz0, sp0.real, sp0.imag), times)
+        mean_sz = states[:, 0]
+        mean_sp = states[:, 1] + 1j * states[:, 2]
+    else:
 
-    def vector_rhs(kernels, t, y):
-        mean_sz, mean_sp = y
-        return _rates(mean_sz.real, mean_sp, drive, *kernel_pair(t, bath, regime, kernels))
+        def vector_rhs(kernels, t, y):
+            mean_sz, mean_sp = y
+            return _rates(mean_sz.real, mean_sp, drive, *kernel_pair(t, bath, regime, kernels))
 
-    problem, times = setup(
-        vector_rhs, (initial.mean_sz, initial.mean_sp), params.bath, regime, t_max, dt_out, rel_tol, abs_tol
-    )
-    states = integrate(problem, times).states
-    mean_sz = states[:, 0].real
-    mean_sp = states[:, 1]
+        problem, times = setup(vector_rhs, (sz0, sp0), bath, regime, t_max, dt_out, rel_tol, abs_tol)
+        states = integrate(problem, times).states
+        mean_sz = states[:, 0].real
+        mean_sp = states[:, 1]
     check_domain(times, mean_sz, mean_sp)
 
     entropy_series, beta_series, pure = thermodynamic_series(mean_sz, mean_sp, params.omega0)

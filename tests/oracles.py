@@ -7,8 +7,9 @@ in the time domain, from a windowed average of the kernels, the
 trigamma oracle is a direct series with a midpoint tail correction, the
 masked trigamma applies the library's recurrence and asymptotic series one
 boolean selection at a time, the Hermite oracle evaluates the cardinal
-basis on intervals found by bisection, and the integrator oracle runs each
-Dormand-Prince step on numpy arrays.
+basis on intervals found by bisection, the integrator oracle runs each
+Dormand-Prince step on numpy arrays, and the matrix exponentials are
+scipy's and mpmath's.
 """
 
 import math
@@ -16,6 +17,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg import expm
 
 # Kernel values at t = 1 for W = 10, beta = 3, omega0 = 1, frozen from
 # corr_oracle_2d below (nested quadrature, tolerance 1e-8).
@@ -196,6 +198,14 @@ def windowed_correlator_average(params):
     return avg_f, avg_fb, err_f, err_fb
 
 
+def expm_mp(a, dps: int = 40) -> np.ndarray:
+    """Exponential of a real matrix in mpmath at ``dps`` digits, rounded to doubles."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return np.array(mpmath.expm(mpmath.matrix(np.asarray(a, dtype=float).tolist())).tolist(), dtype=float)
+
+
 def binary_entropy(p: float) -> float:
     """Entropy of the distribution (p, 1 - p) in nats."""
     out = 0.0
@@ -324,7 +334,10 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
         norm = _dp_error_norm(h * (K.T @ _DP_E), scale)
         if norm <= 1.0:
             t_new = t + h
-            while next_out < times.size and times[next_out] <= t_new + 1e-14:
+            # The last step, which reaches t1 or is clipped to it, also fills
+            # the samples up to 1e-12 past t1.
+            reach = np.inf if t_new >= t1 or h == t1 - t else t_new + 1e-14
+            while next_out < times.size and times[next_out] <= reach:
                 theta = (times[next_out] - t) / h
                 powers = np.cumprod(np.full(4, theta))
                 out[next_out] = y + h * ((K.T @ _DP_P) @ powers)

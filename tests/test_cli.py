@@ -426,10 +426,11 @@ class TestSweep:
 
 
 # The README configurations, both regimes where they apply; any change to a
-# number or its text shows here.  The transport digests are those of steps
-# chosen by error control alone and of the array formulas for the two-level
-# S and beta, on the kernel table built from cubic Hermite pieces
-# (non-Markovian) or the principal-value frequency shifts (Markovian); the
+# number or its text shows here.  The non-Markovian transport digests are
+# those of steps chosen by error control alone on the kernel table built
+# from cubic Hermite pieces, the Markovian ones those of the exact
+# propagation with the principal-value frequency shifts, both with the
+# array formulas for the two-level S and beta; the
 # maxent digest is that of the Newton solve with the exact Jacobian, started
 # from the closed-form two-level multipliers of the targets.  They were
 # taken on x86-64 with numpy 2.4.6, and no scipy code runs in these
@@ -452,11 +453,11 @@ _README_TLS = {
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
     (dict(_README_OSCILLATOR, regime="non_markovian"), "997c5fa243767801fe234d4f12ba4be2f96d684e93ad492a4abc0e27f54ab2be"),
-    (dict(_README_OSCILLATOR, regime="markovian"), "2340018d4c76d273999214c08a68ee026d21e1ff057ec1ebb20f2d85c2fa170d"),
+    (dict(_README_OSCILLATOR, regime="markovian"), "12a53ebd4ceec926b7e21119ab8c00a7321bc61326347fb7c2a5842dfb28c454"),
     (dict(_README_TLS, regime="non_markovian"), "e64c56c07ea18f38afac55c6c05d827fbb382b6ad076679f3851be99827b48df"),
-    (dict(_README_TLS, regime="markovian"), "d446924d2a60e40ce3fcac3ae3ce150cb8914b93362489fd37d5deace8fd6748"),
+    (dict(_README_TLS, regime="markovian"), "ee2197b3c1bb979404372030a32ead4db8eb825d1d5771d132648211133f3d08"),
     (dict(_WEAK_TLS, regime="non_markovian"), "b4cced0352c1e384c6ef9f9bc749024da24daf2c2fb8e2d2d2d86f5f1d186c60"),
-    (dict(_WEAK_TLS, regime="markovian"), "03381cee40df08bc1f70bccceb926d4fecdecfc796ad297a9be1e0a41a5846a6"),
+    (dict(_WEAK_TLS, regime="markovian"), "3e55c825dc2cd6a14109ad6a10fb3b03955ac69732ad4d7feb9669b87c3f40a3"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
         "a637aa0e6a4596d1b78a0d3feb64aca15581db58dfe60fd9547e4d55f773ff23",
@@ -503,12 +504,13 @@ def test_the_cli_imports_no_scipy(tmp_path):
 # Right-hand-side evaluations of the README runs, counted the way the
 # benchmark's tracer counts them: by wrapping the problem's ``rhs`` on its
 # way into ``integrate``.  They depend only on the step control, so a change
-# to it shows here as a count before it shows as a CSV digest.
+# to it shows here as a count before it shows as a CSV digest.  A Markovian
+# run is an exact propagation and integrates nothing, so its count is zero.
 RHS_EVALUATIONS = [
     (dict(_README_OSCILLATOR, regime="non_markovian"), 6572),
-    (dict(_README_OSCILLATOR, regime="markovian"), 4826),
+    (dict(_README_OSCILLATOR, regime="markovian"), 0),
     (dict(_README_TLS, regime="non_markovian"), 4442),
-    (dict(_README_TLS, regime="markovian"), 2156),
+    (dict(_README_TLS, regime="markovian"), 0),
 ]
 
 
@@ -548,13 +550,38 @@ def test_readme_step_statistics_count_the_pinned_evaluations(tmp_path, monkeypat
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
-    (trajectory,) = trajectories
-    stats = trajectory.stats
-    # The formula by which the benchmark's tracer derives attempted steps.
-    assert stats.rhs_evals == 6 * (stats.accepted + stats.rejected) + 2 == evaluations
-    # Error control alone sets the step: a cap at 0.01 / omega0 would show here.
-    assert 0.0 < stats.h_min <= stats.h_max
-    assert stats.h_max > 0.01
+    # One integration for a non-Markovian run, none for a Markovian one.
+    assert len(trajectories) == (1 if evaluations else 0)
+    assert sum(trajectory.stats.rhs_evals for trajectory in trajectories) == evaluations
+    for trajectory in trajectories:
+        stats = trajectory.stats
+        # The formula by which the benchmark's tracer derives attempted steps.
+        assert stats.rhs_evals == 6 * (stats.accepted + stats.rejected) + 2 == evaluations
+        # Error control alone sets the step: a cap at 0.01 / omega0 would show here.
+        assert 0.0 < stats.h_min <= stats.h_max
+        assert stats.h_max > 0.01
+
+
+# A Markovian run is the exact propagation of its constant-coefficient
+# equations: it integrates nothing, and it does not read the oscillator's
+# closed form, which acceptance criterion 7 compares it with.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "config",
+    [dict(_README_OSCILLATOR, regime="markovian"), dict(_README_TLS, regime="markovian")],
+    ids=["osc-m", "tls-m"],
+)
+def test_markovian_readme_runs_integrate_nothing(tmp_path, monkeypatch, config):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Markovian run called the integrator or the closed form")
+
+    for module in (oscillator, tls):
+        monkeypatch.setattr(module, "integrate", forbidden)
+    monkeypatch.setattr(oscillator, "closed_form_trajectory", forbidden)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
+    assert main([config["model"], "--config", str(path)]) == 0
+    assert (tmp_path / "out.csv").read_text().count("\n") == 2002
 
 
 # Eigendecompositions of a CLI max-ent solve without ``initial``: Newton starts

@@ -93,6 +93,73 @@ def test_samples_at_both_ends_and_on_a_step_end():
     assert_matches_reference(problem, times)
 
 
+def exponential_problem(span, max_step, rel_tol):
+    return OdeProblem(
+        dimension=1,
+        rhs=lambda t, y: (-y[0],),
+        t_span=span,
+        y0=np.array([1.0 + 0j]),
+        rel_tol=rel_tol,
+        abs_tol=rel_tol * 1e-3,
+        max_step=max_step,
+    )
+
+
+def assert_filled_and_matching(problem, times):
+    """Both integrators fill every sample with the same bits.
+
+    Each runs right after a freed buffer of its output's size was filled
+    with 7+7j, which numpy's small-allocation cache hands to the output's
+    ``np.empty``: a sample left unfilled reads 7+7j.
+    """
+    shape = (len(times), problem.dimension)
+    np.full(shape, 7 + 7j)
+    expected = reference_integrate(problem, times)
+    np.full(shape, 7 + 7j)
+    states = integrate(problem, times).states
+    assert not np.any(expected == 7 + 7j)
+    assert np.array_equal(states, expected)
+
+
+@pytest.mark.parametrize(
+    "span, max_step, rel_tol",
+    [((0.0, 1.0), np.inf, 1e-9), ((0.0, 1.0), np.inf, 1e-6), ((-1.6, 0.05), 0.25, 1e-6)],
+    ids=["reaches t1", "reaches t1 loosely", "clipped one ulp below t1"],
+)
+def test_samples_just_past_the_end(span, max_step, rel_tol):
+    # The check lets samples through up to 1e-12 past t1; the last step
+    # fills them from its interpolant.  On the third span the step clipped
+    # to t1 ends at t + h, one ulp below t1.
+    times = np.array([0.5 * (span[0] + span[1]), span[1] + 5e-13])
+    assert_filled_and_matching(exponential_problem(span, max_step, rel_tol), times)
+
+
+def test_last_step_that_rounds_up_to_the_end(monkeypatch):
+    # A step that is not clipped, h < t1 - t, but whose end t + h rounds up
+    # to t1 is the last one too.
+    steps = []
+    step_2 = odeint._step_2
+
+    def recording_step(rhs, t, h, y, f):
+        steps.append((t, h))
+        return step_2(rhs, t, h, y, f)
+
+    monkeypatch.setattr(odeint, "_step_2", recording_step)
+    cap = 0.01
+    integrate(linear_problem(2, max_step=cap, t_span=(0.0, 1.0)), [1.0])
+    # An accepted step of the cap whose end rounded up: t1 = t + cap then
+    # lies more than the cap past t, and the step to it is not clipped.
+    t = next(
+        t for (t, h), (t_next, _) in zip(steps, steps[1:]) if h == cap and t_next == t + cap and t_next - t > cap
+    )
+    t1 = t + cap
+    steps.clear()
+    problem = linear_problem(2, max_step=cap, t_span=(0.0, t1))
+    assert_filled_and_matching(problem, np.array([0.5 * t1, t + 0.5 * cap, t1, t1 + 5e-13]))
+    last_t, last_h = steps[-1]
+    assert last_t == t and last_h == cap < t1 - last_t and last_t + last_h >= t1
+
+
 def test_dense_output_chunk_boundaries(monkeypatch):
     problem = linear_problem(2, max_step=np.inf, rel_tol=1e-7)
     many = np.linspace(0.0, 3.0, odeint._DENSE_CHUNK + 1000)
