@@ -404,7 +404,7 @@ def kernel_pair(t: float, params: BathParams, regime: str, kernels=None) -> tupl
     The non-Markovian regime reads the shared table, extended past t when
     needed; the Markovian regime returns the long-time values regardless of
     t.  A run passes the ``kernels`` it bound once (a ``CorrelatorCache`` or
-    ``MarkovianLimits``, see ``transport.setup``), which skips the regime
+    ``MarkovianLimits``, see ``transport.bind``), which skips the regime
     dispatch and the shared-cache lookups.
     """
     if kernels is None:

@@ -29,7 +29,7 @@ from .bath import REGIMES, BathParams, QuadratureError
 from .odeint import OdeError, check_tolerances
 from .transport import InvariantViolationError, PropagationError, sample_times
 
-__all__ = ["MAX_FOCK_DIM", "MAX_SAMPLES", "ConfigError", "ScenarioConfig", "run", "main"]
+__all__ = ["MAX_FOCK_DIM", "MAX_HORIZON", "MAX_SAMPLES", "ConfigError", "ScenarioConfig", "run", "main"]
 
 MODELS = ("oscillator", "tls", "corr", "maxent_solve")
 
@@ -44,11 +44,14 @@ _NUMERICAL_ERRORS = (
 # Raised while parsing by a value of the wrong type or outside its model's domain.
 _INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
 
-# Largest inputs a run accepts: the number of output samples (t_max / dt_out)
-# and the dimension of a Fock operator set (three dim x dim complex matrices,
-# one eigendecomposition per Newton step).  Larger requests exit 2 instead of
-# exhausting memory.
+# Largest inputs a run accepts: the number of output samples (t_max / dt_out),
+# the t_max of a run that builds a kernel table (corr and non-Markovian
+# transport: the table reaches 1.5 t_max at 192 kB per unit time, and a run at
+# the cap peaks at 0.65 GB RSS), and the dimension of a Fock operator set
+# (three dim x dim complex matrices, one eigendecomposition per Newton step).
+# Larger requests exit 2 instead of exhausting memory.
 MAX_SAMPLES = 10**6
+MAX_HORIZON = 1000.0
 MAX_FOCK_DIM = 1024
 
 
@@ -129,6 +132,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"t_max / dt_out = {t_max / dt_out:.3g} asks for more than {MAX_SAMPLES} samples"
             )
+        builds_table = model == "corr" or (model != "maxent_solve" and regime == "non_markovian")
+        if builds_table and t_max > MAX_HORIZON:
+            raise ConfigError(f"t_max = {t_max:.6g} is past {MAX_HORIZON:g}, the cap of corr and non-Markovian runs")
 
         return ScenarioConfig(
             model=model,

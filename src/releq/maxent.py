@@ -137,32 +137,29 @@ class RelevantState:
     vectors: np.ndarray
 
 
+def _check_pairing(values, ops: RelevantOperatorSet, tol: float, what: str, why: str) -> np.ndarray:
+    """``values`` as an array of one entry per operator, after checking that
+    ``values[pairing[m]]`` is the conjugate of ``values[m]`` within
+    ``tol * max(1, max |values|)``; ``why`` ends the ``PairingError``."""
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    if values.size != len(ops):
+        raise ValueError(f"expected {len(ops)} {what}, got {values.size}")
+    scale = max(1.0, float(np.max(np.abs(values))))
+    for m, m_adj in enumerate(ops.pairing):
+        if abs(values[m_adj] - values[m].conjugate()) > tol * scale:
+            raise PairingError(f"{what} {m} and {m_adj} are not conjugate{why}")
+    return values
+
+
 def validate_multipliers(F, ops: RelevantOperatorSet, tol: float = _PAIRING_TOL) -> np.ndarray:
     """Check the pairing constraint and return the multipliers as an array."""
-    F = np.asarray(F, dtype=complex).reshape(-1)
-    if F.size != len(ops):
-        raise ValueError(f"expected {len(ops)} multipliers, got {F.size}")
-    scale = max(1.0, float(np.max(np.abs(F))))
-    for m, m_adj in enumerate(ops.pairing):
-        if abs(F[m_adj] - F[m].conjugate()) > tol * scale:
-            raise PairingError(
-                f"multipliers {m} and {m_adj} are not conjugate within {tol}"
-            )
-    return F
+    return _check_pairing(F, ops, tol, "multipliers", f" within {tol}")
 
 
 def _pairing_consistent_targets(targets, ops: RelevantOperatorSet) -> np.ndarray:
-    targets = np.asarray(targets, dtype=complex).reshape(-1)
-    if targets.size != len(ops):
-        raise ValueError(f"expected {len(ops)} targets, got {targets.size}")
-    scale = max(1.0, float(np.max(np.abs(targets))))
-    for m, m_adj in enumerate(ops.pairing):
-        if abs(targets[m_adj] - targets[m].conjugate()) > 1e-12 * scale:
-            raise PairingError(
-                f"targets {m} and {m_adj} are not conjugate; the moment map of a "
-                "Hermitian state cannot reach them"
-            )
-    return targets
+    return _check_pairing(
+        targets, ops, 1e-12, "targets", "; the moment map of a Hermitian state cannot reach them"
+    )
 
 
 def build_state(F, ops: RelevantOperatorSet) -> RelevantState:

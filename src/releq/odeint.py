@@ -1,4 +1,4 @@
-"""Adaptive Runge-Kutta integration for small complex-valued ODE systems.
+"""Adaptive Runge-Kutta integration for two-component complex ODE systems.
 
 A Dormand-Prince 5(4) embedded pair drives the step-size control; requested
 output times are filled in with the standard quartic interpolant, so the
@@ -6,33 +6,30 @@ integrator never has to land on them.  States are complex vectors
 throughout, which keeps the transport equations in their natural variables
 instead of splitting real and imaginary parts.
 
-The right-hand side is called as ``rhs(t, y)`` with ``y`` a tuple of
-Python ``complex``, one per component, and returns a sequence of that many
-real or complex numbers.
+Both transport models close in two complex averages, so every problem has
+two components.  The right-hand side is called as ``rhs(t, y)`` with ``y``
+a tuple of two Python ``complex`` and returns a sequence of two real or
+complex numbers.
 
-The systems are a few components long, where a numpy call costs more than
-its arithmetic.  So the step of a 2-component system, the shape of both
-transport models, is written out on Python scalars and builds nothing per
-stage: each component's stage sum is ``0j + k0 * a0 + k1 * a1 + ...``,
-zero weights of ``_B`` and ``_E`` included, which is how numpy's
-matrix-vector product (``K[:s].T @ _A[s, :s]``) sums 2 components, bit for
-bit.  The numbers are those of the earlier all-numpy step, and the CSV
-output with them.  Three kinds of operation stay in numpy, because
-Python 3.11 has no fused multiply-add and plain Python would change the
-last bits:
+At two components a numpy call costs more than its arithmetic.  So the
+step is written out on Python scalars and builds nothing per stage: each
+component's stage sum is ``0j + k0 * a0 + k1 * a1 + ...``, zero weights of
+``_B`` and ``_E`` included, which is how numpy's matrix-vector product
+(``K[:s].T @ _A[s, :s]``) sums 2 components, bit for bit.  The numbers are
+those of the earlier all-numpy step, and the CSV output with them.  Two
+kinds of operation stay in numpy, because Python 3.11 has no fused
+multiply-add and plain Python would change the last bits:
 
 * complex ``abs`` (the error norm and the step's scale): numpy computes the
   modulus as ``hi * sqrt(fma(q, q, 1))``, unlike Python's ``abs``;
-* the stage sums of systems of any other size, which numpy's product gives
-  (for 1 or more than 3 components BLAS, with fused multiply-adds:
-  ``zdotu``, ``zgemv``);
 * the dense output, ``K.T @ _P`` and its product with the powers of theta,
   which numpy hands to BLAS (``zgemm``, ``zgemv``).  It is deferred and
   evaluated for many samples at once, in stacked products that give the
   same bits as one product per sample.
 
-``tests/test_odeint_reference.py`` holds the all-numpy step as the
-reference and checks these equalities.
+The all-numpy step is kept as the reference, ``reference_integrate`` in
+``tests/oracles.py``, and ``tests/test_odeint_reference.py`` checks these
+equalities.
 """
 
 from __future__ import annotations
@@ -102,14 +99,13 @@ def check_tolerances(rel_tol: float, abs_tol: float) -> None:
 class OdeProblem:
     """An initial-value problem dy/dt = rhs(t, y) on a finite interval.
 
-    ``rhs(t, y)`` receives ``y`` as a tuple of ``dimension`` Python
-    ``complex`` and returns a sequence of ``dimension`` real or complex
+    ``y0`` has two components.  ``rhs(t, y)`` receives ``y`` as a tuple of
+    two Python ``complex`` and returns a sequence of two real or complex
     numbers.  The step size is chosen by the error control alone unless
     ``max_step`` caps it.
     """
 
-    dimension: int
-    rhs: Callable[[float, tuple[complex, ...]], Sequence[complex]]
+    rhs: Callable[[float, tuple[complex, complex]], Sequence[complex]]
     t_span: tuple[float, float]
     y0: np.ndarray = field(repr=False)
     rel_tol: float = 1e-9
@@ -124,10 +120,8 @@ class OdeProblem:
         if not self.max_step > 0.0:
             raise ValueError(f"max_step must be positive, got {self.max_step}")
         y0 = np.asarray(self.y0, dtype=complex).reshape(-1)
-        if y0.size != self.dimension:
-            raise ValueError(
-                f"y0 has {y0.size} components, expected dimension {self.dimension}"
-            )
+        if y0.size != 2:
+            raise ValueError(f"y0 must have 2 components, got {y0.size}")
         if not np.all(np.isfinite(y0)):
             raise ValueError(f"y0 must be finite, got {y0}")
         object.__setattr__(self, "y0", y0)
@@ -169,16 +163,6 @@ class Trajectory:
 
 def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-
-
-def _rms(moduli: list) -> float:
-    """Root mean square of ``moduli``, summed in the order of numpy's ``mean``.
-
-    numpy sums fewer than 8 values left to right and more of them pairwise.
-    """
-    if len(moduli) < 8:
-        return math.sqrt(sum([m * m for m in moduli]) / len(moduli))
-    return float(np.sqrt(np.mean(np.square(moduli))))
 
 
 def _initial_step(problem: OdeProblem, f0: np.ndarray) -> float:
@@ -225,38 +209,16 @@ def _dense_output(out: np.ndarray, stop: int, steps: list, owners: list, thetas:
     out[stop - len(thetas) : stop] = y[rows] + h[rows, None] * values
 
 
-def _combine(stages: list, weights: tuple) -> list:
-    """``K[:s].T @ weights`` from the stages by component (``stages[d][s]``),
-    with ``K`` laid out stage-major as BLAS saw it in the all-numpy step."""
-    return (np.array(stages).T.copy().T @ np.array(weights)).tolist()
-
-
 def _step(rhs, t: float, h: float, y: tuple, f: tuple):
     """One Dormand-Prince step from ``(t, y)`` with derivative ``f``.
 
     Returns ``(y_new, f_new, error, stages)``: the 5th-order state and its
     derivative as tuples of ``complex``, the stages contracted with ``_E``,
-    and the 7 stages by component (``stages[d][s]``).
-    """
-    stages = [[f_d] for f_d in f]
-    for s in range(1, 6):
-        stage_y = tuple([y_d + h * c for y_d, c in zip(y, _combine(stages, _A[s]))])
-        for k_d, value in zip(stages, rhs(t + _C[s] * h, stage_y)):
-            k_d.append(complex(value))
-    y_new = tuple([y_d + h * c for y_d, c in zip(y, _combine(stages, _B))])
-    f_new = tuple(map(complex, rhs(t + h, y_new)))
-    for k_d, value in zip(stages, f_new):
-        k_d.append(value)
-    return y_new, f_new, _combine(stages, _E), stages
-
-
-def _step_2(rhs, t: float, h: float, y: tuple, f: tuple):
-    """``_step`` of a 2-component system, written out on scalars.
-
-    The components are ``u`` and ``v``, and ``p<s>``, ``q<s>`` their
-    derivatives at stage s.  Each stage sum is ``0j + p0 * a0 + ...``,
-    zero weights included, the order in which ``_combine`` sums 2
-    components, so the bits are its bits.
+    and the 7 stages by component.  The components are ``u`` and ``v``,
+    and ``p<s>``, ``q<s>`` their derivatives at stage s.  Each stage sum is
+    ``0j + p0 * a0 + ...``, zero weights included, the order in which
+    numpy's matrix-vector product sums 2 components, so the bits are its
+    bits.
     """
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
     (a50, a51, a52, a53, a54), (b0, b1, b2, b3, b4, b5) = _A[5:]
@@ -306,8 +268,7 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
     ``rel_tol * |y| + abs_tol`` componentwise (in the RMS sense); output
     values between accepted steps come from the quartic interpolant of the
     accepted stages.  ``rhs(t, y)`` receives ``y`` as a tuple of Python
-    ``complex``.  A two-component system takes ``_step_2``, every other
-    size the generic ``_step``; both give the bits of the all-numpy step.
+    ``complex``.
 
     Raises
     ------
@@ -320,7 +281,7 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
     if times.size == 0:
         return Trajectory(
             times,
-            np.empty((0, problem.dimension), dtype=complex),
+            np.empty((0, 2), dtype=complex),
             OdeStats(0, 0, 0, math.nan, math.nan),
         )
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -330,9 +291,8 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         raise ValueError(f"sample_times must lie within t_span {problem.t_span}")
 
     rhs = problem.rhs
-    step = _step_2 if problem.dimension == 2 else _step
     rel_tol, abs_tol, max_step = problem.rel_tol, problem.abs_tol, problem.max_step
-    out = np.empty((times.size, problem.dimension), dtype=complex)
+    out = np.empty((times.size, 2), dtype=complex)
     grid = times.tolist()
     next_out = 0
 
@@ -363,19 +323,21 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         if not h >= 1e-14 * max(1.0, abs(t)):
             raise OdeError(f"step size {h:.3g} underflowed or is not finite at t = {t:.6g}", t)
 
-        y_new, f_new, error, stages = step(rhs, t, h, y, f)
+        y_new, f_new, error, stages = _step(rhs, t, h, y, f)
         rhs_evals += 6
 
         # Dividing a complex array by a real one, numpy multiplies by the
         # reciprocal; so does this.  Python's max drops a NaN modulus that
         # np.maximum would keep, but a NaN in y_new comes with a NaN or
-        # infinite error, and the step is rejected by 0.2 either way.
+        # infinite error, and the step is rejected by 0.2 either way.  numpy's
+        # mean sums two values left to right.
         abs_new = np.abs(np.array(y_new)).tolist()
         scaled = [
             h * c * (1.0 / (abs_tol + rel_tol * max(a, b)))
             for c, a, b in zip(error, abs_y, abs_new)
         ]
-        norm = _rms(np.abs(np.array(scaled)).tolist())
+        m0, m1 = np.abs(np.array(scaled)).tolist()
+        norm = math.sqrt((m0 * m0 + m1 * m1) / 2)
 
         if norm <= 1.0:
             accepted += 1

@@ -67,8 +67,7 @@ def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_to
     The kernels of ``bind`` are the first argument of the model's
     ``rhs(kernels, t, y)``, which the problem calls as ``rhs(t, y)``: ``y``
     is the tuple of the two components as Python ``complex``, and the model
-    returns their two derivatives, real or complex.  The integrator steps
-    such a two-component problem with its written-out scalar step.
+    returns their two derivatives, real or complex.
 
     The step size is left to the integrator's error control alone: the
     kernels are smooth in t, and the local error estimate already resolves
@@ -76,7 +75,6 @@ def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_to
     """
     kernels, times = bind(bath, regime, t_max, dt_out, rel_tol, abs_tol)
     problem = OdeProblem(
-        dimension=2,
         rhs=partial(rhs, kernels),
         t_span=(0.0, float(times[-1])),
         y0=np.array(y0, dtype=complex),

@@ -300,7 +300,7 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
 
     times = np.asarray(sample_times, dtype=float)
     t0, t1 = problem.t_span
-    out = np.empty((times.size, problem.dimension), dtype=complex)
+    out = np.empty((times.size, problem.y0.size), dtype=complex)
     next_out = 0
 
     t = t0
@@ -319,7 +319,7 @@ def reference_integrate(problem, sample_times) -> np.ndarray:
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     h = min(100 * h0, h1, problem.max_step, t1 - t0)
 
-    K = np.empty((7, problem.dimension), dtype=complex)
+    K = np.empty((7, problem.y0.size), dtype=complex)
     while next_out < times.size and t < t1:
         h = min(h, problem.max_step, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import releq
 from releq import maxent, oscillator, tls
 from releq.bath import REGIMES
-from releq.cli import MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
+from releq.cli import MAX_HORIZON, MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
 
 
 TLS_PARAMS = {"omega0": 1.0, "omegaL": 1.0, "W": 10.0, "beta_bath": 3.0, "Omega": 0.3}
@@ -130,6 +131,9 @@ class TestConfigValidation:
             ({"params": "x"}, "params"),
             ({"model": "maxent_solve", "operator_set": 3, "targets": [0.0, 0.3, 0.0], "initial": []}, "operator_set"),
             ({"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": 1, "initial": []}, "targets"),
+            ({"t_max": 5e4, "dt_out": 0.1}, "t_max = 50000 is past 1000"),
+            ({"model": "tls", "params": TLS_PARAMS, "initial": [0.0, 0.0, 0.0], "t_max": 1000.5}, "t_max"),
+            ({"model": "corr", "t_max": 1000.5, "dt_out": 1.0, "initial": []}, "t_max"),
         ],
         ids=[
             "negative-n",
@@ -164,6 +168,9 @@ class TestConfigValidation:
             "params-not-an-object",
             "operator-set-not-an-object",
             "targets-not-a-list",
+            "oscillator-horizon-cap",
+            "tls-horizon-cap",
+            "corr-horizon-cap",
         ],
     )
     def test_input_errors_exit_2_before_the_run(self, tmp_path, capsys, overrides, named):
@@ -176,11 +183,36 @@ class TestConfigValidation:
         assert not (tmp_path / "out.csv").exists()
 
     def test_sample_cap_admits_the_largest_grid(self):
-        corr = {"model": "corr", "params": {"W": 10, "beta_bath": 3}, "output_path": "x.csv"}
-        largest = ScenarioConfig.from_dict(dict(corr, t_max=MAX_SAMPLES - 1, dt_out=1.0))
+        # A power-of-two step keeps t_max / dt_out exact inside the horizon cap.
+        corr = {"model": "corr", "params": {"W": 10, "beta_bath": 3}, "output_path": "x.csv", "dt_out": 2.0**-10}
+        largest = ScenarioConfig.from_dict(dict(corr, t_max=(MAX_SAMPLES - 1) * 2.0**-10))
         assert largest.inputs[1].size == MAX_SAMPLES
         with pytest.raises(ConfigError, match="samples"):
-            ScenarioConfig.from_dict(dict(corr, t_max=MAX_SAMPLES, dt_out=1.0))
+            ScenarioConfig.from_dict(dict(corr, t_max=MAX_SAMPLES * 2.0**-10))
+
+    @pytest.mark.parametrize("model", ["oscillator", "tls", "corr"])
+    def test_horizon_cap_admits_the_longest_table(self, model):
+        raw = {
+            "model": model,
+            "params": TLS_PARAMS,
+            "initial": [] if model == "corr" else [0.0, 0.0, 0.0] if model == "tls" else [1.0, 0.0, 9.0],
+            "dt_out": 1.0,
+            "output_path": "x.csv",
+        }
+        assert ScenarioConfig.from_dict(dict(raw, t_max=MAX_HORIZON)).t_max == MAX_HORIZON
+        with pytest.raises(ConfigError, match="t_max"):
+            ScenarioConfig.from_dict(dict(raw, t_max=math.nextafter(MAX_HORIZON, math.inf)))
+
+    @pytest.mark.parametrize("model", ["oscillator", "tls"])
+    def test_markovian_runs_past_the_horizon_cap(self, tmp_path, model):
+        # An exact Markovian run builds no kernel table, so the cap leaves it be.
+        path = tmp_path / "cfg.json"
+        initial = [0.0, 0.0, 0.0] if model == "tls" else [1.0, 0.0, 9.0]
+        write_config(path, model=model, params=TLS_PARAMS, initial=initial, t_max=5e4, dt_out=100.0)
+        assert main([model, "--config", str(path)]) == 2
+        assert not (tmp_path / "out.csv").exists()
+        assert main([model, "--config", str(path), "--markovian"]) == 0
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 502
 
 
 class TestOscillatorRuns:
@@ -480,6 +512,21 @@ def test_readme_csv_bytes_are_pinned(tmp_path, config, digest):
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
     assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_readme_examples_run_and_are_pinned(tmp_path):
+    # Every documented configuration is one whose CSV bytes are pinned above.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = [json.loads(block) for block in re.findall(r"^```json\n(.*?)^```$", readme, re.S | re.M)]
+    assert [block["model"] for block in blocks] == list(MODELS)
+    pinned = [config for config, _ in PINNED_CSV]
+    for k, block in enumerate(blocks):
+        block.pop("output_path")
+        assert block in pinned, block
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(dict(block, output_path=str(tmp_path / f"{k}.csv"))))
+        assert main([block["model"], "--config", str(path)]) == 0
 
 
 def test_the_cli_imports_no_scipy(tmp_path):

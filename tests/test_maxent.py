@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import binary_entropy, project_moment_neutral
+from releq import maxent
 from releq.maxent import (
     DensityMatrixError,
     InfeasibleTargetsError,
@@ -72,6 +73,20 @@ class TestOperatorSetValidation:
         ops = spin_operator_set()
         with pytest.raises(PairingError):
             validate_multipliers([0.0, 0.5 + 1e-6j, 0.0], ops)
+
+    def test_pairing_tolerances_and_messages(self):
+        # Multipliers are held to 1e-14, targets to 1e-12 (both relative to
+        # max(1, max |value|)); each check first counts the values.
+        ops = spin_operator_set()
+        with pytest.raises(PairingError, match="multipliers 1 and 1 are not conjugate within 1e-14"):
+            validate_multipliers([0.0, 0.5 + 1e-13j, 0.0], ops)
+        maxent._pairing_consistent_targets([0.0, 0.3 + 1e-13j, 0.0], ops)
+        with pytest.raises(PairingError, match="targets 1 and 1 are not conjugate; the moment map"):
+            maxent._pairing_consistent_targets([0.0, 0.3 + 1e-11j, 0.0], ops)
+        with pytest.raises(ValueError, match="expected 3 multipliers, got 2"):
+            validate_multipliers([0.0, 0.5], ops)
+        with pytest.raises(ValueError, match="expected 3 targets, got 2"):
+            maxent._pairing_consistent_targets([0.0, 0.3], ops)
 
 
 class TestBuildState:

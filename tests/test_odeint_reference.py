@@ -13,32 +13,21 @@ from releq.odeint import OdeError, OdeProblem, integrate
 from oracles import reference_integrate
 
 # A damped linear system with complex coefficients, driven by a cosine and a
-# short pulse at t = 1.5 that uncapped steps first overrun; the first
-# ``dimension`` components are used.
-_COUPLING = np.array(
-    [
-        [-0.3 + 1.1j, 0.2, 0.05j],
-        [-0.1j, -0.5 + 0.3j, 0.1],
-        [0.0, 0.2 - 0.1j, -0.2 - 2.0j],
-    ]
-)
-_DRIVE = np.array([0.1, 0.02j, -0.05 + 0.01j])
+# short pulse at t = 1.5 that uncapped steps first overrun.
+_COUPLING = np.array([[-0.3 + 1.1j, 0.2], [-0.1j, -0.5 + 0.3j]])
+_DRIVE = np.array([0.1, 0.02j])
 
 
-def linear_problem(dimension, max_step=0.01, rel_tol=1e-9, t_span=(0.0, 3.0), rhs_calls=None):
-    coupling = _COUPLING[:dimension, :dimension]
-    drive = _DRIVE[:dimension]
-
+def linear_problem(max_step=0.01, rel_tol=1e-9, t_span=(0.0, 3.0), rhs_calls=None):
     def rhs(t, y):
         if rhs_calls is not None:
             rhs_calls.append(t)
-        return coupling @ y + (np.cos(2.0 * t) + 5.0 * np.exp(-(((t - 1.5) / 0.02) ** 2))) * drive
+        return _COUPLING @ y + (np.cos(2.0 * t) + 5.0 * np.exp(-(((t - 1.5) / 0.02) ** 2))) * _DRIVE
 
     return OdeProblem(
-        dimension=dimension,
         rhs=rhs,
         t_span=t_span,
-        y0=np.array([1.0 + 0.5j, -0.3 + 0j, 0.2j][:dimension]),
+        y0=np.array([1.0 + 0.5j, -0.3 + 0j]),
         rel_tol=rel_tol,
         abs_tol=rel_tol * 1e-3,
         max_step=max_step,
@@ -51,31 +40,12 @@ def assert_matches_reference(problem, times):
     return trajectory
 
 
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_linear_problems(dimension):
-    assert_matches_reference(linear_problem(dimension), np.arange(301) * 0.01)
+def test_linear_problem():
+    assert_matches_reference(linear_problem(), np.arange(301) * 0.01)
 
 
-@pytest.mark.parametrize("dimension", [4, 9])
-def test_many_components(dimension):
-    # From 4 components numpy's stage sums fuse multiply-adds, and from 8
-    # its mean sums pairwise.
-    rates = -0.1 * np.arange(1, dimension + 1) + 1j * np.linspace(-1.0, 1.0, dimension)
-    problem = OdeProblem(
-        dimension=dimension,
-        rhs=lambda t, y: rates * y + np.sin(t),
-        t_span=(0.0, 2.0),
-        y0=np.linspace(1.0, 2.0, dimension) + 0.5j,
-        rel_tol=1e-8,
-        abs_tol=1e-11,
-        max_step=np.inf,
-    )
-    assert_matches_reference(problem, np.linspace(0.0, 2.0, 41))
-
-
-@pytest.mark.parametrize("dimension", [1, 2, 3])
-def test_uncapped_steps_with_rejections_and_many_samples_per_step(dimension):
-    problem = linear_problem(dimension, max_step=np.inf, rel_tol=1e-6)
+def test_uncapped_steps_with_rejections_and_many_samples_per_step():
+    problem = linear_problem(max_step=np.inf, rel_tol=1e-6)
     trajectory = assert_matches_reference(problem, np.linspace(0.0, 3.0, 997))
     stats = trajectory.stats
     assert stats.rejected > 0
@@ -84,7 +54,7 @@ def test_uncapped_steps_with_rejections_and_many_samples_per_step(dimension):
 
 def test_samples_at_both_ends_and_on_a_step_end():
     calls = []
-    problem = linear_problem(2, max_step=0.05, t_span=(0.0, 1.0), rhs_calls=calls)
+    problem = linear_problem(max_step=0.05, t_span=(0.0, 1.0), rhs_calls=calls)
     trajectory = integrate(problem, [0.0, 1.0])
     assert trajectory.stats.rejected == 0
     # Calls 0 and 1 start the run; the last of each step's 6 is at its end.
@@ -95,10 +65,9 @@ def test_samples_at_both_ends_and_on_a_step_end():
 
 def exponential_problem(span, max_step, rel_tol):
     return OdeProblem(
-        dimension=1,
-        rhs=lambda t, y: (-y[0],),
+        rhs=lambda t, y: (-y[0], -0.5 * y[1]),
         t_span=span,
-        y0=np.array([1.0 + 0j]),
+        y0=np.array([1.0 + 0j, 1.0 + 0j]),
         rel_tol=rel_tol,
         abs_tol=rel_tol * 1e-3,
         max_step=max_step,
@@ -112,7 +81,7 @@ def assert_filled_and_matching(problem, times):
     with 7+7j, which numpy's small-allocation cache hands to the output's
     ``np.empty``: a sample left unfilled reads 7+7j.
     """
-    shape = (len(times), problem.dimension)
+    shape = (len(times), 2)
     np.full(shape, 7 + 7j)
     expected = reference_integrate(problem, times)
     np.full(shape, 7 + 7j)
@@ -123,7 +92,7 @@ def assert_filled_and_matching(problem, times):
 
 @pytest.mark.parametrize(
     "span, max_step, rel_tol",
-    [((0.0, 1.0), np.inf, 1e-9), ((0.0, 1.0), np.inf, 1e-6), ((-1.6, 0.05), 0.25, 1e-6)],
+    [((0.0, 1.0), np.inf, 1e-9), ((0.0, 1.0), np.inf, 1e-6), ((-1.96, 0.05), 0.25, 1e-6)],
     ids=["reaches t1", "reaches t1 loosely", "clipped one ulp below t1"],
 )
 def test_samples_just_past_the_end(span, max_step, rel_tol):
@@ -138,15 +107,15 @@ def test_last_step_that_rounds_up_to_the_end(monkeypatch):
     # A step that is not clipped, h < t1 - t, but whose end t + h rounds up
     # to t1 is the last one too.
     steps = []
-    step_2 = odeint._step_2
+    step = odeint._step
 
     def recording_step(rhs, t, h, y, f):
         steps.append((t, h))
-        return step_2(rhs, t, h, y, f)
+        return step(rhs, t, h, y, f)
 
-    monkeypatch.setattr(odeint, "_step_2", recording_step)
+    monkeypatch.setattr(odeint, "_step", recording_step)
     cap = 0.01
-    integrate(linear_problem(2, max_step=cap, t_span=(0.0, 1.0)), [1.0])
+    integrate(linear_problem(max_step=cap, t_span=(0.0, 1.0)), [1.0])
     # An accepted step of the cap whose end rounded up: t1 = t + cap then
     # lies more than the cap past t, and the step to it is not clipped.
     t = next(
@@ -154,31 +123,30 @@ def test_last_step_that_rounds_up_to_the_end(monkeypatch):
     )
     t1 = t + cap
     steps.clear()
-    problem = linear_problem(2, max_step=cap, t_span=(0.0, t1))
+    problem = linear_problem(max_step=cap, t_span=(0.0, t1))
     assert_filled_and_matching(problem, np.array([0.5 * t1, t + 0.5 * cap, t1, t1 + 5e-13]))
     last_t, last_h = steps[-1]
     assert last_t == t and last_h == cap < t1 - last_t and last_t + last_h >= t1
 
 
 def test_dense_output_chunk_boundaries(monkeypatch):
-    problem = linear_problem(2, max_step=np.inf, rel_tol=1e-7)
+    problem = linear_problem(max_step=np.inf, rel_tol=1e-7)
     many = np.linspace(0.0, 3.0, odeint._DENSE_CHUNK + 1000)
     assert_matches_reference(problem, many)
     # A small chunk: boundaries fall inside steps and between them.
     monkeypatch.setattr(odeint, "_DENSE_CHUNK", 7)
     assert_matches_reference(problem, np.linspace(0.0, 3.0, 101))
-    assert_matches_reference(linear_problem(3), np.arange(301) * 0.01)
+    assert_matches_reference(linear_problem(), np.arange(301) * 0.01)
 
 
 def test_blowup_stops_at_the_same_time():
     def rhs(t, y):
-        return (y[0] * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t),)
+        return y[0] * (abs(y[0]) ** 2) / max(1e-12, 1.0 - t), -0.5 * y[1]
 
     problem = OdeProblem(
-        dimension=1,
         rhs=rhs,
         t_span=(0.0, 2.0),
-        y0=np.array([1.0 + 0j]),
+        y0=np.array([1.0 + 0j, 1.0 + 0j]),
         rel_tol=1e-6,
         abs_tol=1e-9,
         max_step=np.inf,
@@ -192,7 +160,7 @@ def test_blowup_stops_at_the_same_time():
 
 def test_stats_count_the_work():
     calls = []
-    problem = linear_problem(3, max_step=np.inf, rel_tol=1e-6, rhs_calls=calls)
+    problem = linear_problem(max_step=np.inf, rel_tol=1e-6, rhs_calls=calls)
     stats = integrate(problem, np.linspace(0.0, 3.0, 31)).stats
     assert stats.rejected > 0
     assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 2
@@ -209,7 +177,6 @@ def oscillator_like_problem():
         return (-0.2 + 1.0j) * mean_a + drive, -0.4 * mean_n.real + 0.5 * abs(mean_a) ** 2 + 0.1
 
     return OdeProblem(
-        dimension=2,
         rhs=rhs,
         t_span=(0.0, 6.0),
         y0=np.array([0.8 - 0.4j, 1.5]),
@@ -236,13 +203,8 @@ def recording(problem, arguments):
 
 @pytest.mark.parametrize(
     "problem",
-    [
-        linear_problem(1, max_step=np.inf, rel_tol=1e-6),
-        linear_problem(2, max_step=np.inf, rel_tol=1e-6),
-        linear_problem(3, max_step=np.inf, rel_tol=1e-6),
-        oscillator_like_problem(),
-    ],
-    ids=["dimension 1", "dimension 2", "dimension 3", "complex and float"],
+    [linear_problem(max_step=np.inf, rel_tol=1e-6), oscillator_like_problem()],
+    ids=["linear", "complex and float"],
 )
 def test_rhs_receives_a_tuple_of_complex(problem):
     # linear_problem's RHS returns a numpy array, so the stages come back as
@@ -252,11 +214,11 @@ def test_rhs_receives_a_tuple_of_complex(problem):
     assert stats.rejected > 0
     assert len(arguments) == stats.rhs_evals
     for y in arguments:
-        assert type(y) is tuple and len(y) == problem.dimension
+        assert type(y) is tuple and len(y) == 2
         assert all(type(y_d) is complex for y_d in y)
 
 
 def test_rhs_of_the_wrong_length_rejected():
-    problem = OdeProblem(dimension=2, rhs=lambda t, y: y[:1], t_span=(0.0, 1.0), y0=np.ones(2))
+    problem = OdeProblem(rhs=lambda t, y: y[:1], t_span=(0.0, 1.0), y0=np.ones(2))
     with pytest.raises(ValueError, match="shape"):
         integrate(problem, [1.0])

@@ -72,7 +72,6 @@ def integrated(model_rates, y0, t_max, dt_out):
     """States of the model's RHS at constant kernels, integrated at rel_tol 1e-12."""
     times = sample_times(t_max, dt_out)
     problem = OdeProblem(
-        dimension=2,
         rhs=model_rates,
         t_span=(0.0, float(times[-1])),
         y0=np.array(y0, dtype=complex),
