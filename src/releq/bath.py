@@ -166,23 +166,19 @@ def corr_f_beta(t: float, params: BathParams, rel_tol: float = 1e-9) -> complex:
 
 _GL_NODES, _GL_WEIGHTS = leggauss(4)
 
-# Panels evaluated at once by _panel_integrals.  The integrands allocate
-# several temporaries per node (trigamma most), so this bounds the memory of
-# a table build; every panel's value is the same in any chunk.
+# Panels a table build integrates at once.  The integrands allocate several
+# temporaries per node (trigamma most), so this bounds the memory a build
+# needs beside the table itself; every panel's value is the same in any chunk.
 _PANEL_CHUNK = 4096
 
 
 def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
     """4-point Gauss-Legendre integral of ``func`` over each edge interval."""
-    out = np.empty(edges.size - 1, dtype=complex)
-    for start in range(0, out.size, _PANEL_CHUNK):
-        part = edges[start : start + _PANEL_CHUNK + 1]
-        half = 0.5 * np.diff(part)
-        mid = part[:-1] + half
-        nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        values = func(nodes.reshape(-1)).reshape(nodes.shape)
-        out[start : start + half.size] = half * (values @ _GL_WEIGHTS)
-    return out
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    values = func(nodes.reshape(-1)).reshape(nodes.shape)
+    return half * (values @ _GL_WEIGHTS)
 
 
 # Grid step of the kernel table.  The Hermite error on an interval is at most
@@ -204,13 +200,17 @@ class CorrelatorCache:
     of Re f, Im f, Re f_beta and Im f_beta.  A lookup finds its row by index
     arithmetic.
 
-    The table extends itself when evaluated past its current horizon.  The
-    pieces are local, so an extension appends rows and leaves the old ones
-    as they were, and it publishes a new table; a lookup running meanwhile
-    reads the one it started with, so concurrent lookups stay in range.
+    A new table holds only a few rows; it grows to the times a run asks
+    for, to one step past them (``ensure_horizon``, and every array lookup).
+    The pieces are local, so an extension copies the old rows as they were
+    into a new table, fills the rows after them chunk by chunk, and then
+    publishes it; a lookup running meanwhile reads the one it started with,
+    so concurrent lookups stay in range.  A scalar lookup past the horizon
+    grows the table to 1.5 times its time, ahead of a caller walking
+    forward.
     """
 
-    def __init__(self, params: BathParams, t_max: float = 25.0):
+    def __init__(self, params: BathParams, t_max: float = 10 * _TABLE_STEP):
         self.params = params
         self._lock = threading.Lock()
         self._table = np.empty((0, 16))
@@ -219,35 +219,52 @@ class CorrelatorCache:
     def _build(self, t_max: float):
         h = _TABLE_STEP
         n = int(math.ceil(t_max / h))
-        grid = np.arange(n + 1) * h
         old = self._table
         first = len(old)  # the first new row
+        table = np.empty((n, 16))
+        table[:first] = old
+        rows = table.reshape(n, 4, 4)
         # An extension sums on from the first node of the old last row, whose
         # constant coefficients hold that node's value exactly.  The sums
-        # then run in the order of a fresh build, and so do the new rows.
+        # then run in the order of a fresh build, and so do the new rows;
+        # each chunk carries on from the last node value of the one before.
         start = max(first - 1, 0)
-        rows = np.empty((n - first, 4, 4))
-        for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
-            g = lambda s, _g=integrand: _g(s, self.params)
-            y_start = complex(old[start, 8 * k + 3], old[start, 8 * k + 7]) if first else 0j
-            y = np.cumsum(np.concatenate(([y_start], _panel_integrals(g, grid[start:]))))[first - start :]
-            d = g(grid[first:])
-            d0, d1 = d[:-1], d[1:]
-            slope = np.diff(y) / h
-            coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
-            rows[:, 2 * k] = coeffs.real
-            rows[:, 2 * k + 1] = coeffs.imag
-        self._table = np.concatenate((old, rows.reshape(-1, 16)))
+        y_end = [complex(old[start, 8 * k + 3], old[start, 8 * k + 7]) if first else 0j for k in (0, 1)]
+        for lo in range(start, n, _PANEL_CHUNK):
+            hi = min(lo + _PANEL_CHUNK, n)
+            grid = np.arange(lo, hi + 1) * h
+            skip = max(first - lo, 0)  # the old last row, if this chunk holds it
+            for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
+                g = lambda s, _g=integrand: _g(s, self.params)
+                y = np.cumsum(np.concatenate(([y_end[k]], _panel_integrals(g, grid))))
+                y_end[k] = y[-1]
+                y = y[skip:]
+                d = g(grid[skip:])
+                d0, d1 = d[:-1], d[1:]
+                slope = np.diff(y) / h
+                coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
+                rows[lo + skip : hi, 2 * k] = coeffs.real
+                rows[lo + skip : hi, 2 * k + 1] = coeffs.imag
+        self._table = table
         # Published last: a caller that sees the new horizon sees the new table.
         self.t_max = grid[-1]
 
     def ensure_horizon(self, t: float):
-        """Extend the table so that times up to ``t`` are interpolated."""
-        if t <= self.t_max:
+        """Extend the table so that ``t`` lies strictly inside it.
+
+        The table is built to one step past ``t``, so a lookup at any time up
+        to ``t`` reads the row that every longer table holds, never the last
+        node, whose cubic reproduces the node value only to rounding.
+        """
+        self._extend(t, t + _TABLE_STEP)
+
+    def _extend(self, t: float, horizon: float):
+        """Build the table to ``horizon`` unless ``t`` lies inside it already."""
+        if t < self.t_max:
             return
         with self._lock:
-            if t > self.t_max:
-                self._build(1.5 * t)
+            if t >= self.t_max:
+                self._build(horizon)
 
     def pair(self, t: float) -> tuple[complex, complex]:
         """(f(t), f(t, beta)) at one time; the scalar form of ``f``/``f_beta``."""
@@ -261,7 +278,7 @@ class CorrelatorCache:
             i += 1
         if i >= len(table):
             if t > len(table) * step:
-                self.ensure_horizon(t)
+                self._extend(t, 1.5 * t)  # ahead of a caller walking forward
                 return self.pair(t)
             i = len(table) - 1  # t on the last node: the last interval is closed
         elif i < 0:
@@ -277,9 +294,10 @@ class CorrelatorCache:
 
     def _locate(self, t):
         """(table, rows, offsets) of an array of times; ``pair``'s index arithmetic."""
-        self.ensure_horizon(float(np.max(t)))
-        table = self._table
         flat = np.asarray(t, dtype=float).reshape(-1)
+        if flat.size:
+            self.ensure_horizon(float(flat.max()))
+        table = self._table
         i = (flat / _TABLE_STEP).astype(np.intp)
         i -= flat < i * _TABLE_STEP
         i += flat >= (i + 1) * _TABLE_STEP

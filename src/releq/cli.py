@@ -46,9 +46,11 @@ _INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
 
 # Largest inputs a run accepts: the number of output samples (t_max / dt_out),
 # the t_max of a run that builds a kernel table (corr and non-Markovian
-# transport: the table reaches 1.5 t_max at 192 kB per unit time, and a run at
-# the cap peaks at 0.65 GB RSS), and the dimension of a Fock operator set
-# (three dim x dim complex matrices, one eigendecomposition per Newton step).
+# transport: the table reaches one step past t_max at 128 kB per unit time; a
+# run at the cap peaks at 157 MB RSS with dt_out 1, and near 0.44 GB at the
+# sample cap, where the samples dominate), and the dimension of a Fock
+# operator set (three dim x dim complex matrices, one eigendecomposition per
+# Newton step).
 # Larger requests exit 2 instead of exhausting memory.
 MAX_SAMPLES = 10**6
 MAX_HORIZON = 1000.0

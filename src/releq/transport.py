@@ -44,8 +44,9 @@ def sample_times(t_max: float, dt_out: float) -> np.ndarray:
 def bind(bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
     """``(kernels, sample times)`` of one transport run, after the argument checks.
 
-    The run's kernels are bound once: the shared table of ``bath``, extended
-    here past ``t_max``, or the long-time values.  The tolerances are
+    The run's kernels are bound once: the shared table of ``bath``, built
+    here to one step past ``t_max`` (every stage and sample of the run then
+    lies strictly inside it), or the long-time values.  The tolerances are
     checked in both regimes, although only the integrated path uses them.
     """
     if regime not in REGIMES:

@@ -7,9 +7,10 @@ in the time domain, from a windowed average of the kernels, the
 trigamma oracle is a direct series with a midpoint tail correction, the
 masked trigamma applies the library's recurrence and asymptotic series one
 boolean selection at a time, the Hermite oracle evaluates the cardinal
-basis on intervals found by bisection, the integrator oracle runs each
-Dormand-Prince step on numpy arrays, and the matrix exponentials are
-scipy's and mpmath's.
+basis on intervals found by bisection, the kernel-table oracle builds the
+whole table in one pass over full-length arrays, the integrator oracle
+runs each Dormand-Prince step on numpy arrays, and the matrix exponentials
+are scipy's and mpmath's.
 """
 
 import math
@@ -75,6 +76,37 @@ def cubic_hermite(nodes, values, derivatives, times) -> np.ndarray:
         + h01 * values[i + 1]
         + h11 * h * derivatives[i + 1]
     )
+
+
+def reference_table(params, t_max: float) -> np.ndarray:
+    """The (rows, 16) coefficient table of ``releq.bath.CorrelatorCache``
+    built to ``t_max`` in one pass: panel integrals (4096 panels at a time),
+    node values, derivatives and coefficients each as one full-length array.
+    The library builds the same table chunk by chunk into preallocated rows
+    and extends it from an older table; its bytes must equal these."""
+    from releq.bath import _TABLE_STEP, corr_f_beta_integrand, corr_f_integrand
+
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    h = _TABLE_STEP
+    n = int(math.ceil(t_max / h))
+    grid = np.arange(n + 1) * h
+    rows = np.empty((n, 4, 4))
+    for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
+        panels = np.empty(n, dtype=complex)
+        for start in range(0, n, 4096):
+            part = grid[start : start + 4097]
+            half = 0.5 * np.diff(part)
+            at = (part[:-1] + half)[:, None] + half[:, None] * nodes[None, :]
+            values = integrand(at.reshape(-1), params).reshape(at.shape)
+            panels[start : start + half.size] = half * (values @ weights)
+        y = np.cumsum(np.concatenate(([0j], panels)))
+        d = integrand(grid, params)
+        d0, d1 = d[:-1], d[1:]
+        slope = np.diff(y) / h
+        coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
+        rows[:, 2 * k] = coeffs.real
+        rows[:, 2 * k + 1] = coeffs.imag
+    return rows.reshape(n, 16)
 
 
 def coth_product(w: float, beta: float, W: float) -> float:

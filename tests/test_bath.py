@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     corr_oracle_2d,
     cubic_hermite,
     pv_frequency_shift,
+    reference_table,
     windowed_correlator_average,
 )
 from releq.bath import (
@@ -144,9 +146,17 @@ class TestCorrelatorCache:
 
     def test_auto_extension(self, fig_bath):
         cache = correlator_cache(fig_bath)
-        value = cache.f(cache.t_max + 3.0)
+        t = cache.t_max + 3.0
+        value = cache.f(t)
         assert np.isfinite(value)
-        assert cache.t_max >= 28.0
+        assert cache.t_max >= 1.5 * t
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_lookups_of_no_times(self, fig_bath, shape):
+        cache = correlator_cache(fig_bath)
+        for lookup in (cache.f, cache.f_beta, cache.f_time_integral):
+            out = lookup(np.empty(shape))
+            assert out.shape == shape and out.dtype == complex
 
     def test_table_is_the_cubic_hermite_interpolant(self, fig_bath, rng):
         # Node values are the same in every table that covers them, but a
@@ -154,8 +164,9 @@ class TestCorrelatorCache:
         # it to rounding.  So the reference takes its node values from the
         # longer shared table, and its derivatives from the closed forms.
         shared = correlator_cache(fig_bath)
+        shared.ensure_horizon(10.0)
         cache = CorrelatorCache(fig_bath, t_max=5.0)
-        for horizon in (5.0, 7.0):  # the second extends the table to 10.5
+        for horizon in (5.0, 7.0):  # each extends the table to one step past it
             cache.ensure_horizon(horizon)
             grid = np.arange(round(cache.t_max / _TABLE_STEP) + 1) * _TABLE_STEP
             assert grid[-1] == cache.t_max < shared.t_max
@@ -179,15 +190,47 @@ class TestCorrelatorCache:
 
     def test_extension_equals_a_fresh_build(self):
         params = BathParams(W=5.0, beta=2.0, omega0=1.0)
-        cache = CorrelatorCache(params)
+        cache = CorrelatorCache(params, t_max=25.0)
         old_table = cache._table
         old_rows = old_table.copy()
         cache.ensure_horizon(40.0)
         assert cache._table is not old_table
-        assert cache.t_max == 60.0
+        assert 40.0 < cache.t_max <= 40.0 + 2 * _TABLE_STEP
         assert np.array_equal(old_table, old_rows)
         assert cache._table[: len(old_rows)].tobytes() == old_rows.tobytes()
-        assert np.array_equal(cache._table, CorrelatorCache(params, t_max=60.0)._table)
+        assert np.array_equal(cache._table, CorrelatorCache(params, t_max=40.0 + _TABLE_STEP)._table)
+
+    @pytest.mark.parametrize("t_max", [4.096, 4.097, 8.193])
+    def test_fresh_build_is_the_whole_array_build(self, fig_bath, t_max):
+        # Horizons on both sides of the first chunk boundary and past the second.
+        table = CorrelatorCache(fig_bath, t_max=t_max)._table
+        assert table.tobytes() == reference_table(fig_bath, t_max).tobytes()
+
+    def test_extension_chain_is_the_whole_array_build(self):
+        params = BathParams(W=20.0, beta=9.0, omega0=2.0)
+        cache = CorrelatorCache(params, t_max=3.0)
+        for horizon in (8.2, 30.0):
+            cache.ensure_horizon(horizon)
+            expected = reference_table(params, horizon + _TABLE_STEP)
+            assert cache._table.tobytes() == expected.tobytes()
+
+    def test_build_memory_stays_near_the_table(self):
+        # numpy reports its buffers to tracemalloc.  A build holds the new
+        # table, the old one it extends and chunk-sized temporaries only.
+        params = BathParams(W=10.0, beta=3.0, omega0=1.0)
+        slack = 8 * 2**20
+        tracemalloc.start()
+        try:
+            cache = CorrelatorCache(params, t_max=100.0)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak <= cache._table.nbytes + slack
+            old = cache._table.nbytes
+            tracemalloc.reset_peak()
+            cache.ensure_horizon(150.0)
+            _, peak = tracemalloc.get_traced_memory()
+            assert peak <= old + cache._table.nbytes + slack
+        finally:
+            tracemalloc.stop()
 
     def test_kernel_pair_past_the_horizon_extends_the_table(self):
         params = BathParams(W=10.0, beta=3.0, omega0=2.0)
@@ -243,7 +286,7 @@ class TestCorrelatorCache:
             sys.setswitchinterval(interval)
         assert errors == [] and mismatches == []
         assert len(rounds) >= 4
-        assert cache.t_max >= 30.0
+        assert 20.0 < cache.t_max <= 20.0 + 2 * _TABLE_STEP
 
 
 class TestMarkovianLimits:

@@ -9,9 +9,9 @@ import pytest
 
 import oracles
 from releq import oscillator, tls
-from releq.bath import BathParams, markovian_limits
+from releq.bath import _TABLE_STEP, BathParams, correlator_cache, markovian_limits
 from releq.odeint import OdeProblem, integrate
-from releq.transport import PropagationError, expm, propagate_linear, sample_times
+from releq.transport import PropagationError, bind, expm, propagate_linear, sample_times
 
 EPS = np.finfo(float).eps
 
@@ -200,3 +200,11 @@ def test_every_accepted_bath_gives_an_invertible_A(bath):
     assert markovian_limits(bath).f_inf.real > 0.0
     for A, _ in linear_systems(bath):
         assert abs(np.linalg.det(A)) > 0.0
+
+
+def test_bind_builds_the_shared_table_one_step_past_t_max():
+    # A bath no other test uses, so its shared table starts at this run.
+    bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
+    kernels, _ = bind(bath, "non_markovian", 10.0, 0.5, 1e-8, 1e-10)
+    assert kernels is correlator_cache(bath)
+    assert 10.0 < kernels.t_max <= 10.0 + 2 * _TABLE_STEP
