@@ -16,6 +16,10 @@ pi*J(w0)*coth(beta*w0/2).
 For production right-hand sides the kernels are tabulated once on a fine
 time grid and served from one coefficient table of cubic Hermite pieces,
 each built from the node values and the closed-form derivatives above.
+The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
+W**2 / (s W + i)**2 = -r, so a build evaluates both in one pass over each
+chunk of the grid, quadrature nodes and grid nodes together, with one
+trigamma call.
 Direct adaptive quadrature (scipy's ``quad``, imported only when called) is
 kept as the reference evaluation path.
 """
@@ -109,22 +113,47 @@ def coth(x):
     return float(out) if out.ndim == 0 else out
 
 
+def _phase_and_pole(t: np.ndarray, params: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i w0 t) and r = 1/(1/W - i t)**2, the factors of f' = e r."""
+    phase = params.omega0 * t
+    e = np.empty(t.shape, dtype=complex)
+    np.cos(phase, out=e.real)
+    np.sin(phase, out=e.imag)
+    np.negative(e.imag, out=e.imag)
+    return e, 1.0 / (1.0 / params.W - 1j * t) ** 2
+
+
+def _kernel_derivatives(t: np.ndarray, params: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """f'(t) = e r and f'(t, beta) = e (2 psi'/beta**2 - r) at a 1-D array of times.
+
+    The second product keeps its temporary on the left.  numpy computes a
+    product into a large temporary operand in place, swapping a commutative
+    product's operands when the temporary is the right one, and the last bit
+    of a complex product depends on their order: the values would then
+    depend on the array's length.
+    """
+    W, beta = params.W, params.beta
+    e, r = _phase_and_pole(t, params)
+    z = np.empty(t.shape, dtype=complex)  # (1 - i t W) / (W beta)
+    z.real = 1.0 / (W * beta)
+    np.multiply(t, -1.0 / beta, out=z.imag)
+    psi1 = trigamma(z)
+    return e * r, (2.0 * psi1 / beta**2 - r) * e
+
+
 def corr_f_integrand(t, params: BathParams):
     """Zero-temperature kernel derivative exp(-i w0 t) / (1/W - i t)**2."""
     t = np.asarray(t, dtype=float)
-    out = np.exp(-1j * params.omega0 * t) / (1.0 / params.W - 1j * t) ** 2
-    return complex(out) if out.ndim == 0 else out
+    e, r = _phase_and_pole(t.reshape(-1), params)
+    out = e * r
+    return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def corr_f_beta_integrand(t, params: BathParams):
     """Finite-temperature kernel derivative (closed frequency integral)."""
     t = np.asarray(t, dtype=float)
-    W, beta = params.W, params.beta
-    psi1 = trigamma((1.0 - 1j * t * W) / (W * beta))
-    out = np.exp(-1j * params.omega0 * t) * (
-        W**2 / (t * W + 1j) ** 2 + 2.0 * psi1 / beta**2
-    )
-    return complex(out) if out.ndim == 0 else out
+    out = _kernel_derivatives(t.reshape(-1), params)[1]
+    return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
 def _quad_complex(func, a: float, b: float, rel_tol: float) -> tuple[complex, float]:
@@ -170,15 +199,6 @@ _GL_NODES, _GL_WEIGHTS = leggauss(4)
 # temporaries per node (trigamma most), so this bounds the memory a build
 # needs beside the table itself; every panel's value is the same in any chunk.
 _PANEL_CHUNK = 4096
-
-
-def _panel_integrals(func, edges: np.ndarray) -> np.ndarray:
-    """4-point Gauss-Legendre integral of ``func`` over each edge interval."""
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    values = func(nodes.reshape(-1)).reshape(nodes.shape)
-    return half * (values @ _GL_WEIGHTS)
 
 
 # Grid step of the kernel table.  The Hermite error on an interval is at most
@@ -234,12 +254,17 @@ class CorrelatorCache:
             hi = min(lo + _PANEL_CHUNK, n)
             grid = np.arange(lo, hi + 1) * h
             skip = max(first - lo, 0)  # the old last row, if this chunk holds it
-            for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
-                g = lambda s, _g=integrand: _g(s, self.params)
-                y = np.cumsum(np.concatenate(([y_end[k]], _panel_integrals(g, grid))))
+            # The panels' 4-point Gauss-Legendre nodes, then the grid nodes
+            # of the new rows: both kernels' derivatives in one evaluation.
+            half = 0.5 * np.diff(grid)
+            nodes = (grid[:-1] + half)[:, None] + half[:, None] * _GL_NODES[None, :]
+            derivatives = _kernel_derivatives(np.concatenate((nodes.reshape(-1), grid[skip:])), self.params)
+            for k, values in enumerate(derivatives):
+                panels = half * (values[: nodes.size].reshape(nodes.shape) @ _GL_WEIGHTS)
+                y = np.cumsum(np.concatenate(([y_end[k]], panels)))
                 y_end[k] = y[-1]
                 y = y[skip:]
-                d = g(grid[skip:])
+                d = values[nodes.size :]
                 d0, d1 = d[:-1], d[1:]
                 slope = np.diff(y) / h
                 coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
@@ -309,9 +334,9 @@ class CorrelatorCache:
         table, i, s = self._locate(t)
         ss = s * s
         sss = ss * s
-        rows = table[i].reshape(-1, 4, 4)
+        rows = table[i, 8 * kernel : 8 * kernel + 8]  # the kernel's columns only
         out = np.empty(s.shape, dtype=complex)
-        for part, c in ((out.real, rows[:, 2 * kernel]), (out.imag, rows[:, 2 * kernel + 1])):
+        for part, c in ((out.real, rows[:, :4]), (out.imag, rows[:, 4:])):
             part[...] = ((c[:, 3] + c[:, 2] * s) + c[:, 1] * ss) + c[:, 0] * sss
         return out.reshape(np.shape(t))
 
@@ -338,9 +363,16 @@ class CorrelatorCache:
         return complex(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def correlator_cache(params: BathParams) -> CorrelatorCache:
-    """Shared per-parameter kernel table (immutable params make this safe)."""
+    """The shared kernel table of the latest bath asked for.
+
+    Only that one is kept: a sweep's baths follow one another, and a table
+    can be large (128 bytes per step of 1e-3), so the last bath's table is
+    freed when the next one is bound, and a sweep holds its largest table
+    rather than the sum of them.  A run keeps the table it bound alive
+    itself, so runs on other baths cannot take it away from under it.
+    """
     return CorrelatorCache(params)
 
 

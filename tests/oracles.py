@@ -36,24 +36,38 @@ def trigamma_series(z: complex, terms: int = 200_000) -> complex:
 
 def masked_trigamma(z) -> np.ndarray:
     """The recurrence and Bernoulli tail of ``releq.specfun.trigamma`` on a
-    1-D array, shifting only the points selected by a boolean mask."""
+    1-D array, shifting only the points selected by a boolean mask.
+
+    The arithmetic is the library's, on w = x + iy in real parts: each shift
+    adds (x**2 - y**2) / d to the real part and x / d to a sum that is
+    multiplied by -2y at the end, with d = (x**2 + y**2)**2; the tail is
+    1/w (1 + 1/w (1/2 + 1/w P(1/w**2))) with P the Bernoulli polynomial,
+    each complex product taken in the library's operand order."""
     from releq.specfun import _BERNOULLI, _SHIFT_THRESHOLD
 
-    w = np.array(z, dtype=complex)
-    shifted = np.zeros_like(w)
-    mask = w.real < _SHIFT_THRESHOLD
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real.copy(), z.imag
+    y2 = y * y
+    re, im = np.zeros_like(x), np.zeros_like(x)
+    mask = x < _SHIFT_THRESHOLD
     while np.any(mask):
-        shifted[mask] += 1.0 / (w[mask] * w[mask])
-        w[mask] += 1.0
-        mask = w.real < _SHIFT_THRESHOLD
-    inv = 1.0 / w
+        x2 = x[mask] * x[mask]
+        d = (x2 + y2[mask]) * (x2 + y2[mask])
+        re[mask] += (x2 - y2[mask]) / d
+        im[mask] += x[mask] / d
+        x[mask] += 1.0
+        mask = x < _SHIFT_THRESHOLD
+    inv = np.empty_like(z)
+    inv.real = x / (x * x + y2)
+    inv.imag = -(y / (x * x + y2))
     inv2 = inv * inv
-    tail = np.zeros_like(w)
-    power = inv * inv2
-    for coeff in _BERNOULLI:
-        tail += coeff * power
-        power *= inv2
-    return shifted + inv + 0.5 * inv2 + tail
+    p = np.full_like(z, _BERNOULLI[-1])
+    for coeff in _BERNOULLI[-2::-1]:
+        p = p * inv2 + coeff
+    series = ((p * inv + 0.5) * inv + 1.0) * inv
+    series.real += re
+    series.imag += (im * y) * -2.0
+    return series
 
 
 def cubic_hermite(nodes, values, derivatives, times) -> np.ndarray:

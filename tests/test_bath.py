@@ -16,6 +16,7 @@ from oracles import (
     reference_table,
     windowed_correlator_average,
 )
+from releq import bath
 from releq.bath import (
     _TABLE_STEP,
     BathParams,
@@ -231,6 +232,42 @@ class TestCorrelatorCache:
             assert peak <= old + cache._table.nbytes + slack
         finally:
             tracemalloc.stop()
+
+    def test_table_bytes_do_not_depend_on_the_chunk_length(self, monkeypatch):
+        # numpy computes a product of two large arrays into a temporary
+        # operand in place, swapping the operands when the temporary is the
+        # right one, and a complex product's last bit depends on their
+        # order.  1000 panels evaluate fewer points than numpy does that for,
+        # 4096 and 7000 more, so a kernel whose bits followed it would make
+        # the bytes follow the chunk length.
+        params = BathParams(W=20.0, beta=9.0, omega0=2.0)
+        horizon = 30.0 + _TABLE_STEP
+        expected = None
+        for chunk in (1000, 4096, 7000):
+            monkeypatch.setattr(bath, "_PANEL_CHUNK", chunk)
+            fresh = CorrelatorCache(params, t_max=horizon)
+            extended = CorrelatorCache(params, t_max=3.0)
+            for t in (8.2, 30.0):
+                extended.ensure_horizon(t)
+            expected = expected or fresh._table.tobytes()
+            assert fresh._table.tobytes() == expected
+            assert extended._table.tobytes() == expected
+
+    def test_lookup_memory_is_one_kernels_columns(self, fig_bath):
+        # A lookup of one kernel gathers that kernel's 8 columns of each row
+        # (64 bytes a time); the row indices, offsets and their powers take
+        # 40 bytes, the result 16, and the Horner temporaries 16 more.
+        cache = correlator_cache(fig_bath)
+        cache.ensure_horizon(10.0)
+        times = np.linspace(0.0, 10.0, 10**6)
+        for lookup in (cache.f, cache.f_beta):
+            tracemalloc.start()
+            try:
+                lookup(times)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 144 * times.size
 
     def test_kernel_pair_past_the_horizon_extends_the_table(self):
         params = BathParams(W=10.0, beta=3.0, omega0=2.0)

@@ -484,15 +484,15 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "997c5fa243767801fe234d4f12ba4be2f96d684e93ad492a4abc0e27f54ab2be"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "9caf8f6bdcc64aece9a23a9cf006fe58c31a65ce0977466ea05748adf821b080"),
     (dict(_README_OSCILLATOR, regime="markovian"), "12a53ebd4ceec926b7e21119ab8c00a7321bc61326347fb7c2a5842dfb28c454"),
-    (dict(_README_TLS, regime="non_markovian"), "e64c56c07ea18f38afac55c6c05d827fbb382b6ad076679f3851be99827b48df"),
+    (dict(_README_TLS, regime="non_markovian"), "b6bd8ee7a32316fb57fb5d95dadbd72949033537c8998549bdf032325be15aa0"),
     (dict(_README_TLS, regime="markovian"), "ee2197b3c1bb979404372030a32ead4db8eb825d1d5771d132648211133f3d08"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "b4cced0352c1e384c6ef9f9bc749024da24daf2c2fb8e2d2d2d86f5f1d186c60"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "aeb851c25fa6365bef475e04fef55dac60219b8654532ab6473aa4380ea69f1c"),
     (dict(_WEAK_TLS, regime="markovian"), "3e55c825dc2cd6a14109ad6a10fb3b03955ac69732ad4d7feb9669b87c3f40a3"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
-        "a637aa0e6a4596d1b78a0d3feb64aca15581db58dfe60fd9547e4d55f773ff23",
+        "6f689d69280702a28597324402ce2e1151fba20621a441c3e7cc1aafff314389",
     ),
     (
         {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},

@@ -55,6 +55,22 @@ class TestTrigamma:
             z = rng.uniform(0.01, 30.0, 2000) + 1j * rng.uniform(-50.0, 50.0, 2000)
         assert np.array_equal(trigamma(z), masked_trigamma(z))
 
+    @pytest.mark.parametrize("W, beta", [(10.0, 3.0), (20.0, 9.0), (5.0, 2.0), (100.0, 50.0)])
+    def test_kernel_table_arguments_against_mpmath(self, W, beta):
+        # The arguments (1 - i t W)/(W beta) of a kernel table for t in
+        # [0, 50]: the shifts and the tail leave a few ulps of rounding.
+        import mpmath
+
+        t = np.linspace(0.0, 50.0, 201)
+        z = (1.0 - 1j * t * W) / (W * beta)
+        values = trigamma(z)
+        with mpmath.workdps(30):
+            errors = [
+                abs(mpmath.mpc(v.real, v.imag) / mpmath.psi(1, mpmath.mpc(p.real, p.imag)) - 1)
+                for p, v in zip(z, values)
+            ]
+        assert max(errors) <= 1e-15
+
     @given(
         st.floats(min_value=1e-3, max_value=50.0),
         st.floats(min_value=-50.0, max_value=50.0),

@@ -2,7 +2,11 @@
 against scipy's and mpmath's, its runs against the integrator and against a
 per-sample exponential, and its refusal of a singular A."""
 
+import gc
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -208,3 +212,52 @@ def test_bind_builds_the_shared_table_one_step_past_t_max():
     kernels, _ = bind(bath, "non_markovian", 10.0, 0.5, 1e-8, 1e-10)
     assert kernels is correlator_cache(bath)
     assert 10.0 < kernels.t_max <= 10.0 + 2 * _TABLE_STEP
+
+
+def test_binding_a_bath_frees_the_table_of_the_one_before():
+    baths = [BathParams(W=W, beta=2.5, omega0=1.1) for W in (6.0, 7.5, 9.0)]
+    kernels, _ = bind(baths[0], "non_markovian", 2.0, 0.5, 1e-8, 1e-10)
+    first = weakref.ref(kernels)
+    del kernels
+    for bath in baths[1:]:
+        bind(bath, "non_markovian", 2.0, 0.5, 1e-8, 1e-10)
+    assert correlator_cache.cache_info().currsize == 1
+    gc.collect()
+    assert first() is None
+
+
+def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
+    # The shared cache keeps one bath's table, so each thread's run evicts
+    # the table the other thread's run is reading.  A run holds the table
+    # it bound, so every output is the one a serial run gives.
+    baths = [BathParams(W=10.0, beta=3.0, omega0=1.0), BathParams(W=5.0, beta=2.0, omega0=1.0)]
+    state = oscillator.OscillatorState(mean_a=0.6 + 0.2j, mean_n=1.5)
+
+    def run(bath):
+        columns = oscillator.simulate(state, bath, "non_markovian", t_max=3.0, dt_out=0.05).csv_columns()
+        return b"".join(np.asarray(column).tobytes() for column in columns)
+
+    serial = [run(bath) for bath in baths]
+    outputs, errors = ([], []), []
+
+    def alternate(k):
+        try:
+            for j in range(4):
+                outputs[k].append(run(baths[(j + k) % 2]))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=alternate, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    for k in (0, 1):
+        assert outputs[k] == [serial[(j + k) % 2] for j in range(4)]
