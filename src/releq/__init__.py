@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 
 from .bath import (
     BathParams,
-    CorrelationSample,
     MarkovianLimits,
     corr_f,
     corr_f_beta,
@@ -38,7 +37,6 @@ from .tls import TlsParams, TlsState
 __all__ = [
     "__version__",
     "BathParams",
-    "CorrelationSample",
     "MarkovianLimits",
     "OdeProblem",
     "OscillatorState",

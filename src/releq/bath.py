@@ -40,7 +40,6 @@ from .specfun import trigamma
 __all__ = [
     "REGIMES",
     "BathParams",
-    "CorrelationSample",
     "CorrelatorCache",
     "MarkovianLimits",
     "QuadratureError",
@@ -84,15 +83,6 @@ class BathParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class CorrelationSample:
-    """Kernel values at one time: f(t) and f(t, beta)."""
-
-    t: float
-    f: complex
-    f_beta: complex
 
 
 def spectral_density(omega, params: BathParams):
@@ -456,6 +446,10 @@ def kernel_pair(t: float, params: BathParams, regime: str, kernels=None) -> tupl
     t.  A run passes the ``kernels`` it bound once (a ``CorrelatorCache`` or
     ``MarkovianLimits``, see ``transport.bind``), which skips the regime
     dispatch and the shared-cache lookups.
+
+    Without ``kernels`` only the latest bath's table is cached, so calls
+    that alternate baths rebuild a table each time (milliseconds a call);
+    such a caller passes one ``CorrelatorCache`` per bath as ``kernels``.
     """
     if kernels is None:
         if regime not in REGIMES:
@@ -468,18 +462,10 @@ def kernel_pair(t: float, params: BathParams, regime: str, kernels=None) -> tupl
 # Sampling.
 
 
-def correlator_samples(params: BathParams, times: Sequence[float]) -> list[CorrelationSample]:
-    """Evaluate both kernels at the given times through the shared table."""
+def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both kernels at the given times, complex arrays ``(f, f_beta)`` read from the shared table."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        return []
     if np.any(times < 0):
         raise ValueError("correlator sample times must be >= 0")
     cache = correlator_cache(params)
-    f_vals = cache.f(times)
-    fb_vals = cache.f_beta(times)
-    return [
-        CorrelationSample(float(t), complex(fv), complex(fbv))
-        for t, fv, fbv in zip(times, f_vals, fb_vals)
-    ]
-
+    return cache.f(times), cache.f_beta(times)

@@ -7,7 +7,7 @@ wall time, and library version.  Floats are written in shortest
 round-trip form, so identical configurations produce byte-identical CSV.
 
 Exit codes: 0 success, 2 configuration error (found before the run
-starts), 3 numerical failure (during the run).
+starts) or unwritable output, 3 numerical failure (during the run).
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ _INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
 # Largest inputs a run accepts: the number of output samples (t_max / dt_out),
 # the t_max of a run that builds a kernel table (corr and non-Markovian
 # transport: the table reaches one step past t_max at 128 kB per unit time; a
-# run at the cap peaks at 157 MB RSS with dt_out 1, and near 0.44 GB at the
-# sample cap, where the samples dominate), and the dimension of a Fock
-# operator set (three dim x dim complex matrices, one eigendecomposition per
-# Newton step).
+# corr run at the cap peaks at 158 MB RSS with dt_out 1 and near 0.30 GB at
+# the sample cap, and a Markovian run, with no table, near 0.11 GB there),
+# and the dimension of a Fock operator set (three dim x dim complex matrices,
+# one eigendecomposition per Newton step).
 # Larger requests exit 2 instead of exhausting memory.
 MAX_SAMPLES = 10**6
 MAX_HORIZON = 1000.0
@@ -118,6 +118,9 @@ class ScenarioConfig:
             raise ConfigError("output_path is required (or pass --output)")
         if not Path(output_path).parent.is_dir():
             raise ConfigError(f"output directory {Path(output_path).parent} does not exist")
+        for path in (Path(output_path), _sidecar_path(output_path)):
+            if path.is_dir():
+                raise ConfigError(f"output {path} is a directory")
 
         t_max = _number(raw.get("t_max", 0.0), "t_max")
         dt_out = _number(raw.get("dt_out", 0.0), "dt_out")
@@ -209,13 +212,24 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Rows of Python ints and floats; ``repr`` writes an int as itself and
-    a float in shortest round-trip form (a numpy scalar would not be)."""
+def _sidecar_path(output_path: str) -> Path:
+    return Path(output_path).with_suffix(".meta.json")
+
+
+_CSV_CHUNK = 4096  # rows that _write_csv turns into Python scalars at a time
+
+
+def _write_csv(path: str, header: str, columns) -> None:
+    """Equal-length numpy columns as CSV rows under ``header``.  A chunk of
+    rows at a time goes through ``tolist``, and ``repr`` then writes an int
+    as itself and a float in shortest round-trip form (a numpy scalar would
+    not be)."""
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(map(repr, row)) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            chunk = [column[start : start + _CSV_CHUNK].tolist() for column in columns]
+            for row in zip(*chunk):
+                handle.write(",".join(map(repr, row)) + "\n")
 
 
 def _complex_pairs(values, size: int, name: str) -> np.ndarray:
@@ -256,7 +270,7 @@ def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
     raise ConfigError(f"operator_set.kind must be spin, fock, or explicit, got {kind!r}")
 
 
-def _run_transport(config: ScenarioConfig) -> None:
+def _run_transport(config: ScenarioConfig) -> tuple:
     params, initial = config.inputs
     model = oscillator if config.model == "oscillator" else tls
     run_data = model.simulate(
@@ -268,14 +282,13 @@ def _run_transport(config: ScenarioConfig) -> None:
         rel_tol=config.rel_tol,
         abs_tol=config.abs_tol,
     )
-    columns = [column.tolist() for column in run_data.csv_columns()]
-    _write_csv(config.output_path, run_data.csv_header, zip(*columns))
+    return run_data.csv_header, run_data.csv_columns(), None
 
 
-def _run_corr(config: ScenarioConfig) -> None:
-    samples = bath.correlator_samples(*config.inputs)
-    rows = ((s.t, s.f.real, s.f.imag, s.f_beta.real, s.f_beta.imag) for s in samples)
-    _write_csv(config.output_path, "t,re_f,im_f,re_f_beta,im_f_beta", rows)
+def _run_corr(config: ScenarioConfig) -> tuple:
+    params, times = config.inputs
+    f, f_beta = bath.correlator_samples(params, times)
+    return "t,re_f,im_f,re_f_beta,im_f_beta", (times, f.real, f.imag, f_beta.real, f_beta.imag), None
 
 
 def _closed_form_start(kind: str, targets: np.ndarray) -> np.ndarray | None:
@@ -298,16 +311,14 @@ def _closed_form_start(kind: str, targets: np.ndarray) -> np.ndarray | None:
     return np.array([start.F1, start.F2, start.F3], dtype=complex)
 
 
-def _run_maxent(config: ScenarioConfig) -> dict:
+def _run_maxent(config: ScenarioConfig) -> tuple:
     ops, targets, initial = config.inputs
     if initial is None:
         initial = _closed_form_start(config.operator_set["kind"], targets)
     solution = maxent.solve_self_consistency(targets, ops, initial_F=initial)
     state = maxent.build_state(solution, ops)
-    pairs = zip(solution.tolist(), targets.tolist())
-    rows = ((m, f.real, f.imag, t.real, t.imag) for m, (f, t) in enumerate(pairs))
-    _write_csv(config.output_path, "m,re_F,im_F,re_target,im_target", rows)
-    return {
+    columns = (np.arange(solution.size), solution.real, solution.imag, targets.real, targets.imag)
+    return "m,re_F,im_F,re_target,im_target", columns, {
         "phi": state.phi,
         "entropy": maxent.entropy(state, targets),
         "residual": float(np.max(np.abs(maxent.moments(state, ops) - targets))),
@@ -323,17 +334,17 @@ def run(config: ScenarioConfig) -> dict:
         "corr": _run_corr,
         "maxent_solve": _run_maxent,
     }[config.model]
-    result = runner(config)
+    header, columns, solution = runner(config)
+    _write_csv(config.output_path, header, columns)
     metadata = {
         "config": asdict(config),
         "tolerances": {"rel_tol": config.rel_tol, "abs_tol": config.abs_tol},
         "wall_time_s": time.perf_counter() - start,
         "version": __version__,
     }
-    if config.model == "maxent_solve":
-        metadata["solution"] = result
-    meta_path = Path(config.output_path).with_suffix(".meta.json")
-    meta_path.write_text(json.dumps(metadata, indent=2) + "\n")
+    if solution is not None:
+        metadata["solution"] = solution
+    _sidecar_path(config.output_path).write_text(json.dumps(metadata, indent=2) + "\n")
     return metadata
 
 
@@ -358,6 +369,10 @@ def _run_single(config_path: str, args) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"{config_path}: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the CSV or its sidecar could not be written
+        path = exc.filename or config.output_path
+        print(f"{config_path}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -373,6 +373,13 @@ class TestMarkovianLimits:
 
 class TestSamplesAndCsv:
     def test_samples_and_dump(self, fig_bath):
-        samples = correlator_samples(fig_bath, [0.0, 0.5, 1.0])
-        assert samples[0].f == 0j and samples[0].f_beta == 0j
-        assert samples[2].f == pytest.approx(F_AT_1, rel=1e-7)
+        f, f_beta = correlator_samples(fig_bath, [0.0, 0.5, 1.0])
+        assert f.dtype == f_beta.dtype == complex and f.shape == f_beta.shape == (3,)
+        assert f[0] == 0j and f_beta[0] == 0j
+        assert (f[1], f_beta[1]) == correlator_cache(fig_bath).pair(0.5)
+        assert f[2] == pytest.approx(F_AT_1, rel=1e-7)
+        assert f_beta[2] == pytest.approx(F_BETA_AT_1, rel=1e-7)
+        # An empty grid gives two empty arrays; the corr CLI then writes
+        # only the header (TestOtherModels.test_corr_degenerate_horizon).
+        for values in correlator_samples(fig_bath, []):
+            assert values.dtype == complex and values.shape == (0,)

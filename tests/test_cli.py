@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import releq
 from releq import maxent, oscillator, tls
-from releq.bath import REGIMES
+from releq.bath import REGIMES, correlator_cache
 from releq.cli import MAX_HORIZON, MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
 
 
@@ -455,6 +456,71 @@ class TestSweep:
     def test_missing_arguments(self, capsys):
         assert main([]) == 2
         assert "required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+@pytest.mark.parametrize("blocked", ["csv", "sidecar"])
+@pytest.mark.parametrize("kind", ["directory", "unwritable"])
+def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, kind, blocked, sweep):
+    # A directory in place of the CSV or its sidecar is found before the run,
+    # so nothing is written; a dangling link into a missing directory fails
+    # only when the run opens it, and is reported with its path.
+    out = tmp_path / "out.csv"
+    target = out if blocked == "csv" else out.with_suffix(".meta.json")
+    if kind == "directory":
+        target.mkdir()
+    else:
+        target.symlink_to(tmp_path / "missing" / target.name)
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    corr = {"model": "corr", "t_max": 0.5, "dt_out": 0.25, "initial": []}
+    write_config(sweep_dir / "a.json", output_path=str(out), **corr)
+    if sweep:
+        write_config(sweep_dir / "b.json", output_path=str(tmp_path / "good.csv"), **corr)
+        assert main(["--sweep", str(sweep_dir)]) == 2
+        assert (tmp_path / "good.csv").is_file()
+    else:
+        assert main(["corr", "--config", str(sweep_dir / "a.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "unexpected failure" not in err
+    if kind == "directory":
+        assert f"configuration error: output {target} is a directory" in err
+        assert not out.is_file() and not out.with_suffix(".meta.json").is_file()
+    else:
+        assert f"{sweep_dir / 'a.json'}: cannot write {target}: " in err
+
+
+# tracemalloc peak of ``run`` per output row, the kernel table built
+# beforehand.  The columns stay numpy arrays up to the writer, which boxes
+# one chunk of rows at a time: a Markovian oscillator holds its five columns
+# (48 bytes a row) and the propagation's temporaries, a corr run the times
+# and both kernels (40 bytes a row) and one kernel lookup's gather (about
+# 100 bytes a row).  Holding every cell as a Python float in a list costs
+# 32 bytes more a cell, which these bounds do not leave room for.
+_BATH_PARAMS = {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}
+RUN_MEMORY = [
+    (
+        {"model": "oscillator", "params": _BATH_PARAMS, "regime": "markovian", "initial": [1.0, 0.0, 1.5], "t_max": 200.0, "dt_out": 1e-3},
+        128,
+    ),
+    ({"model": "corr", "params": _BATH_PARAMS, "t_max": 20.0, "dt_out": 1e-4}, 176),
+]
+
+
+@pytest.mark.parametrize("raw, bytes_per_row", RUN_MEMORY, ids=["osc-m", "corr"])
+def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
+    config = ScenarioConfig.from_dict(dict(raw, output_path=str(tmp_path / "out.csv")))
+    if config.model == "corr":
+        correlator_cache(config.inputs[0]).ensure_horizon(config.t_max)
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = (tmp_path / "out.csv").read_bytes().count(b"\n") - 1
+    assert rows == 200_001
+    assert peak <= bytes_per_row * rows
 
 
 # The README configurations, both regimes where they apply; any change to a
