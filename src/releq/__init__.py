@@ -1,6 +1,6 @@
 """Transport, entropy, and temperature of small open quantum systems.
 
-The package integrates second-order time-local transport equations for a
+The package solves second-order time-local transport equations for a
 damped harmonic oscillator and a resonantly driven two-level system coupled
 to an Ohmic bath with exponential cutoff, inverts the maximum-entropy
 self-consistency conditions behind those equations, and derives
@@ -29,7 +29,6 @@ from .maxent import (
     solve_self_consistency,
     von_neumann,
 )
-from .odeint import OdeProblem, Trajectory, integrate
 from .oscillator import OscillatorState
 from .specfun import arctanh_ratio, trigamma
 from .tls import TlsParams, TlsState
@@ -38,19 +37,16 @@ __all__ = [
     "__version__",
     "BathParams",
     "MarkovianLimits",
-    "OdeProblem",
     "OscillatorState",
     "RelevantOperatorSet",
     "RelevantState",
     "TlsParams",
     "TlsState",
-    "Trajectory",
     "arctanh_ratio",
     "build_state",
     "corr_f",
     "corr_f_beta",
     "correlator_cache",
-    "integrate",
     "markovian_limits",
     "moments",
     "solve_self_consistency",

@@ -26,15 +26,13 @@ import numpy as np
 
 from . import __version__, bath, maxent, oscillator, tls
 from .bath import REGIMES, BathParams, QuadratureError
-from .odeint import OdeError, check_tolerances
-from .transport import InvariantViolationError, PropagationError, sample_times
+from .transport import InvariantViolationError, PropagationError, check_tolerances, sample_times
 
 __all__ = ["MAX_FOCK_DIM", "MAX_HORIZON", "MAX_SAMPLES", "ConfigError", "ScenarioConfig", "run", "main"]
 
 MODELS = ("oscillator", "tls", "corr", "maxent_solve")
 
 _NUMERICAL_ERRORS = (
-    OdeError,
     QuadratureError,
     InvariantViolationError,
     PropagationError,

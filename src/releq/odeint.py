@@ -6,17 +6,18 @@ integrator never has to land on them.  States are complex vectors
 throughout, which keeps the transport equations in their natural variables
 instead of splitting real and imaginary parts.
 
-Both transport models close in two complex averages, so every problem has
-two components.  The right-hand side is called as ``rhs(t, y)`` with ``y``
-a tuple of two Python ``complex`` and returns a sequence of two real or
-complex numbers.
+No transport run calls it: both models propagate their linear systems in
+``releq.transport``.  Every problem has two components, the shape the
+transport equations had as two complex averages.  The right-hand side is
+called as ``rhs(t, y)`` with ``y`` a tuple of two Python ``complex`` and
+returns a sequence of two real or complex numbers.
 
 At two components a numpy call costs more than its arithmetic.  So the
 step is written out on Python scalars and builds nothing per stage: each
 component's stage sum is ``0j + k0 * a0 + k1 * a1 + ...``, zero weights of
 ``_B`` and ``_E`` included, which is how numpy's matrix-vector product
 (``K[:s].T @ _A[s, :s]``) sums 2 components, bit for bit.  The numbers are
-those of the earlier all-numpy step, and the CSV output with them.  Two
+those of the earlier all-numpy step.  Two
 kinds of operation stay in numpy, because Python 3.11 has no fused
 multiply-add and plain Python would change the last bits:
 
@@ -40,7 +41,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["OdeError", "OdeProblem", "OdeStats", "Trajectory", "check_tolerances", "integrate"]
+from .transport import check_tolerances
+
+__all__ = ["OdeError", "OdeProblem", "OdeStats", "Trajectory", "integrate"]
 
 # Dormand-Prince 5(4) tableau, row s of _A holding the s weights of stage s.
 # The last row doubles as the 5th-order propagation weights (FSAL: the 7th
@@ -86,13 +89,6 @@ class OdeError(RuntimeError):
     def __init__(self, message: str, last_time: float):
         super().__init__(message)
         self.last_time = last_time
-
-
-def check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    """Raise ValueError unless both tolerances lie in (0, 1e-2]."""
-    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not 0.0 < tol <= 1e-2:
-            raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ To second order in the system-bath coupling they obey
     d<n>/dt  = -2 Re f(t) * <n> + Re[f(t, beta) - f(t)]
 
 with the bath kernels of :mod:`releq.bath`; the Markovian variant freezes
-the kernels at their long-time values.  ``simulate`` integrates the
-non-Markovian equations, with the occupation clamped at max(n, 0) in the
-right-hand side, and propagates the Markovian ones exactly
-(``transport.propagate_linear``): with the pump Re[f(inf, beta) - f(inf)]
-> 0 their occupation never goes negative for n(0) >= 0, so that path has
-no clamp.  The maximum-entropy state matching
+the kernels at their long-time values.  Both are linear equations on
+(Re <a>, Im <a>, <n>), which ``simulate`` solves by the propagators of
+:mod:`releq.transport`: a Magnus propagation in the non-Markovian regime,
+the exact exponential in the Markovian one.  Neither clamps the occupation:
+a negative n makes n_eff negative, and ``check_domain`` stops the run
+there.  The maximum-entropy state matching
 (<a>, <n>) is a displaced thermal state, so multipliers, entropy, and the
 effective inverse temperature have closed forms in terms of the incoherent
 occupation n_eff = <n> - |<a>|**2.
@@ -33,8 +33,7 @@ from .bath import (
     kernel_pair,
     markovian_limits,
 )
-from .odeint import integrate
-from .transport import InvariantViolationError, bind, propagate_linear, setup
+from .transport import InvariantViolationError, bind, propagate_linear, propagate_magnus
 
 __all__ = [
     "REGIMES",
@@ -44,7 +43,6 @@ __all__ = [
     "OscillatorState",
     "OscillatorMultipliers",
     "OscillatorRun",
-    "rhs",
     "closed_form",
     "closed_form_trajectory",
     "multipliers",
@@ -92,21 +90,22 @@ class OscillatorMultipliers:
     F3: complex
 
 
-def rhs(t: float, state: OscillatorState, bath, regime: str = "non_markovian"):
-    """Time derivatives (d<a>/dt, d<n>/dt) of the transport equations."""
-    return _rates(state.mean_a, state.mean_n, *kernel_pair(t, bath, regime))
+def _linear_system(f, f_beta):
+    """``(A, b)`` of the transport equations on (Re <a>, Im <a>, <n>).
 
-
-def _rates(mean_a: complex, mean_n: float, f: complex, f_beta: complex):
-    """(d<a>/dt, d<n>/dt) for the kernel values (f, f_beta)."""
-    return -mean_a * f.conjugate(), -2.0 * f.real * mean_n + (f_beta - f).real
-
-
-def _linear_system(f: complex, f_beta: complex):
-    """``(A, b)`` of ``_rates`` on (Re <a>, Im <a>, <n>) for constant kernels."""
+    ``f`` and ``f_beta`` are kernel values, scalars or arrays of one shape;
+    A has that shape plus (3, 3), and b that shape plus (3,).
+    """
+    f, f_beta = np.asarray(f), np.asarray(f_beta)
     decay, shift = f.real, f.imag
-    A = [[-decay, -shift, 0.0], [shift, -decay, 0.0], [0.0, 0.0, -2.0 * decay]]
-    return A, [0.0, 0.0, (f_beta - f).real]
+    A = np.zeros(decay.shape + (3, 3))
+    A[..., 0, 0] = A[..., 1, 1] = -decay
+    A[..., 0, 1] = -shift
+    A[..., 1, 0] = shift
+    A[..., 2, 2] = -2.0 * decay
+    b = np.zeros(decay.shape + (3,))
+    b[..., 2] = (f_beta - f).real
+    return A, b
 
 
 def multipliers(state: OscillatorState) -> OscillatorMultipliers:
@@ -273,30 +272,22 @@ def simulate(
 ) -> OscillatorRun:
     """Solve the transport equations and derive entropy and temperature.
 
-    The non-Markovian equations are integrated with ``rel_tol`` and
-    ``abs_tol``; the Markovian ones have constant coefficients and are
-    propagated exactly, so the tolerances are checked but do not enter.
-    The incoherent occupation must stay positive along the trajectory for
-    the thermodynamic formulas to apply; a violation aborts with the time
-    and value at fault rather than clamping.
+    The non-Markovian equations are propagated in Magnus steps
+    (``transport.propagate_magnus``); the Markovian ones have constant
+    coefficients and are propagated exactly.  The tolerances are checked
+    but enter neither.  The incoherent occupation must stay positive along
+    the trajectory for the thermodynamic formulas to apply; a violation
+    aborts with the time and value at fault rather than clamping.
     """
     a0, n0 = complex(initial.mean_a), float(initial.mean_n)
+    kernels, times = bind(params, regime, t_max, dt_out, rel_tol, abs_tol)
+    y0 = (a0.real, a0.imag, n0)
     if regime == "markovian":
-        kernels, times = bind(params, regime, t_max, dt_out, rel_tol, abs_tol)
-        A, b = _linear_system(*kernel_pair(0.0, params, regime, kernels))
-        states = propagate_linear(A, b, (a0.real, a0.imag, n0), times)
-        mean_a = states[:, 0] + 1j * states[:, 1]
-        mean_n = states[:, 2]
+        states = propagate_linear(*_linear_system(*kernel_pair(0.0, params, regime, kernels)), y0, times)
     else:
-
-        def vector_rhs(kernels, t, y):
-            mean_a, mean_n = y
-            return _rates(mean_a, max(mean_n.real, 0.0), *kernel_pair(t, params, regime, kernels))
-
-        problem, times = setup(vector_rhs, (a0, n0), params, regime, t_max, dt_out, rel_tol, abs_tol)
-        states = integrate(problem, times).states
-        mean_a = states[:, 0]
-        mean_n = states[:, 1].real
+        states = propagate_magnus(_linear_system, kernels, y0, times)
+    mean_a = states[:, 0] + 1j * states[:, 1]
+    mean_n = states[:, 2]
     n_eff = check_domain(times, mean_a, mean_n)
     return OscillatorRun(
         times=times,

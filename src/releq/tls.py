@@ -7,10 +7,11 @@ level splitting) the second-order transport equations read
     d<s_z>/dt = 2 Omega Im<s_+> - 2 Re f(t, beta) <s_z> - Re f(t)
     d<s_+>/dt = -2i Omega <s_z> - f(t, beta) <s_+>
 
-with the bath kernels of :mod:`releq.bath`.  ``simulate`` integrates them
-in the non-Markovian regime; in the Markovian regime, where the kernels are
-frozen at their long-time values, it propagates them exactly as a linear
-system on (<s_z>, Re<s_+>, Im<s_+>) (``transport.propagate_linear``).
+with the bath kernels of :mod:`releq.bath`.  They are linear equations on
+(<s_z>, Re<s_+>, Im<s_+>), which ``simulate`` solves by the propagators of
+:mod:`releq.transport`: a Magnus propagation in the non-Markovian regime,
+and in the Markovian one, where the kernels are frozen at their long-time
+values, the exact exponential.
 The maximum-entropy state for
 a Bloch vector of half-length X = sqrt(|<s_+>|**2 + <s_z>**2) < 1/2 gives
 multipliers through R(X) = arctanh(2X)/X and the entropy in closed form;
@@ -26,13 +27,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .bath import REGIMES, BathParams, kernel_pair
-from .odeint import integrate
 from .specfun import arctanh_ratio, arctanh_ratio_array
-from .transport import InvariantViolationError, bind, propagate_linear, setup
+from .transport import InvariantViolationError, bind, propagate_linear, propagate_magnus
 
 __all__ = [
     "REGIMES",
@@ -44,7 +45,6 @@ __all__ = [
     "TlsParams",
     "TlsMultipliers",
     "TlsRun",
-    "rhs",
     "multipliers",
     "entropy",
     "inverse_temperature",
@@ -140,24 +140,24 @@ class TlsMultipliers:
     R: float
 
 
-def rhs(t: float, state: TlsState, params: TlsParams, regime: str = "non_markovian"):
-    """Time derivatives (d<s_z>/dt, d<s_+>/dt); the first is real exactly."""
-    params.require_resonance()
-    return _rates(state.mean_sz, state.mean_sp, params.Omega, *kernel_pair(t, params.bath, regime))
+def _linear_system(Omega: float, f, f_beta):
+    """``(A, b)`` of the resonant transport equations on (<s_z>, Re <s_+>, Im <s_+>).
 
-
-def _rates(mean_sz: float, mean_sp: complex, Omega: float, f: complex, f_beta: complex):
-    """(d<s_z>/dt, d<s_+>/dt) on resonance for the kernel values (f, f_beta)."""
-    d_sz = 2.0 * Omega * mean_sp.imag - 2.0 * f_beta.real * mean_sz - f.real
-    d_sp = -2j * Omega * mean_sz - f_beta * mean_sp
-    return d_sz, d_sp
-
-
-def _linear_system(Omega: float, f: complex, f_beta: complex):
-    """``(A, b)`` of ``_rates`` on (<s_z>, Re <s_+>, Im <s_+>) for constant kernels."""
+    ``f`` and ``f_beta`` are kernel values, scalars or arrays of one shape;
+    A has that shape plus (3, 3), and b that shape plus (3,).
+    """
+    f, f_beta = np.asarray(f), np.asarray(f_beta)
     decay, shift = f_beta.real, f_beta.imag
-    A = [[-2.0 * decay, 0.0, 2.0 * Omega], [0.0, -decay, shift], [-2.0 * Omega, -shift, -decay]]
-    return A, [-f.real, 0.0, 0.0]
+    A = np.zeros(decay.shape + (3, 3))
+    A[..., 0, 0] = -2.0 * decay
+    A[..., 0, 2] = 2.0 * Omega
+    A[..., 1, 1] = A[..., 2, 2] = -decay
+    A[..., 1, 2] = shift
+    A[..., 2, 0] = -2.0 * Omega
+    A[..., 2, 1] = -shift
+    b = np.zeros(decay.shape + (3,))
+    b[..., 0] = -f.real
+    return A, b
 
 
 def multipliers(state: TlsState) -> TlsMultipliers:
@@ -288,33 +288,26 @@ def simulate(
 ) -> TlsRun:
     """Solve the transport equations and derive entropy and temperature.
 
-    The non-Markovian equations are integrated with ``rel_tol`` and
-    ``abs_tol``; the Markovian ones have constant coefficients and are
-    propagated exactly, so the tolerances are checked but do not enter.
-    Trajectories must stay inside the Bloch ball (X <= 1/2 within 1e-9);
-    leaving it aborts with the time and radius at fault.  Samples on its
-    boundary get the pure-state limits, with one ``BoundaryStateWarning``.
+    The non-Markovian equations are propagated in Magnus steps
+    (``transport.propagate_magnus``); the Markovian ones have constant
+    coefficients and are propagated exactly.  The tolerances are checked
+    but enter neither.  Trajectories must stay inside the Bloch ball
+    (X <= 1/2 within 1e-9); leaving it aborts with the time and radius at
+    fault.  Samples on its boundary get the pure-state limits, with one
+    ``BoundaryStateWarning``.
     """
 
     params.require_resonance()
     bath, drive = params.bath, params.Omega
     sz0, sp0 = float(initial.mean_sz), complex(initial.mean_sp)
+    kernels, times = bind(bath, regime, t_max, dt_out, rel_tol, abs_tol)
+    y0 = (sz0, sp0.real, sp0.imag)
     if regime == "markovian":
-        kernels, times = bind(bath, regime, t_max, dt_out, rel_tol, abs_tol)
-        A, b = _linear_system(drive, *kernel_pair(0.0, bath, regime, kernels))
-        states = propagate_linear(A, b, (sz0, sp0.real, sp0.imag), times)
-        mean_sz = states[:, 0]
-        mean_sp = states[:, 1] + 1j * states[:, 2]
+        states = propagate_linear(*_linear_system(drive, *kernel_pair(0.0, bath, regime, kernels)), y0, times)
     else:
-
-        def vector_rhs(kernels, t, y):
-            mean_sz, mean_sp = y
-            return _rates(mean_sz.real, mean_sp, drive, *kernel_pair(t, bath, regime, kernels))
-
-        problem, times = setup(vector_rhs, (sz0, sp0), bath, regime, t_max, dt_out, rel_tol, abs_tol)
-        states = integrate(problem, times).states
-        mean_sz = states[:, 0].real
-        mean_sp = states[:, 1]
+        states = propagate_magnus(partial(_linear_system, drive), kernels, y0, times)
+    mean_sz = states[:, 0]
+    mean_sp = states[:, 1] + 1j * states[:, 2]
     check_domain(times, mean_sz, mean_sp)
 
     entropy_series, beta_series, pure = thermodynamic_series(mean_sz, mean_sp, params.omega0)

@@ -1,31 +1,32 @@
-"""Run set-up shared by the oscillator and two-level transport models: the
-output grid, the argument checks, the kernel-table horizon, and the exact
-propagator of the Markovian regime.
+"""Run set-up and propagators shared by the oscillator and two-level
+transport models: the output grid, the argument checks, the kernel-table
+horizon, and the solution of their linear equations in both regimes.
 
-Both models are linear equations on three real components.  In the
-non-Markovian regime their coefficients follow the kernels in time, and
-``setup`` hands the model's right-hand side to the integrator.  In the
-Markovian regime the kernels are frozen at their long-time values, so the
-equations read ``y' = A y + b`` with constant A and b, and
-``propagate_linear`` returns their solution ``y* + exp(A t)(y0 - y*)``
-without an integrator.  A positive golden-rule rate ``Re f_inf`` makes both
-models' A invertible; every bath has one unless ``J(omega0)`` underflows
+Both models are linear equations ``y' = A(t) y + b(t)`` on three real
+components, with A and b built from the kernel pair ``(f, f_beta)`` by the
+model's ``_linear_system``.  In the Markovian regime the kernels are frozen
+at their long-time values, so A and b are constant and
+``propagate_linear`` returns the solution ``y* + exp(A t)(y0 - y*)``
+exactly.  A positive golden-rule rate ``Re f_inf`` makes both models' A
+invertible; every bath has one unless ``J(omega0)`` underflows
 (``omega0 / W`` above about 745), and there ``propagate_linear`` raises
-``PropagationError``.  The pump ``Re(f_beta_inf - f_inf)`` is positive as
-well, so the oscillator's occupation relaxes to a positive fixed point and
-never goes negative for ``n0 >= 0``: the ``max(n, 0)`` clamp of its
-right-hand side belongs to the integrated path alone.
+``PropagationError``.
+
+In the non-Markovian regime A and b follow the kernels in time, and
+``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator
+on the augmented generator ``[[A, b], [0, 0]]``.  Its step rule starts from
+the kernels' own time scale 1/W and needs no error control; see
+``propagate_magnus``.  The tolerances of a run are checked in both regimes
+and used in neither.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from .bath import REGIMES, BathParams, correlator_cache, markovian_limits
-from .odeint import OdeProblem, check_tolerances
 
 
 class InvariantViolationError(RuntimeError):
@@ -33,7 +34,15 @@ class InvariantViolationError(RuntimeError):
 
 
 class PropagationError(RuntimeError):
-    """The exact propagator cannot take the run: A is singular, or A dt overflows."""
+    """A propagator cannot take the run: A is singular, or a step's exponent or
+    the solution is not finite."""
+
+
+def check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    """Raise ValueError unless both tolerances lie in (0, 1e-2]."""
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0.0 < tol <= 1e-2:
+            raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
 
 
 def sample_times(t_max: float, dt_out: float) -> np.ndarray:
@@ -45,9 +54,9 @@ def bind(bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
     """``(kernels, sample times)`` of one transport run, after the argument checks.
 
     The run's kernels are bound once: the shared table of ``bath``, built
-    here to one step past ``t_max`` (every stage and sample of the run then
+    here to one step past ``t_max`` (every Magnus node of the run then
     lies strictly inside it), or the long-time values.  The tolerances are
-    checked in both regimes, although only the integrated path uses them.
+    checked, although neither propagator uses them.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -62,29 +71,6 @@ def bind(bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
     return kernels, sample_times(t_max, dt_out)
 
 
-def setup(rhs, y0, bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
-    """``(OdeProblem, sample times)`` of one integrated transport run.
-
-    The kernels of ``bind`` are the first argument of the model's
-    ``rhs(kernels, t, y)``, which the problem calls as ``rhs(t, y)``: ``y``
-    is the tuple of the two components as Python ``complex``, and the model
-    returns their two derivatives, real or complex.
-
-    The step size is left to the integrator's error control alone: the
-    kernels are smooth in t, and the local error estimate already resolves
-    their oscillation at the system frequency.
-    """
-    kernels, times = bind(bath, regime, t_max, dt_out, rel_tol, abs_tol)
-    problem = OdeProblem(
-        rhs=partial(rhs, kernels),
-        t_span=(0.0, float(times[-1])),
-        y0=np.array(y0, dtype=complex),
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-    )
-    return problem, times
-
-
 # Degree-13 Pade coefficients and the largest 1-norm for which the
 # approximant alone meets double precision (Higham, SIAM J. Matrix Anal.
 # Appl. 26 (2005) 1179, table 2.3).
@@ -97,28 +83,31 @@ _THETA13 = 5.371920351148152
 
 
 def expm(matrix) -> np.ndarray:
-    """Exponential of a small real square matrix by Pade scaling and squaring.
+    """Exponential of a small real square matrix, or of each matrix of a
+    stack of shape ``(..., n, n)``, by Pade scaling and squaring.
 
-    The matrix is halved until its 1-norm is at most theta_13, the [13/13]
+    Each matrix is halved until its 1-norm is at most theta_13, the [13/13]
     Pade approximant is taken, and the result squared back.
     """
-    a = np.asarray(matrix, dtype=float)
-    norm = float(np.abs(a).sum(axis=0).max())
-    if not math.isfinite(norm):
+    shape = np.shape(matrix)
+    a = np.asarray(matrix, dtype=float).reshape((-1,) + shape[-2:])
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    if not np.all(np.isfinite(norm)):
         raise ValueError("expm needs a finite matrix")
-    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = a * 0.5**squarings
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a * 0.5 ** squarings[:, None, None]
     b = _PADE13
-    ident = np.eye(a.shape[0])
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
     result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        result[more] = result[more] @ result[more]
+    return result.reshape(shape)
 
 
 # Powers of the one-step propagator formed directly; the rest of the grid
@@ -172,3 +161,100 @@ def propagate_linear(A, b, y0, times) -> np.ndarray:
     out = samples.reshape(-1, y0.size)[: times.size] + fixed
     out[0] = y0
     return out
+
+
+# Step rule of the Magnus propagation, in units of the bath's cutoff W: steps
+# of _EARLY_STEP / W while t < _EARLY_SPAN / W, where the kernels rise on
+# their scale 1/W, then steps growing as _GRADING * t up to _LATE_STEP.
+_EARLY_STEP = 0.0625
+_EARLY_SPAN = 15.0
+_GRADING = 0.02
+_LATE_STEP = 0.01
+
+# Steps whose kernels, exponents and exponentials are formed at once.
+_STEP_CHUNK = 1024
+
+# The three Gauss-Legendre nodes of a step, as fractions of it.
+_GL3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+def _magnus_exponents(linear_system, kernels, starts, widths) -> np.ndarray:
+    """Sixth-order Magnus exponents, shape (steps, 4, 4), of the steps
+    ``[starts, starts + widths)`` (see ``propagate_magnus``)."""
+    nodes = starts[:, None] + widths[:, None] * _GL3
+    A, b = linear_system(kernels.f(nodes), kernels.f_beta(nodes))
+    G = np.zeros(nodes.shape + (4, 4))
+    G[..., :3, :3] = A
+    G[..., :3, 3] = b
+    h = widths[:, None, None]
+    a1 = h * G[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * h * (G[:, 2] - G[:, 0])
+    a3 = (10.0 / 3.0) * h * (G[:, 2] - 2.0 * G[:, 1] + G[:, 0])
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def propagate_magnus(linear_system, kernels, y0, times) -> np.ndarray:
+    """Samples of ``y' = A(t) y + b(t)``, ``y(0) = y0``, on ``times[k] = k * dt``.
+
+    ``(A, b) = linear_system(f, f_beta)`` for the kernel values of the
+    ``CorrelatorCache`` ``kernels``, given as arrays: A has their shape plus
+    (3, 3), b their shape plus (3,).  Returns an array of shape
+    ``(len(times), 3)``; the first sample is ``y0`` itself.
+
+    Every output interval is cut into ``ceil(dt / h(t))`` equal steps, t its
+    start, so every sample ends a step.  The step rule is
+    ``h(t) = 0.0625 / W`` for ``t < 15 / W``, where the kernels rise, and
+    ``h(t) = min(0.02 t, 0.01)`` after.  A step of length h maps the
+    augmented state ``(y, 1)`` by ``expm(Omega)``, the sixth-order Magnus
+    exponent of the generator ``G = [[A, b], [0, 0]]`` at the three
+    Gauss-Legendre nodes of the step (Blanes, Casas and Ros, BIT 40 (2000)
+    434; Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151):
+
+        a1 = h G2,  a2 = sqrt(15) h / 3 (G3 - G1),  a3 = 10 h / 3 (G3 - 2 G2 + G1),
+        C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+        Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
+
+    The steps are taken ``_STEP_CHUNK`` at a time: their kernels, exponents
+    and exponentials at once, then the maps applied in order.
+
+    Raises ``PropagationError`` where an exponent or a sample is not finite.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    spans = np.diff(times)
+    W = kernels.params.W
+    h = np.where(times[:-1] < _EARLY_SPAN / W, _EARLY_STEP / W, np.minimum(_GRADING * times[:-1], _LATE_STEP))
+    # Steps per interval from the nominal dt, with a margin for its rounding
+    # so that dt = h takes one step.
+    counts = np.ceil((times[1] if times.size > 1 else 0.0) / h - 1e-9).astype(np.intp)
+    ends = np.cumsum(counts)  # ends[i]: the steps taken by the end of interval i
+
+    states = np.empty((times.size, y0.size))
+    states[0] = y0
+    y = np.append(y0, 1.0)
+    total = int(ends[-1]) if ends.size else 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        for lo in range(0, total, _STEP_CHUNK):
+            step = np.arange(lo, min(lo + _STEP_CHUNK, total))
+            interval = np.searchsorted(ends, step, side="right")
+            widths = spans[interval] / counts[interval]
+            starts = times[interval] + (step - ends[interval] + counts[interval]) * widths
+            omega = _magnus_exponents(linear_system, kernels, starts, widths)
+            finite = np.isfinite(omega).all(axis=(1, 2))
+            if not finite.all():
+                raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
+            path = np.empty((step.size, 4))
+            for k, step_map in enumerate(expm(omega)):
+                y = path[k] = step_map @ y
+            done = step + 1 == ends[interval]  # the steps that end an interval
+            states[interval[done] + 1] = path[done, :3]
+    if not np.all(np.isfinite(states)):
+        bad = times[np.argmin(np.isfinite(states).all(axis=1))]
+        raise PropagationError(f"the propagated state is not finite at t = {bad:.6g}")
+    return states

@@ -9,8 +9,9 @@ masked trigamma applies the library's recurrence and asymptotic series one
 boolean selection at a time, the Hermite oracle evaluates the cardinal
 basis on intervals found by bisection, the kernel-table oracle builds the
 whole table in one pass over full-length arrays, the integrator oracle
-runs each Dormand-Prince step on numpy arrays, and the matrix exponentials
-are scipy's and mpmath's.
+runs each Dormand-Prince step on numpy arrays, the transport oracle
+integrates the equations of motion with scipy's DOP853 at tight
+tolerances, and the matrix exponentials are scipy's and mpmath's.
 """
 
 import math
@@ -299,6 +300,34 @@ def project_moment_neutral(delta: np.ndarray, operators) -> np.ndarray:
     coeffs, *_ = np.linalg.lstsq(constraints.T, vec, rcond=None)
     vec = vec - constraints.T @ coeffs
     return _vec_to_hermitian(vec, dim)
+
+
+def reference_transport(model: str, kernels, y0, times, drive: float = 0.0) -> np.ndarray:
+    """States of a non-Markovian transport run at ``times`` by scipy's DOP853
+    at rtol 1e-12 and atol 1e-14, on the equations of motion written out
+    here and the kernels read one time at a time from ``kernels.pair``.
+
+    ``model`` "oscillator" has the state (Re <a>, Im <a>, <n>); "tls", the
+    two-level system on resonance with drive amplitude ``drive``, has
+    (<s_z>, Re <s_+>, Im <s_+>).  Returns an array of shape (len(times), 3).
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        f, f_beta = kernels.pair(t)
+        if model == "oscillator":
+            d_a = -complex(y[0], y[1]) * f.conjugate()
+            return [d_a.real, d_a.imag, -2.0 * f.real * y[2] + (f_beta - f).real]
+        s_plus = complex(y[1], y[2])
+        d_sp = -2j * drive * y[0] - f_beta * s_plus
+        return [2.0 * drive * s_plus.imag - 2.0 * f_beta.real * y[0] - f.real, d_sp.real, d_sp.imag]
+
+    times = np.asarray(times, dtype=float)
+    solution = solve_ivp(
+        rhs, (0.0, float(times[-1])), np.asarray(y0, dtype=float), method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14
+    )
+    assert solution.success, solution.message
+    return solution.y.T
 
 
 # Dormand-Prince 5(4) tableau of reference_integrate, as numpy arrays.

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 
 import releq
 from releq import maxent, oscillator, tls
-from releq.bath import REGIMES, correlator_cache
+from releq.bath import REGIMES, CorrelatorCache, correlator_cache
 from releq.cli import MAX_HORIZON, MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
 
 
@@ -550,11 +549,11 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "9caf8f6bdcc64aece9a23a9cf006fe58c31a65ce0977466ea05748adf821b080"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "b9e7f51003c824fed1bf1f586db6479dc4b9a3843f26833959e5c618f3f7356a"),
     (dict(_README_OSCILLATOR, regime="markovian"), "12a53ebd4ceec926b7e21119ab8c00a7321bc61326347fb7c2a5842dfb28c454"),
-    (dict(_README_TLS, regime="non_markovian"), "b6bd8ee7a32316fb57fb5d95dadbd72949033537c8998549bdf032325be15aa0"),
+    (dict(_README_TLS, regime="non_markovian"), "a99664f79e2d24897971fcbc620c8076d4a8470b17703d763b3fc6ce5da22845"),
     (dict(_README_TLS, regime="markovian"), "ee2197b3c1bb979404372030a32ead4db8eb825d1d5771d132648211133f3d08"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "aeb851c25fa6365bef475e04fef55dac60219b8654532ab6473aa4380ea69f1c"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "0183bb647ea89e35c67bf74f0be1cfa928265cca8f8ea71b158c65713fb09e98"),
     (dict(_WEAK_TLS, regime="markovian"), "3e55c825dc2cd6a14109ad6a10fb3b03955ac69732ad4d7feb9669b87c3f40a3"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
@@ -614,83 +613,63 @@ def test_the_cli_imports_no_scipy(tmp_path):
     assert (tmp_path / "out.csv").exists()
 
 
-# Right-hand-side evaluations of the README runs, counted the way the
-# benchmark's tracer counts them: by wrapping the problem's ``rhs`` on its
-# way into ``integrate``.  They depend only on the step control, so a change
-# to it shows here as a count before it shows as a CSV digest.  A Markovian
-# run is an exact propagation and integrates nothing, so its count is zero.
-RHS_EVALUATIONS = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), 6572),
+# Kernel-table points the README runs read, counted by wrapping the table's
+# lookups ``CorrelatorCache.f`` and ``f_beta``.  A non-Markovian run reads
+# both kernels at the three Gauss-Legendre nodes of each Magnus step, so a
+# change to the step rule shows here as a count before it shows as a CSV
+# digest.  On this bath (W = 10) the rule takes two steps per sample interval
+# before t = 15 / W = 1.5 and one after: 300 + 1850 steps, 6450 nodes.  A
+# Markovian run reads the long-time values and no table point.
+KERNEL_POINTS = [
+    (dict(_README_OSCILLATOR, regime="non_markovian"), 6450),
     (dict(_README_OSCILLATOR, regime="markovian"), 0),
-    (dict(_README_TLS, regime="non_markovian"), 4442),
+    (dict(_README_TLS, regime="non_markovian"), 6450),
     (dict(_README_TLS, regime="markovian"), 0),
 ]
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("config, evaluations", RHS_EVALUATIONS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
-def test_readme_rhs_evaluations_are_pinned(tmp_path, monkeypatch, config, evaluations):
-    module = oscillator if config["model"] == "oscillator" else tls
-    integrate = module.integrate
-    calls = []
+@pytest.mark.parametrize("config, points", KERNEL_POINTS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
+def test_readme_kernel_points_are_pinned(tmp_path, monkeypatch, config, points):
+    counted = {"f": 0, "f_beta": 0}
+    for name in counted:
+        lookup = getattr(CorrelatorCache, name)
 
-    def counting_integrate(problem, sample_times):
-        def rhs(t, y):
-            calls.append(t)
-            return problem.rhs(t, y)
+        def counting(self, t, name=name, lookup=lookup):
+            counted[name] += np.size(t)
+            return lookup(self, t)
 
-        return integrate(dataclasses.replace(problem, rhs=rhs), sample_times)
-
-    monkeypatch.setattr(module, "integrate", counting_integrate)
+        monkeypatch.setattr(CorrelatorCache, name, counting)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
-    assert len(calls) == evaluations
+    assert counted == {"f": points, "f_beta": points}
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-@pytest.mark.parametrize("config, evaluations", RHS_EVALUATIONS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
-def test_readme_step_statistics_count_the_pinned_evaluations(tmp_path, monkeypatch, config, evaluations):
-    module = oscillator if config["model"] == "oscillator" else tls
-    integrate = module.integrate
-    trajectories = []
-
-    def recording_integrate(problem, sample_times):
-        trajectories.append(integrate(problem, sample_times))
-        return trajectories[-1]
-
-    monkeypatch.setattr(module, "integrate", recording_integrate)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
-    assert main([config["model"], "--config", str(path)]) == 0
-    # One integration for a non-Markovian run, none for a Markovian one.
-    assert len(trajectories) == (1 if evaluations else 0)
-    assert sum(trajectory.stats.rhs_evals for trajectory in trajectories) == evaluations
-    for trajectory in trajectories:
-        stats = trajectory.stats
-        # The formula by which the benchmark's tracer derives attempted steps.
-        assert stats.rhs_evals == 6 * (stats.accepted + stats.rejected) + 2 == evaluations
-        # Error control alone sets the step: a cap at 0.01 / omega0 would show here.
-        assert 0.0 < stats.h_min <= stats.h_max
-        assert stats.h_max > 0.01
-
-
-# A Markovian run is the exact propagation of its constant-coefficient
-# equations: it integrates nothing, and it does not read the oscillator's
-# closed form, which acceptance criterion 7 compares it with.
+# Acceptance criterion 7 compares the oscillator's closed form with its
+# propagated runs, so no run may read the closed form.  A Markovian run is the
+# exact propagation of its constant-coefficient equations and takes no Magnus
+# step either.
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize(
     "config",
-    [dict(_README_OSCILLATOR, regime="markovian"), dict(_README_TLS, regime="markovian")],
-    ids=["osc-m", "tls-m"],
+    [
+        dict(_README_OSCILLATOR, regime="markovian"),
+        dict(_README_TLS, regime="markovian"),
+        dict(_README_OSCILLATOR, regime="non_markovian"),
+        dict(_README_TLS, regime="non_markovian"),
+    ],
+    ids=["osc-m", "tls-m", "osc-nm", "tls-nm"],
 )
-def test_markovian_readme_runs_integrate_nothing(tmp_path, monkeypatch, config):
+def test_readme_runs_do_not_call_the_closed_form(tmp_path, monkeypatch, config):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a Markovian run called the integrator or the closed form")
+        raise AssertionError("a run called the closed form, or a Markovian run took Magnus steps")
 
-    for module in (oscillator, tls):
-        monkeypatch.setattr(module, "integrate", forbidden)
+    if config["regime"] == "markovian":
+        for module in (oscillator, tls):
+            monkeypatch.setattr(module, "propagate_magnus", forbidden)
     monkeypatch.setattr(oscillator, "closed_form_trajectory", forbidden)
+    monkeypatch.setattr(oscillator, "closed_form", forbidden)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import F_BETA_ORACLE_T1, F_ORACLE_T1
 from releq import maxent
-from releq.bath import BathParams, markovian_limits
+from releq.bath import BathParams, kernel_pair, markovian_limits
 from releq.oscillator import (
     DegenerateStateError,
     DegenerateStateWarning,
@@ -16,8 +16,8 @@ from releq.oscillator import (
     inverse_temperature,
     multipliers,
     quartic_correlator,
-    rhs,
     simulate,
+    _linear_system,
 )
 
 N_BE = 1.0 / math.expm1(3.0)
@@ -31,6 +31,14 @@ class TestState:
     def test_incoherent_occupation(self):
         state = OscillatorState(mean_a=1.0 + 0j, mean_n=9.0)
         assert state.n_eff == pytest.approx(8.0, rel=1e-15)
+
+
+def rhs(t, state, bath, regime):
+    """(d<a>/dt, d<n>/dt) of ``state``, as ``A y + b`` from ``_linear_system``
+    at the kernel pair of ``regime``."""
+    A, b = _linear_system(*kernel_pair(t, bath, regime))
+    d = A @ [state.mean_a.real, state.mean_a.imag, state.mean_n] + b
+    return complex(d[0], d[1]), float(d[2])
 
 
 class TestRhs:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import F_ORACLE_T1, binary_entropy
 from releq import maxent
-from releq.bath import BathParams, markovian_limits
+from releq.bath import BathParams, kernel_pair, markovian_limits
 from releq.oscillator import InvariantViolationError
 from releq.tls import (
     BoundaryStateError,
@@ -23,14 +23,22 @@ from releq.tls import (
     evolution_coeffs,
     inverse_temperature,
     multipliers,
-    rhs,
     simulate,
     thermodynamic_series,
+    _linear_system,
 )
 
 
 def resonant_params(fig_bath, Omega=0.3):
     return TlsParams(omega0=1.0, omegaL=1.0, Omega=Omega, bath=fig_bath)
+
+
+def rhs(t, state, params, regime):
+    """(d<s_z>/dt, d<s_+>/dt) of ``state``, as ``A y + b`` from
+    ``_linear_system`` at the kernel pair of ``regime``."""
+    A, b = _linear_system(params.Omega, *kernel_pair(t, params.bath, regime))
+    d = A @ [state.mean_sz, state.mean_sp.real, state.mean_sp.imag] + b
+    return d[0], complex(d[1], d[2])
 
 
 def admissible_grid(count_radius=10, count_angle=10):
@@ -63,7 +71,7 @@ class TestParams:
     def test_detuned_transport_rejected(self, fig_bath):
         params = TlsParams(omega0=1.0, omegaL=1.3, Omega=0.1, bath=fig_bath)
         with pytest.raises(ResonanceError):
-            rhs(0.0, TlsState(0.0, 0j), params, "non_markovian")
+            simulate(TlsState(0.0, 0j), params, "non_markovian", t_max=1.0)
 
 
 class TestRhs:
@@ -73,6 +81,9 @@ class TestRhs:
         assert d_sp == 0j
 
     def test_sz_derivative_is_real_float(self, fig_bath):
+        # The system is real: <s_z> and both parts of <s_+> are its components.
+        A, b = _linear_system(0.3, *kernel_pair(1.0, fig_bath, "non_markovian"))
+        assert A.dtype == b.dtype == np.float64
         d_sz, _ = rhs(1.0, TlsState(0.2, 0.1 + 0.3j), resonant_params(fig_bath), "non_markovian")
         assert isinstance(d_sz, float)
 

@@ -1,10 +1,14 @@
-"""The exact Markovian path of ``releq.transport``: its matrix exponential
-against scipy's and mpmath's, its runs against the integrator and against a
-per-sample exponential, and its refusal of a singular A."""
+"""The propagators of ``releq.transport``.  The exact Markovian path: its
+matrix exponential against scipy's and mpmath's, its runs against scipy's
+exponential at every sample, and its refusal of a singular A.  The Magnus
+path of the non-Markovian regime: its runs against a tight DOP853 reference
+on a grid of baths and drives, its kernel reads, its memory and its refusal
+of non-finite steps."""
 
 import gc
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 
@@ -14,8 +18,7 @@ import pytest
 import oracles
 from releq import oscillator, tls
 from releq.bath import _TABLE_STEP, BathParams, correlator_cache, markovian_limits
-from releq.odeint import OdeProblem, integrate
-from releq.transport import PropagationError, bind, expm, propagate_linear, sample_times
+from releq.transport import PropagationError, bind, expm, propagate_linear, propagate_magnus, sample_times
 
 EPS = np.finfo(float).eps
 
@@ -72,17 +75,14 @@ def test_expm_of_zero_and_of_a_non_finite_matrix():
         expm(np.full((3, 3), np.nan))
 
 
-def integrated(model_rates, y0, t_max, dt_out):
-    """States of the model's RHS at constant kernels, integrated at rel_tol 1e-12."""
-    times = sample_times(t_max, dt_out)
-    problem = OdeProblem(
-        rhs=model_rates,
-        t_span=(0.0, float(times[-1])),
-        y0=np.array(y0, dtype=complex),
-        rel_tol=1e-12,
-        abs_tol=1e-15,
-    )
-    return integrate(problem, times).states
+def exact_states(A, b, y0, times):
+    """Samples of ``y' = A y + b`` by scipy's exponential of the augmented
+    matrix ``[[A, b], [0, 0]]``, taken afresh at every sample time."""
+    augmented = np.zeros((4, 4))
+    augmented[:3, :3] = A
+    augmented[:3, 3] = b
+    start = np.append(np.asarray(y0, dtype=float), 1.0)
+    return np.array([(oracles.expm(augmented * t) @ start)[:3] for t in times])
 
 
 @pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
@@ -90,15 +90,14 @@ def test_exact_oscillator_run_matches_integration(bath):
     limits = markovian_limits(bath)
     initial = oscillator.OscillatorState(1.0 - 0.5j, 9.0)
     run = oscillator.simulate(initial, bath, "markovian", t_max=20.0, dt_out=0.05)
-    states = integrated(
-        lambda t, y: oscillator._rates(y[0], y[1].real, limits.f_inf, limits.f_beta_inf),
-        (initial.mean_a, initial.mean_n),
-        20.0,
-        0.05,
+    states = exact_states(
+        *oscillator._linear_system(limits.f_inf, limits.f_beta_inf),
+        (initial.mean_a.real, initial.mean_a.imag, initial.mean_n),
+        run.times,
     )
     scale = np.max(run.mean_n)  # the fixed point is n = 100 on the slow bath
-    assert np.max(np.abs(states[:, 0] - run.mean_a)) <= 5e-12 * scale
-    assert np.max(np.abs(states[:, 1].real - run.mean_n)) <= 5e-12 * scale
+    assert np.max(np.abs(states[:, 0] + 1j * states[:, 1] - run.mean_a)) <= 5e-12 * scale
+    assert np.max(np.abs(states[:, 2] - run.mean_n)) <= 5e-12 * scale
 
 
 @pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
@@ -110,14 +109,13 @@ def test_exact_two_level_run_matches_integration(bath, drive):
         params = tls.TlsParams(bath.omega0, bath.omega0, drive, bath)
     initial = tls.TlsState(0.2, 0.1 - 0.1j)
     run = tls.simulate(initial, params, "markovian", t_max=20.0, dt_out=0.05)
-    states = integrated(
-        lambda t, y: tls._rates(y[0].real, y[1], drive, limits.f_inf, limits.f_beta_inf),
-        (initial.mean_sz, initial.mean_sp),
-        20.0,
-        0.05,
+    states = exact_states(
+        *tls._linear_system(drive, limits.f_inf, limits.f_beta_inf),
+        (initial.mean_sz, initial.mean_sp.real, initial.mean_sp.imag),
+        run.times,
     )
-    assert np.max(np.abs(states[:, 0].real - run.mean_sz)) <= 5e-12
-    assert np.max(np.abs(states[:, 1] - run.mean_sp)) <= 5e-12
+    assert np.max(np.abs(states[:, 0] - run.mean_sz)) <= 5e-12
+    assert np.max(np.abs(states[:, 1] + 1j * states[:, 2] - run.mean_sp)) <= 5e-12
 
 
 # Samples inside and at both ends of the first block of 64 powers, and
@@ -261,3 +259,94 @@ def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
     assert errors == []
     for k in (0, 1):
         assert outputs[k] == [serial[(j + k) % 2] for j in range(4)]
+
+
+def test_expm_of_a_stack_is_the_expm_of_each_matrix():
+    # Norms on both sides of theta_13, so that the stack mixes squarings.
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((40, 4, 4)) * np.geomspace(1e-3, 50.0, 40)[:, None, None]
+    assert np.array_equal(expm(stack), np.array([expm(matrix) for matrix in stack]))
+    assert expm(stack.reshape(5, 8, 4, 4)).shape == (5, 8, 4, 4)
+
+
+def test_linear_systems_of_kernel_arrays_are_the_stacked_scalar_systems():
+    kernels = correlator_cache(BATHS[0])
+    times = np.array([[0.0, 0.3, 1.7], [2.5, 6.0, 9.9]])
+    f, f_beta = kernels.f(times), kernels.f_beta(times)
+    for system in (oscillator._linear_system, lambda *pair: tls._linear_system(0.3, *pair)):
+        A, b = system(f, f_beta)
+        assert A.shape == (2, 3, 3, 3) and b.shape == (2, 3, 3)
+        for index in np.ndindex(times.shape):
+            A_k, b_k = system(complex(f[index]), complex(f_beta[index]))
+            assert np.array_equal(A[index], A_k) and np.array_equal(b[index], b_k)
+
+
+# The non-Markovian accuracy grid: cutoffs from 5 to 100 (beta = 3,
+# omega0 = 1), the oscillator and the two-level system at a weak and a strong
+# drive, against DOP853 at rtol 1e-12 on the same kernel table.  Dormand-Prince
+# 5(4) at the default tolerances, the integrator these runs replaced, was off
+# by up to 8.9e-8 on this grid; the Magnus runs are off by at most 2.0e-8 (the
+# oscillator's n at W = 100) at dt_out 0.01 and 2.2e-10 at dt_out 0.5.  Two
+# tight references differ by up to 2.7e-9 on one table, so a bound much
+# below 5e-9 would measure the reference.
+GRID = [(W, model, drive) for W in (5.0, 10.0, 20.0, 50.0, 100.0) for model, drive in (("oscillator", 0.0), ("tls", 0.3), ("tls", 5.0))]
+
+
+def magnus_run(model, bath, drive, dt_out):
+    """Times and (3 components) states of a non-Markovian run to t = 20."""
+    if model == "oscillator":
+        run = oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "non_markovian", 20.0, dt_out)
+        return run.times, np.column_stack([run.mean_a.real, run.mean_a.imag, run.mean_n])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tls.ValidityWarning)
+        params = tls.TlsParams(bath.omega0, bath.omega0, drive, bath)
+    run = tls.simulate(tls.TlsState(0.2, 0.1 - 0.1j), params, "non_markovian", 20.0, dt_out)
+    return run.times, np.column_stack([run.mean_sz, run.mean_sp.real, run.mean_sp.imag])
+
+
+@pytest.mark.parametrize("W, model, drive", GRID, ids=[f"W{W:g}-{model}-{drive:g}" for W, model, drive in GRID])
+def test_magnus_runs_match_a_tight_reference(W, model, drive):
+    bath = BathParams(W=W, beta=3.0, omega0=1.0)
+    times, states = magnus_run(model, bath, drive, 0.01)
+    y0 = states[0]
+    reference = oracles.reference_transport(model, correlator_cache(bath), y0, times, drive)
+    assert np.all(np.max(np.abs(states - reference), axis=0) <= 5e-8)
+    # Every 50th sample of the reference is a sample of the dt_out = 0.5 run.
+    coarse_times, coarse = magnus_run(model, bath, drive, 0.5)
+    assert np.allclose(coarse_times, times[::50], rtol=0.0, atol=1e-12)
+    assert np.all(np.max(np.abs(coarse - reference[::50]), axis=0) <= 1e-8)
+
+
+def test_magnus_run_memory_is_bounded_by_the_chunk():
+    # 100,001 samples and as many steps.  The run's output (states, complex
+    # amplitude, entropy and beta) is about 6 MB, and the run peaks near 9 MB;
+    # a propagation forming every step's exponential at once peaks near 210 MB.
+    bath = BATHS[0]
+    correlator_cache(bath).ensure_horizon(101.0)  # the table is not the run's to count
+    initial = oscillator.OscillatorState(1.0 + 0j, 9.0)
+    tracemalloc.start()
+    try:
+        run = oscillator.simulate(initial, bath, "non_markovian", t_max=100.0, dt_out=0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.times.size == 100_001
+    assert peak <= 24e6, peak
+
+
+def test_non_finite_magnus_steps_are_refused():
+    kernels = correlator_cache(BATHS[0])
+    times = sample_times(5.0, 0.1)
+
+    def blowing_up(f, f_beta):  # y' = 1000 y: finite exponents, exp(5000) overflows
+        A = np.broadcast_to(1000.0 * np.eye(3), np.shape(f) + (3, 3))
+        return A, np.zeros(np.shape(f) + (3,))
+
+    def infinite(f, f_beta):
+        A, b = oscillator._linear_system(f, f_beta)
+        return A * np.inf, b
+
+    with pytest.raises(PropagationError, match="state is not finite"):
+        propagate_magnus(blowing_up, kernels, np.ones(3), times)
+    with pytest.raises(PropagationError, match="exponent is not finite at t = 0"):
+        propagate_magnus(infinite, kernels, np.ones(3), times)
