@@ -18,6 +18,12 @@ on the augmented generator ``[[A, b], [0, 0]]``.  Its step rule starts from
 the kernels' own time scale 1/W and needs no error control; see
 ``propagate_magnus``.  The tolerances of a run are checked in both regimes
 and used in neither.
+
+``_compose`` applies the Magnus step maps in blocks: prefix products within
+every block at once, then one pass over the block ends; ``propagate_linear``
+applies its one map's powers in the same blocks.  ``expm`` takes a small
+matrix's exponential as a Taylor polynomial, a larger one's by Pade scaling
+and squaring.
 """
 
 from __future__ import annotations
@@ -81,19 +87,51 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+# Degree-12 Taylor coefficients 1/k! and the largest 1-norm they serve: the
+# truncation there is below 0.25**13 / 13! < 2.5e-18.
+_TAYLOR12 = tuple(1.0 / math.factorial(k) for k in range(13))
+_THETA12 = 0.25
+
 
 def expm(matrix) -> np.ndarray:
     """Exponential of a small real square matrix, or of each matrix of a
-    stack of shape ``(..., n, n)``, by Pade scaling and squaring.
+    stack of shape ``(..., n, n)``.
 
-    Each matrix is halved until its 1-norm is at most theta_13, the [13/13]
-    Pade approximant is taken, and the result squared back.
+    A matrix whose 1-norm is at most 0.25 takes the degree-12 Taylor
+    polynomial, evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2
+    (1973) 60) in five products and no solve.  Any other matrix is halved
+    until its 1-norm is at most theta_13, the [13/13] Pade approximant is
+    taken, and the result squared back.  The choice is made per matrix, so
+    a matrix of a stack gets the exponential it gets alone.
     """
     shape = np.shape(matrix)
     a = np.asarray(matrix, dtype=float).reshape((-1,) + shape[-2:])
     norm = np.abs(a).sum(axis=1).max(axis=1)
     if not np.all(np.isfinite(norm)):
         raise ValueError("expm needs a finite matrix")
+    result = np.empty_like(a)
+    small = norm <= _THETA12
+    if small.any():
+        result[small] = _taylor12(a[small])
+    if not small.all():
+        result[~small] = _pade13(a[~small], norm[~small])
+    return result.reshape(shape)
+
+
+def _taylor12(a) -> np.ndarray:
+    c = _TAYLOR12
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+
+    def cubic(k):  # c[k] + c[k+1] a + c[k+2] a^2 + c[k+3] a^3
+        return c[k] * ident + c[k + 1] * a + c[k + 2] * a2 + c[k + 3] * a3
+
+    return cubic(0) + a4 @ (cubic(4) + a4 @ (cubic(8) + c[12] * a4))
+
+
+def _pade13(a, norm) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
     a = a * 0.5 ** squarings[:, None, None]
     b = _PADE13
@@ -107,12 +145,34 @@ def expm(matrix) -> np.ndarray:
     for k in range(int(squarings.max(initial=0))):
         more = squarings > k
         result[more] = result[more] @ result[more]
-    return result.reshape(shape)
+    return result
 
 
-# Powers of the one-step propagator formed directly; the rest of the grid
-# is reached in blocks of this many samples.
-_BLOCK = 64
+# Maps composed by prefix products within blocks of this many.
+_BLOCK = 48
+
+
+def _compose(maps, y) -> np.ndarray:
+    """``path[k] = maps[k] @ ... @ maps[0] @ y`` for every k, shape
+    ``(len(maps), len(y))``.
+
+    Within each block of ``_BLOCK`` maps the prefix products are formed for
+    all blocks at once; one pass over the block ends then carries ``y`` from
+    block to block, and one batched product gives every state.
+    """
+    n, d = len(maps), y.size
+    blocks = -(-n // _BLOCK)
+    prefix = np.empty((blocks * _BLOCK, d, d))
+    prefix[:n] = maps
+    prefix[n:] = np.eye(d)
+    prefix = prefix.reshape(blocks, _BLOCK, d, d)
+    for i in range(1, _BLOCK):
+        np.matmul(prefix[:, i], prefix[:, i - 1], out=prefix[:, i])
+    starts = np.empty((blocks, d))
+    starts[0] = y
+    for j in range(1, blocks):
+        starts[j] = prefix[j - 1, -1] @ starts[j - 1]
+    return np.einsum("jiab,jb->jia", prefix, starts).reshape(-1, d)[:n]
 
 
 def propagate_linear(A, b, y0, times) -> np.ndarray:
@@ -121,8 +181,9 @@ def propagate_linear(A, b, y0, times) -> np.ndarray:
     Returns an array of shape ``(len(times), len(y0))``.  With the fixed
     point ``y* = -A^-1 b`` and the one-step propagator
     ``Phi = expm(A dt)``, sample k is ``y* + Phi^k (y0 - y*)``: Phi^0 ...
-    Phi^63 are stacked once, and sample ``64 j + i`` is Phi^i applied to
-    ``(Phi^64)^j (y0 - y*)``.  The first sample is ``y0`` itself.
+    Phi^47 are stacked once, and sample ``48 j + i`` is Phi^i applied to
+    ``(Phi^48)^j (y0 - y*)``, the blocks of ``_compose`` with their prefix
+    products formed once for all.  The first sample is ``y0`` itself.
 
     Raises ``PropagationError`` where A is singular, so that there is no
     fixed point, or where ``A dt`` is not finite.
@@ -156,7 +217,7 @@ def propagate_linear(A, b, y0, times) -> np.ndarray:
     starts[0] = y0 - fixed
     for j in range(1, blocks):
         starts[j] = block_step @ starts[j - 1]
-    # (starts @ powers[i].T)[j] = powers[i] @ starts[j], sample 64 j + i.
+    # (starts @ powers[i].T)[j] = powers[i] @ starts[j], sample 48 j + i.
     samples = (starts @ powers.transpose(0, 2, 1)).transpose(1, 0, 2)
     out = samples.reshape(-1, y0.size)[: times.size] + fixed
     out[0] = y0
@@ -221,7 +282,9 @@ def propagate_magnus(linear_system, kernels, y0, times) -> np.ndarray:
         Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
 
     The steps are taken ``_STEP_CHUNK`` at a time: their kernels, exponents
-    and exponentials at once, then the maps applied in order.
+    and exponentials at once, then the maps composed in blocks by
+    ``_compose``.  An exponent's 1-norm is at most 0.14 on the README bath,
+    so ``expm`` takes its Taylor path there.
 
     Raises ``PropagationError`` where an exponent or a sample is not finite.
     """
@@ -249,9 +312,8 @@ def propagate_magnus(linear_system, kernels, y0, times) -> np.ndarray:
             finite = np.isfinite(omega).all(axis=(1, 2))
             if not finite.all():
                 raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
-            path = np.empty((step.size, 4))
-            for k, step_map in enumerate(expm(omega)):
-                y = path[k] = step_map @ y
+            path = _compose(expm(omega), y)
+            y = path[-1]
             done = step + 1 == ends[interval]  # the steps that end an interval
             states[interval[done] + 1] = path[done, :3]
     if not np.all(np.isfinite(states)):

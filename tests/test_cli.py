@@ -524,9 +524,10 @@ def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
 
 # The README configurations, both regimes where they apply; any change to a
 # number or its text shows here.  The non-Markovian transport digests are
-# those of steps chosen by error control alone on the kernel table built
-# from cubic Hermite pieces, the Markovian ones those of the exact
-# propagation with the principal-value frequency shifts, both with the
+# those of the sixth-order Magnus steps on the kernel table built from cubic
+# Hermite pieces, the Markovian ones those of the exact propagation with
+# the principal-value frequency shifts; both take Taylor exponentials of
+# small matrices and compose their step maps in blocks, and both use the
 # array formulas for the two-level S and beta; the
 # maxent digest is that of the Newton solve with the exact Jacobian, started
 # from the closed-form two-level multipliers of the targets.  They were
@@ -549,12 +550,12 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "b9e7f51003c824fed1bf1f586db6479dc4b9a3843f26833959e5c618f3f7356a"),
-    (dict(_README_OSCILLATOR, regime="markovian"), "12a53ebd4ceec926b7e21119ab8c00a7321bc61326347fb7c2a5842dfb28c454"),
-    (dict(_README_TLS, regime="non_markovian"), "a99664f79e2d24897971fcbc620c8076d4a8470b17703d763b3fc6ce5da22845"),
-    (dict(_README_TLS, regime="markovian"), "ee2197b3c1bb979404372030a32ead4db8eb825d1d5771d132648211133f3d08"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "0183bb647ea89e35c67bf74f0be1cfa928265cca8f8ea71b158c65713fb09e98"),
-    (dict(_WEAK_TLS, regime="markovian"), "3e55c825dc2cd6a14109ad6a10fb3b03955ac69732ad4d7feb9669b87c3f40a3"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "155b0a35ff04407d8d889612d4d08f951665e4b53cb5ea3515d38879801ce717"),
+    (dict(_README_OSCILLATOR, regime="markovian"), "09440538dcb31bebf7eb4bc2f8a859002b25e839df6afbcbd3c5871cd36b0a3f"),
+    (dict(_README_TLS, regime="non_markovian"), "dd552485dfcbc42d155b2b4eb831646413793b51cd42018158bc87f85f415814"),
+    (dict(_README_TLS, regime="markovian"), "e55f02639c1c8fa924a3842f6e0b4486c76eb5a7fee82cf2edd6f0c10c7e610c"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "aa30d61771ef5470dcbb558569dff0c9b8f4a087902ee928976f4a76d41fb56c"),
+    (dict(_WEAK_TLS, regime="markovian"), "f87a80f1f751438b2bfc5866091bd18c37cd875bc3dfd335ec40ed2de8b26325"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
         "6f689d69280702a28597324402ce2e1151fba20621a441c3e7cc1aafff314389",

@@ -18,7 +18,19 @@ import pytest
 import oracles
 from releq import oscillator, tls
 from releq.bath import _TABLE_STEP, BathParams, correlator_cache, markovian_limits
-from releq.transport import PropagationError, bind, expm, propagate_linear, propagate_magnus, sample_times
+from releq.transport import (
+    _BLOCK,
+    _STEP_CHUNK,
+    _THETA12,
+    _THETA13,
+    PropagationError,
+    _magnus_exponents,
+    bind,
+    expm,
+    propagate_linear,
+    propagate_magnus,
+    sample_times,
+)
 
 EPS = np.finfo(float).eps
 
@@ -67,6 +79,20 @@ def test_expm_is_accurate_to_its_conditioning(bath):
             reference = oracles.expm_mp(A * dt)
             error = norm1(expm(A * dt) - reference)
             assert error <= 4.0 * EPS * max(1.0, scaled_norm) * norm1(reference), (dt, error)
+
+
+def test_expm_of_small_augmented_generators_is_accurate():
+    # The Taylor path, on random 4x4 matrices with a zero last row like the
+    # Magnus exponents: 1-norms up to theta = 0.25, where the truncation is
+    # below 2.5e-18.
+    stack = np.random.default_rng(11).standard_normal((16, 4, 4))
+    stack[:, 3] = 0.0
+    stack *= (np.geomspace(1e-4, _THETA12, 16) / np.abs(stack).sum(axis=1).max(axis=1))[:, None, None]
+    for matrix in stack:
+        assert norm1(matrix) <= _THETA12
+        reference = oracles.expm_mp(matrix)
+        error = norm1(expm(matrix) - reference)
+        assert error <= 4.0 * EPS * norm1(reference), (norm1(matrix), error)
 
 
 def test_expm_of_zero_and_of_a_non_finite_matrix():
@@ -118,9 +144,9 @@ def test_exact_two_level_run_matches_integration(bath, drive):
     assert np.max(np.abs(states[:, 1] + 1j * states[:, 2] - run.mean_sp)) <= 5e-12
 
 
-# Samples inside and at both ends of the first block of 64 powers, and
+# Samples inside and at both ends of the first block of 48 powers, and
 # through the blocks to the end.
-LONG_RUN_SAMPLES = [0, 1, 63, 64, 65, 1000, 4097, 10000, 33333, 99999, 100000]
+LONG_RUN_SAMPLES = [0, 1, 47, 48, 49, 63, 64, 65, 1000, 4097, 10000, 33333, 99999, 100000]
 
 
 @pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
@@ -262,9 +288,13 @@ def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
 
 
 def test_expm_of_a_stack_is_the_expm_of_each_matrix():
-    # Norms on both sides of theta_13, so that the stack mixes squarings.
+    # 1-norms on both sides of theta = 0.25 and of theta_13, so that the
+    # stack mixes the Taylor and the Pade path, and squarings on the latter.
     rng = np.random.default_rng(7)
     stack = rng.standard_normal((40, 4, 4)) * np.geomspace(1e-3, 50.0, 40)[:, None, None]
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    for theta in (_THETA12, _THETA13):
+        assert np.any(norms <= theta) and np.any(norms > theta)
     assert np.array_equal(expm(stack), np.array([expm(matrix) for matrix in stack]))
     assert expm(stack.reshape(5, 8, 4, 4)).shape == (5, 8, 4, 4)
 
@@ -317,10 +347,41 @@ def test_magnus_runs_match_a_tight_reference(W, model, drive):
     assert np.all(np.max(np.abs(coarse - reference[::50]), axis=0) <= 1e-8)
 
 
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _STEP_CHUNK + _BLOCK + 1])
+def test_blocked_composition_is_the_one_map_at_a_time_composition(steps):
+    # Samples 1 / (16 W) apart take one step each, so the run composes
+    # ``steps`` maps: within one block, at its edges, and past a chunk.
+    bath = BATHS[0]
+    kernels = correlator_cache(bath)
+    times = np.arange(steps + 1) * (0.0625 / bath.W)
+    y0 = np.array([1.0, 0.0, 9.0])
+    states = propagate_magnus(oscillator._linear_system, kernels, y0, times)
+    maps = expm(_magnus_exponents(oscillator._linear_system, kernels, times[:-1], np.diff(times)))
+    y = np.append(y0, 1.0)
+    expected = [y0]
+    for step_map in maps:
+        y = step_map @ y
+        expected.append(y[:3])
+    assert states.shape == (steps + 1, 3)
+    assert np.max(np.abs(states - np.array(expected))) <= 1e-13
+
+
+def test_grading_keeps_a_wide_cutoff_close_to_the_tight_reference():
+    # At W = 100 the steps grow as 0.02 t from t = 0.15 to t = 0.5.  The
+    # strongly driven two-level system is off by 1.35e-9 with that grading
+    # and by 1.13e-8 with steps of 0.01 from t = 0.15; the bound sits above
+    # the 2.7e-9 by which two tight references differ.
+    bath = BathParams(W=100.0, beta=3.0, omega0=1.0)
+    times, states = magnus_run("tls", bath, 5.0, 0.01)
+    reference = oracles.reference_transport("tls", correlator_cache(bath), states[0], times, 5.0)
+    assert np.max(np.abs(states - reference)) <= 5e-9
+
+
 def test_magnus_run_memory_is_bounded_by_the_chunk():
     # 100,001 samples and as many steps.  The run's output (states, complex
-    # amplitude, entropy and beta) is about 6 MB, and the run peaks near 9 MB;
-    # a propagation forming every step's exponential at once peaks near 210 MB.
+    # amplitude, entropy and beta) is about 6 MB, and the run peaks near
+    # 8.8 MB, a chunk's prefix products included; a propagation forming
+    # every step's exponential at once peaks near 210 MB.
     bath = BATHS[0]
     correlator_cache(bath).ensure_horizon(101.0)  # the table is not the run's to count
     initial = oscillator.OscillatorState(1.0 + 0j, 9.0)
