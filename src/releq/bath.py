@@ -13,9 +13,10 @@ the spectral density J(w) = w exp(-w/W)).  Both kernels vanish at t = 0 and
 approach constant long-time values whose real parts are pi*J(w0) and
 pi*J(w0)*coth(beta*w0/2).
 
-For production right-hand sides the kernels are tabulated once on a fine
-time grid and served from one coefficient table of cubic Hermite pieces,
-each built from the node values and the closed-form derivatives above.
+For the runs' Magnus propagations and the corr samples the kernels are
+tabulated once on a fine time grid and served from one coefficient table
+of cubic Hermite pieces, each built from the node values and the
+closed-form derivatives above.
 The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
 W**2 / (s W + i)**2 = -r, so a build evaluates both in one pass over each
 chunk of the grid, quadrature nodes and grid nodes together, with one
@@ -50,7 +51,6 @@ __all__ = [
     "corr_f_beta_integrand",
     "correlator_cache",
     "correlator_samples",
-    "kernel_pair",
     "markovian_limits",
     "spectral_density",
 ]
@@ -203,12 +203,13 @@ class CorrelatorCache:
     The node values are built by cumulative panelwise Gauss-Legendre
     integration of the closed-form kernel derivatives, and each interval is
     the cubic Hermite piece through its two node values and the exact
-    derivatives there, so the table error sits far below the
-    transport-equation tolerances.  The pieces are kept as one float table
-    of shape (intervals, 16): row i holds, for the interval
-    [i*step, (i+1)*step), the power-basis coefficients (highest power first)
-    of Re f, Im f, Re f_beta and Im f_beta.  A lookup finds its row by index
-    arithmetic.
+    derivatives there.  Its error grows as W**5 (see ``_TABLE_STEP``): near
+    t = 0 it is about 6e-9 at W = 10 and 6e-4 at W = 100, so from W of about
+    20 up the table, not the propagation, sets a run's accuracy.  The pieces
+    are kept as one float table of shape (intervals, 16): row i holds, for
+    the interval [i*step, (i+1)*step), the power-basis coefficients (highest
+    power first) of Re f, Im f, Re f_beta and Im f_beta.  A lookup finds its
+    row by index arithmetic.
 
     A new table holds only a few rows; it grows to the times a run asks
     for, to one step past them (``ensure_horizon``, and every array lookup).
@@ -216,8 +217,7 @@ class CorrelatorCache:
     into a new table, fills the rows after them chunk by chunk, and then
     publishes it; a lookup running meanwhile reads the one it started with,
     so concurrent lookups stay in range.  A scalar lookup past the horizon
-    grows the table to 1.5 times its time, ahead of a caller walking
-    forward.
+    grows the table as ``ensure_horizon`` does.
     """
 
     def __init__(self, params: BathParams, t_max: float = 10 * _TABLE_STEP):
@@ -271,15 +271,11 @@ class CorrelatorCache:
         to ``t`` reads the row that every longer table holds, never the last
         node, whose cubic reproduces the node value only to rounding.
         """
-        self._extend(t, t + _TABLE_STEP)
-
-    def _extend(self, t: float, horizon: float):
-        """Build the table to ``horizon`` unless ``t`` lies inside it already."""
         if t < self.t_max:
             return
         with self._lock:
             if t >= self.t_max:
-                self._build(horizon)
+                self._build(t + _TABLE_STEP)
 
     def pair(self, t: float) -> tuple[complex, complex]:
         """(f(t), f(t, beta)) at one time; the scalar form of ``f``/``f_beta``."""
@@ -293,7 +289,7 @@ class CorrelatorCache:
             i += 1
         if i >= len(table):
             if t > len(table) * step:
-                self._extend(t, 1.5 * t)  # ahead of a caller walking forward
+                self.ensure_horizon(t)
                 return self.pair(t)
             i = len(table) - 1  # t on the last node: the last interval is closed
         elif i < 0:
@@ -379,10 +375,6 @@ class MarkovianLimits:
     f_inf_error: float
     f_beta_inf_error: float
 
-    def pair(self, t: float) -> tuple[complex, complex]:
-        """(f_inf, f_beta_inf), the kernel pair at every t."""
-        return self.f_inf, self.f_beta_inf
-
 
 def _frequency_shifts(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
     """Principal values P int_0^inf g(w) / (w - w0) dw for g = J and
@@ -436,26 +428,6 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
         f_inf_error=float(err_f),
         f_beta_inf_error=float(err_fb),
     )
-
-
-def kernel_pair(t: float, params: BathParams, regime: str, kernels=None) -> tuple[complex, complex]:
-    """Kernel pair (f, f_beta) at time t for the requested regime.
-
-    The non-Markovian regime reads the shared table, extended past t when
-    needed; the Markovian regime returns the long-time values regardless of
-    t.  A run passes the ``kernels`` it bound once (a ``CorrelatorCache`` or
-    ``MarkovianLimits``, see ``transport.bind``), which skips the regime
-    dispatch and the shared-cache lookups.
-
-    Without ``kernels`` only the latest bath's table is cached, so calls
-    that alternate baths rebuild a table each time (milliseconds a call);
-    such a caller passes one ``CorrelatorCache`` per bath as ``kernels``.
-    """
-    if kernels is None:
-        if regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-        kernels = markovian_limits(params) if regime == "markovian" else correlator_cache(params)
-    return kernels.pair(t)
 
 
 # ---------------------------------------------------------------------------

@@ -271,15 +271,7 @@ def _build_operator_set(spec: dict) -> maxent.RelevantOperatorSet:
 def _run_transport(config: ScenarioConfig) -> tuple:
     params, initial = config.inputs
     model = oscillator if config.model == "oscillator" else tls
-    run_data = model.simulate(
-        initial,
-        params,
-        config.regime,
-        t_max=config.t_max,
-        dt_out=config.dt_out,
-        rel_tol=config.rel_tol,
-        abs_tol=config.abs_tol,
-    )
+    run_data = model.simulate(initial, params, config.regime, t_max=config.t_max, dt_out=config.dt_out)
     return run_data.csv_header, run_data.csv_columns(), None
 
 
@@ -346,9 +338,17 @@ def run(config: ScenarioConfig) -> dict:
     return metadata
 
 
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; nesting too deep to decode is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ConfigError("the JSON is nested too deeply to decode") from None
+
+
 def _run_single(config_path: str, args) -> int:
     try:
-        raw = json.loads(Path(config_path).read_text())
+        raw = _read_json(config_path)
         config = ScenarioConfig.from_dict(
             raw,
             regime_override="markovian" if args.markovian else None,

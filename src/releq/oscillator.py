@@ -26,14 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import (
-    REGIMES,
-    BathParams,
-    correlator_cache,
-    kernel_pair,
-    markovian_limits,
-)
-from .transport import InvariantViolationError, bind, propagate_linear, propagate_magnus
+from . import transport
+from .bath import REGIMES, BathParams, correlator_cache, markovian_limits
+from .transport import InvariantViolationError
 
 __all__ = [
     "REGIMES",
@@ -267,25 +262,19 @@ def simulate(
     regime: str,
     t_max: float,
     dt_out: float = 0.01,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
 ) -> OscillatorRun:
     """Solve the transport equations and derive entropy and temperature.
 
-    The non-Markovian equations are propagated in Magnus steps
-    (``transport.propagate_magnus``); the Markovian ones have constant
-    coefficients and are propagated exactly.  The tolerances are checked
-    but enter neither.  The incoherent occupation must stay positive along
-    the trajectory for the thermodynamic formulas to apply; a violation
-    aborts with the time and value at fault rather than clamping.
+    ``transport.simulate`` checks the arguments and propagates the linear
+    equations on (Re <a>, Im <a>, <n>): in Magnus steps in the non-Markovian
+    regime, exactly in the Markovian one.  The incoherent occupation must
+    stay positive along the trajectory for the thermodynamic formulas to
+    apply; a violation aborts with the time and value at fault rather than
+    clamping.
     """
-    a0, n0 = complex(initial.mean_a), float(initial.mean_n)
-    kernels, times = bind(params, regime, t_max, dt_out, rel_tol, abs_tol)
-    y0 = (a0.real, a0.imag, n0)
-    if regime == "markovian":
-        states = propagate_linear(*_linear_system(*kernel_pair(0.0, params, regime, kernels)), y0, times)
-    else:
-        states = propagate_magnus(_linear_system, kernels, y0, times)
+    a0 = complex(initial.mean_a)
+    y0 = (a0.real, a0.imag, float(initial.mean_n))
+    times, states = transport.simulate(_linear_system, params, regime, y0, t_max, dt_out)
     mean_a = states[:, 0] + 1j * states[:, 1]
     mean_n = states[:, 2]
     n_eff = check_domain(times, mean_a, mean_n)

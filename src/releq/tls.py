@@ -31,9 +31,10 @@ from functools import partial
 
 import numpy as np
 
-from .bath import REGIMES, BathParams, kernel_pair
+from . import transport
+from .bath import REGIMES, BathParams
 from .specfun import arctanh_ratio, arctanh_ratio_array
-from .transport import InvariantViolationError, bind, propagate_linear, propagate_magnus
+from .transport import InvariantViolationError
 
 __all__ = [
     "REGIMES",
@@ -283,29 +284,21 @@ def simulate(
     regime: str,
     t_max: float,
     dt_out: float = 0.01,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-12,
 ) -> TlsRun:
     """Solve the transport equations and derive entropy and temperature.
 
-    The non-Markovian equations are propagated in Magnus steps
-    (``transport.propagate_magnus``); the Markovian ones have constant
-    coefficients and are propagated exactly.  The tolerances are checked
-    but enter neither.  Trajectories must stay inside the Bloch ball
-    (X <= 1/2 within 1e-9); leaving it aborts with the time and radius at
-    fault.  Samples on its boundary get the pure-state limits, with one
-    ``BoundaryStateWarning``.
+    The drive must be resonant.  ``transport.simulate`` checks the other
+    arguments and propagates the linear equations on
+    (<s_z>, Re <s_+>, Im <s_+>): in Magnus steps in the non-Markovian
+    regime, exactly in the Markovian one.  Trajectories must stay inside the
+    Bloch ball (X <= 1/2 within 1e-9); leaving it aborts with the time and
+    radius at fault.  Samples on its boundary get the pure-state limits,
+    with one ``BoundaryStateWarning``.
     """
-
     params.require_resonance()
-    bath, drive = params.bath, params.Omega
-    sz0, sp0 = float(initial.mean_sz), complex(initial.mean_sp)
-    kernels, times = bind(bath, regime, t_max, dt_out, rel_tol, abs_tol)
-    y0 = (sz0, sp0.real, sp0.imag)
-    if regime == "markovian":
-        states = propagate_linear(*_linear_system(drive, *kernel_pair(0.0, bath, regime, kernels)), y0, times)
-    else:
-        states = propagate_magnus(partial(_linear_system, drive), kernels, y0, times)
+    sp0 = complex(initial.mean_sp)
+    y0 = (float(initial.mean_sz), sp0.real, sp0.imag)
+    times, states = transport.simulate(partial(_linear_system, params.Omega), params.bath, regime, y0, t_max, dt_out)
     mean_sz = states[:, 0]
     mean_sp = states[:, 1] + 1j * states[:, 2]
     check_domain(times, mean_sz, mean_sp)

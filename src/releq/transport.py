@@ -1,11 +1,12 @@
 """Run set-up and propagators shared by the oscillator and two-level
-transport models: the output grid, the argument checks, the kernel-table
-horizon, and the solution of their linear equations in both regimes.
+transport models: the output grid, the argument checks, the kernels of a
+regime, and the solution of their linear equations in both regimes.
 
 Both models are linear equations ``y' = A(t) y + b(t)`` on three real
 components, with A and b built from the kernel pair ``(f, f_beta)`` by the
-model's ``_linear_system``.  In the Markovian regime the kernels are frozen
-at their long-time values, so A and b are constant and
+model's ``_linear_system``.  ``simulate`` is the one place that chooses the
+kernels and the propagator of a regime.  In the Markovian regime the
+kernels are frozen at their long-time values, so A and b are constant and
 ``propagate_linear`` returns the solution ``y* + exp(A t)(y0 - y*)``
 exactly.  A positive golden-rule rate ``Re f_inf`` makes both models' A
 invertible; every bath has one unless ``J(omega0)`` underflows
@@ -16,8 +17,8 @@ In the non-Markovian regime A and b follow the kernels in time, and
 ``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator
 on the augmented generator ``[[A, b], [0, 0]]``.  Its step rule starts from
 the kernels' own time scale 1/W and needs no error control; see
-``propagate_magnus``.  The tolerances of a run are checked in both regimes
-and used in neither.
+``propagate_magnus``.  Neither propagator takes a tolerance;
+``check_tolerances`` serves the CLI's configuration check and ``odeint``.
 
 ``_compose`` applies the Magnus step maps in blocks: prefix products within
 every block at once, then one pass over the block ends; ``propagate_linear``
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from .bath import REGIMES, BathParams, correlator_cache, markovian_limits
+from . import bath
 
 
 class InvariantViolationError(RuntimeError):
@@ -54,27 +55,6 @@ def check_tolerances(rel_tol: float, abs_tol: float) -> None:
 def sample_times(t_max: float, dt_out: float) -> np.ndarray:
     """Output grid 0, dt_out, 2 dt_out, ... up to t_max (within 1e-9 of a step)."""
     return np.arange(int(math.floor(t_max / dt_out + 1e-9)) + 1) * dt_out
-
-
-def bind(bath: BathParams, regime: str, t_max, dt_out, rel_tol, abs_tol):
-    """``(kernels, sample times)`` of one transport run, after the argument checks.
-
-    The run's kernels are bound once: the shared table of ``bath``, built
-    here to one step past ``t_max`` (every Magnus node of the run then
-    lies strictly inside it), or the long-time values.  The tolerances are
-    checked, although neither propagator uses them.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if not 0 < dt_out <= t_max:
-        raise ValueError(f"need 0 < dt_out <= t_max, got dt_out = {dt_out}, t_max = {t_max}")
-    check_tolerances(rel_tol, abs_tol)
-    if regime == "non_markovian":
-        kernels = correlator_cache(bath)
-        kernels.ensure_horizon(t_max)
-    else:
-        kernels = markovian_limits(bath)
-    return kernels, sample_times(t_max, dt_out)
 
 
 # Degree-13 Pade coefficients and the largest 1-norm for which the
@@ -320,3 +300,33 @@ def propagate_magnus(linear_system, kernels, y0, times) -> np.ndarray:
         bad = times[np.argmin(np.isfinite(states).all(axis=1))]
         raise PropagationError(f"the propagated state is not finite at t = {bad:.6g}")
     return states
+
+
+def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: float, dt_out: float):
+    """``(times, states)`` of one transport run on the bath ``params``.
+
+    ``linear_system(f, f_beta)`` gives the model's ``(A, b)``; ``y0`` holds
+    its three components at t = 0.  The samples are ``sample_times(t_max,
+    dt_out)`` and the states have shape ``(len(times), 3)``.  The Markovian
+    regime freezes the kernels at ``bath.markovian_limits`` and propagates
+    exactly (``propagate_linear``); the non-Markovian one builds the shared
+    table of ``bath.correlator_cache`` to one step past ``t_max``, so that
+    every Magnus node lies strictly inside it, and takes Magnus steps
+    (``propagate_magnus``).
+
+    Raises ``ValueError`` for an unknown regime, a non-finite ``t_max`` or
+    ``dt_out``, or unless ``0 < dt_out <= t_max``.
+    """
+    if regime not in bath.REGIMES:
+        raise ValueError(f"regime must be one of {bath.REGIMES}, got {regime!r}")
+    if not (math.isfinite(t_max) and math.isfinite(dt_out)):
+        raise ValueError(f"t_max and dt_out must be finite, got t_max = {t_max}, dt_out = {dt_out}")
+    if not 0 < dt_out <= t_max:
+        raise ValueError(f"need 0 < dt_out <= t_max, got dt_out = {dt_out}, t_max = {t_max}")
+    times = sample_times(t_max, dt_out)
+    if regime == "markovian":
+        limits = bath.markovian_limits(params)
+        return times, propagate_linear(*linear_system(limits.f_inf, limits.f_beta_inf), y0, times)
+    kernels = bath.correlator_cache(params)
+    kernels.ensure_horizon(t_max)
+    return times, propagate_magnus(linear_system, kernels, y0, times)

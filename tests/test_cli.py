@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import releq
-from releq import maxent, oscillator, tls
+from releq import maxent, oscillator, tls, transport
 from releq.bath import REGIMES, CorrelatorCache, correlator_cache
 from releq.cli import MAX_HORIZON, MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
 
@@ -90,6 +90,15 @@ class TestConfigValidation:
         path.write_text('{"model": "oscillator"}')
         assert main(["oscillator", "--config", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys, sweep):
+        # json.loads raises RecursionError, not a ValueError, on such input.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        argv = ["--sweep", str(tmp_path)] if sweep else ["oscillator", "--config", str(path)]
+        assert main(argv) == 2
+        assert f"{path}: configuration error" in capsys.readouterr().err
 
     def test_exit_code_2_on_model_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -667,8 +676,7 @@ def test_readme_runs_do_not_call_the_closed_form(tmp_path, monkeypatch, config):
         raise AssertionError("a run called the closed form, or a Markovian run took Magnus steps")
 
     if config["regime"] == "markovian":
-        for module in (oscillator, tls):
-            monkeypatch.setattr(module, "propagate_magnus", forbidden)
+        monkeypatch.setattr(transport, "propagate_magnus", forbidden)
     monkeypatch.setattr(oscillator, "closed_form_trajectory", forbidden)
     monkeypatch.setattr(oscillator, "closed_form", forbidden)
     path = tmp_path / "cfg.json"

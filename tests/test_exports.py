@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +20,28 @@ def test_every_submodule_export_resolves(name):
     module = importlib.import_module(f"releq.{name}")
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert not missing
+
+
+def _dead_imports(path: Path) -> dict:
+    """``{name: line}`` of the names that the module-level imports of the
+    module at ``path`` bind, and that it neither reads nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "__all__" for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    dead = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    dead[name] = node.lineno
+    return dead
+
+
+def test_no_module_level_import_is_dead():
+    # An import that a module neither reads nor re-exports is left over from
+    # deleted code.
+    dead = {path.name: _dead_imports(path) for path in sorted(Path(releq.__file__).parent.glob("*.py"))}
+    assert not {name: imports for name, imports in dead.items() if imports}

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import F_BETA_ORACLE_T1, F_ORACLE_T1
 from releq import maxent
-from releq.bath import BathParams, kernel_pair, markovian_limits
+from releq.bath import BathParams, correlator_cache, markovian_limits
 from releq.oscillator import (
     DegenerateStateError,
     DegenerateStateWarning,
@@ -35,8 +35,12 @@ class TestState:
 
 def rhs(t, state, bath, regime):
     """(d<a>/dt, d<n>/dt) of ``state``, as ``A y + b`` from ``_linear_system``
-    at the kernel pair of ``regime``."""
-    A, b = _linear_system(*kernel_pair(t, bath, regime))
+    at the kernel pair of ``regime``: the long-time values, or the table's."""
+    if regime == "markovian":
+        limits = markovian_limits(bath)
+        A, b = _linear_system(limits.f_inf, limits.f_beta_inf)
+    else:
+        A, b = _linear_system(*correlator_cache(bath).pair(t))
     d = A @ [state.mean_a.real, state.mean_a.imag, state.mean_n] + b
     return complex(d[0], d[1]), float(d[2])
 
@@ -60,7 +64,7 @@ class TestRhs:
 
     def test_unknown_regime_rejected(self, fig_bath):
         with pytest.raises(ValueError, match="regime"):
-            rhs(0.0, OscillatorState(0j, 1.0), fig_bath, "adiabatic")
+            simulate(OscillatorState(0j, 1.0), fig_bath, "adiabatic", t_max=1.0)
 
 
 class TestMultipliers:

@@ -6,6 +6,7 @@ on a grid of baths and drives, its kernel reads, its memory and its refusal
 of non-finite steps."""
 
 import gc
+import math
 import sys
 import threading
 import tracemalloc
@@ -25,11 +26,11 @@ from releq.transport import (
     _THETA13,
     PropagationError,
     _magnus_exponents,
-    bind,
     expm,
     propagate_linear,
     propagate_magnus,
     sample_times,
+    simulate,
 )
 
 EPS = np.finfo(float).eps
@@ -233,21 +234,40 @@ def test_every_accepted_bath_gives_an_invertible_A(bath):
 def test_bind_builds_the_shared_table_one_step_past_t_max():
     # A bath no other test uses, so its shared table starts at this run.
     bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
-    kernels, _ = bind(bath, "non_markovian", 10.0, 0.5, 1e-8, 1e-10)
-    assert kernels is correlator_cache(bath)
-    assert 10.0 < kernels.t_max <= 10.0 + 2 * _TABLE_STEP
+    simulate(oscillator._linear_system, bath, "non_markovian", (1.0, 0.0, 9.0), 10.0, 0.5)
+    assert 10.0 < correlator_cache(bath).t_max <= 10.0 + 2 * _TABLE_STEP
 
 
 def test_binding_a_bath_frees_the_table_of_the_one_before():
     baths = [BathParams(W=W, beta=2.5, omega0=1.1) for W in (6.0, 7.5, 9.0)]
-    kernels, _ = bind(baths[0], "non_markovian", 2.0, 0.5, 1e-8, 1e-10)
-    first = weakref.ref(kernels)
-    del kernels
+    simulate(oscillator._linear_system, baths[0], "non_markovian", (1.0, 0.0, 9.0), 2.0, 0.5)
+    first = weakref.ref(correlator_cache(baths[0]))
     for bath in baths[1:]:
-        bind(bath, "non_markovian", 2.0, 0.5, 1e-8, 1e-10)
+        simulate(oscillator._linear_system, bath, "non_markovian", (1.0, 0.0, 9.0), 2.0, 0.5)
     assert correlator_cache.cache_info().currsize == 1
     gc.collect()
     assert first() is None
+
+
+@pytest.mark.parametrize("t_max, dt_out", [(math.inf, 1.0), (math.inf, math.inf), (10.0, math.nan)])
+def test_a_non_finite_horizon_or_step_is_refused(t_max, dt_out):
+    bath = BATHS[0]
+    tls_params = tls.TlsParams(1.0, 1.0, 0.3, bath)
+    for regime in ("markovian", "non_markovian"):
+        with pytest.raises(ValueError, match="t_max and dt_out must be finite"):
+            oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, regime, t_max=t_max, dt_out=dt_out)
+        with pytest.raises(ValueError, match="t_max and dt_out must be finite"):
+            tls.simulate(tls.TlsState(0.1, 0j), tls_params, regime, t_max=t_max, dt_out=dt_out)
+
+
+def test_a_markovian_run_builds_no_kernel_table():
+    # A bath no other test uses, so a table built here would be a cache miss.
+    # This is why the CLI's horizon cap leaves Markovian runs be.
+    bath = BathParams(W=8.5, beta=2.2, omega0=0.9)
+    misses = correlator_cache.cache_info().misses
+    oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "markovian", t_max=50.0, dt_out=0.5)
+    tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(0.9, 0.9, 0.3, bath), "markovian", t_max=50.0, dt_out=0.5)
+    assert correlator_cache.cache_info().misses == misses
 
 
 def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
