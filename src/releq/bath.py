@@ -13,13 +13,13 @@ the spectral density J(w) = w exp(-w/W)).  Both kernels vanish at t = 0 and
 approach constant long-time values whose real parts are pi*J(w0) and
 pi*J(w0)*coth(beta*w0/2).
 
-For the runs' Magnus propagations and the corr samples the kernels are
-tabulated once on a fine time grid and served from one coefficient table
-of cubic Hermite pieces, each built from the node values and the
-closed-form derivatives above.
+A run's Magnus propagation and the corr samples integrate the closed-form
+derivatives above on the steps of one step rule (``step_chunks``), a chunk
+of steps at a time, and read both kernels at each step's nodes and end
+(``step_kernels``).  The closed-form oscillator solution reads them from a
+table of cubic Hermite pieces (``CorrelatorCache``) instead.
 The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
-W**2 / (s W + i)**2 = -r, so a build evaluates both in one pass over each
-chunk of the grid, quadrature nodes and grid nodes together, with one
+W**2 / (s W + i)**2 = -r, so both take one pass over the points and one
 trigamma call.
 Direct adaptive quadrature (scipy's ``quad``, imported only when called) is
 kept as the reference evaluation path.
@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from .specfun import trigamma
 
@@ -53,6 +53,9 @@ __all__ = [
     "correlator_samples",
     "markovian_limits",
     "spectral_density",
+    "step_chunks",
+    "step_counts",
+    "step_kernels",
 ]
 
 REGIMES = ("markovian", "non_markovian")
@@ -181,6 +184,110 @@ def corr_f_beta(t: float, params: BathParams, rel_tol: float = 1e-9) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Kernels at the steps of a run.
+
+# Step rule of the Magnus propagation and the corr samples, in units of the
+# bath's cutoff W: steps of _EARLY_STEP / W while t < _EARLY_SPAN / W, where
+# the kernels rise on their scale 1/W, then steps growing as _GRADING * t up
+# to _LATE_STEP.
+_EARLY_STEP = 0.0625
+_EARLY_SPAN = 15.0
+_GRADING = 0.02
+_LATE_STEP = 0.01
+
+# Steps whose kernels (and, in a run, exponents and exponentials) are formed
+# at once.
+_STEP_CHUNK = 1024
+
+# The three Gauss-Legendre nodes of a step, and its end, as fractions of it.
+_STEP_NODES = np.append(0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0, 1.0)
+
+
+@lru_cache(maxsize=None)
+def _integration_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m Gauss-Legendre points of a step as fractions of it, and the
+    (4, m) matrix that takes a function's values there to its integrals
+    from the step's start to each of ``_STEP_NODES``, in units of the step.
+
+    Row k integrates the interpolating polynomial of degree m - 1 through
+    the values (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071).  Its
+    Legendre coefficients are exact by the m-point rule, since each product
+    with P_n, n < m, has degree below 2 m; the last row is the rule's
+    weights, halved.  Formed at the first call, not at import.
+    """
+    nodes, weights = leggauss(m)
+    basis = legvander(nodes, m - 1).T * weights * (np.arange(m) + 0.5)[:, None]
+    return 0.5 * (nodes + 1.0), 0.5 * legvander(2.0 * _STEP_NODES - 1.0, m) @ legint(basis, lbnd=-1)
+
+
+# Derivative points per step.  At m = 8 the kernels at the nodes are off
+# QUADPACK by 3.6e-14 at W = 10 and 3.6e-13 at W = 100 (m = 7: 1.0e-12).
+_POINTS_PER_STEP = 8
+
+
+def step_counts(times, W: float) -> np.ndarray:
+    """Steps of each gap of the non-decreasing ``times`` under the step rule.
+
+    A gap starting at t takes ``ceil(gap / h(t))`` equal steps, at least one
+    unless it is empty, with ``h(t) = 0.0625 / W`` for ``t < 15 / W`` and
+    ``h(t) = min(0.02 t, 0.01)`` after.  The ceiling has a margin of 1e-9
+    for the rounding of the gap, so that a gap of h takes one step.  The
+    counts are whole floats, so that a huge one, and their sum, stay huge
+    rather than wrapping around as integers would.
+    """
+    times = np.asarray(times, dtype=float)
+    gaps = np.diff(times)
+    start = times[:-1]
+    h = np.where(start < _EARLY_SPAN / W, _EARLY_STEP / W, np.minimum(_GRADING * start, _LATE_STEP))
+    return np.where(gaps > 0.0, np.maximum(np.ceil(gaps / h - 1e-9), 1.0), 0.0)
+
+
+def step_chunks(times, W: float):
+    """The steps of ``step_counts(times, W)``, ``_STEP_CHUNK`` at a time.
+
+    Yields ``(gap, last, starts, widths)`` per chunk: for each step the
+    index of its gap, whether it ends the gap, its start and its width.
+    """
+    times = np.asarray(times, dtype=float)
+    counts = step_counts(times, W)
+    ends = np.cumsum(counts)  # ends[i]: the steps taken by the end of gap i
+    total = int(ends[-1]) if ends.size else 0
+    for lo in range(0, total, _STEP_CHUNK):
+        step = np.arange(lo, min(lo + _STEP_CHUNK, total))
+        gap = np.searchsorted(ends, step, side="right")
+        widths = (times[gap + 1] - times[gap]) / counts[gap]
+        starts = times[gap] + (step - ends[gap] + counts[gap]) * widths
+        yield gap, step + 1 == ends[gap], starts, widths
+
+
+def step_kernels(params: BathParams, starts, widths, f0: complex = 0j, f_beta0: complex = 0j):
+    """``(f, f_beta)`` at the three Gauss-Legendre nodes and the end of each
+    step ``[starts, starts + widths)``, two complex arrays of shape
+    ``(steps, 4)``, for consecutive steps whose first starts where the
+    kernels are ``f0`` and ``f_beta0``.
+
+    Both derivatives are evaluated at the m-point Gauss-Legendre points of
+    every step, and one product with the integration matrix of
+    ``_integration_matrix`` gives every step's increments to its nodes and
+    end.  The values at the steps' starts are the cumulative sum of the
+    increments to their ends after ``(f0, f_beta0)``, so a chunk that goes on
+    from the last end of the one before gives the bits of one long call.
+    """
+    starts = np.asarray(starts, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    fractions, integrals = _integration_matrix(_POINTS_PER_STEP)
+    points = (starts[:, None] + widths[:, None] * fractions).reshape(-1)
+    derivatives = np.stack(_kernel_derivatives(points, params), axis=-1)
+    # Per step, (4, m) @ (m, 4 reals: Re f', Im f', Re f_beta', Im f_beta').
+    increments = integrals @ derivatives.view(float).reshape(starts.size, _POINTS_PER_STEP, 4)
+    increments *= widths[:, None, None]
+    increments = increments.view(complex)  # (steps, 4, 2): f and f_beta
+    at_starts = np.cumsum(np.concatenate(([[f0, f_beta0]], increments[:, 3])), axis=0)
+    values = at_starts[:-1, None] + increments
+    return values[..., 0], values[..., 1]
+
+
+# ---------------------------------------------------------------------------
 # Composite Gauss-Legendre helpers (vectorised over panels).
 
 _GL_NODES, _GL_WEIGHTS = leggauss(4)
@@ -200,18 +307,21 @@ _TABLE_STEP = 1e-3
 class CorrelatorCache:
     """Table of f(t) and f(t, beta) on a uniform grid, served as cubics.
 
-    The node values are built by cumulative panelwise Gauss-Legendre
-    integration of the closed-form kernel derivatives, and each interval is
-    the cubic Hermite piece through its two node values and the exact
-    derivatives there.  Its error grows as W**5 (see ``_TABLE_STEP``): near
-    t = 0 it is about 6e-9 at W = 10 and 6e-4 at W = 100, so from W of about
-    20 up the table, not the propagation, sets a run's accuracy.  The pieces
-    are kept as one float table of shape (intervals, 16): row i holds, for
-    the interval [i*step, (i+1)*step), the power-basis coefficients (highest
-    power first) of Re f, Im f, Re f_beta and Im f_beta.  A lookup finds its
-    row by index arithmetic.
+    It serves only the closed-form oscillator solution
+    (``oscillator.closed_form_trajectory``), which integrates f over time;
+    the runs and the corr samples integrate the kernels on their own steps
+    (``step_kernels``) and build no table.  The node values are built by
+    cumulative panelwise Gauss-Legendre integration of the closed-form
+    kernel derivatives, and each interval is the cubic Hermite piece through
+    its two node values and the exact derivatives there.  Its error grows as
+    W**5 (see ``_TABLE_STEP``): near t = 0 it is about 6e-9 at W = 10 and
+    6e-4 at W = 100, against 4e-14 and 4e-13 for ``step_kernels``.  The
+    pieces are kept as one float table of shape (intervals, 16): row i
+    holds, for the interval [i*step, (i+1)*step), the power-basis
+    coefficients (highest power first) of Re f, Im f, Re f_beta and
+    Im f_beta.  A lookup finds its row by index arithmetic.
 
-    A new table holds only a few rows; it grows to the times a run asks
+    A new table holds only a few rows; it grows to the times a caller asks
     for, to one step past them (``ensure_horizon``, and every array lookup).
     The pieces are local, so an extension copies the old rows as they were
     into a new table, fills the rows after them chunk by chunk, and then
@@ -351,13 +461,13 @@ class CorrelatorCache:
 
 @lru_cache(maxsize=1)
 def correlator_cache(params: BathParams) -> CorrelatorCache:
-    """The shared kernel table of the latest bath asked for.
+    """The shared kernel table of the latest bath asked for, which the
+    closed-form oscillator solution reads.
 
-    Only that one is kept: a sweep's baths follow one another, and a table
-    can be large (128 bytes per step of 1e-3), so the last bath's table is
-    freed when the next one is bound, and a sweep holds its largest table
-    rather than the sum of them.  A run keeps the table it bound alive
-    itself, so runs on other baths cannot take it away from under it.
+    Only that one is kept: a table can be large (128 bytes per step of
+    1e-3), so the last bath's table is freed when the next one is asked
+    for.  A caller keeps the table it holds alive itself, so callers on
+    other baths cannot take it away from under it.
     """
     return CorrelatorCache(params)
 
@@ -435,9 +545,18 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
 
 
 def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Both kernels at the given times, complex arrays ``(f, f_beta)`` read from the shared table."""
+    """Both kernels at the increasing times ``times``, complex arrays
+    ``(f, f_beta)``, integrated from t = 0 on the steps of ``step_chunks``
+    by ``step_kernels``, a chunk at a time."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("correlator sample times must be >= 0")
-    cache = correlator_cache(params)
-    return cache.f(times), cache.f_beta(times)
+    if np.any(times < 0) or np.any(np.diff(times) <= 0):
+        raise ValueError("correlator sample times must be >= 0 and increasing")
+    grid = np.concatenate(([0.0], times))  # a first time of 0 takes no step
+    out = np.zeros((2, grid.size), dtype=complex)
+    carry = (0j, 0j)
+    for gap, last, starts, widths in step_chunks(grid, params.W):
+        f, f_beta = step_kernels(params, starts, widths, *carry)
+        carry = (f[-1, 3], f_beta[-1, 3])
+        out[0, gap[last] + 1] = f[last, 3]
+        out[1, gap[last] + 1] = f_beta[last, 3]
+    return out[0, 1:], out[1, 1:]

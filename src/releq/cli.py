@@ -28,7 +28,7 @@ from . import __version__, bath, maxent, oscillator, tls
 from .bath import REGIMES, BathParams, QuadratureError
 from .transport import InvariantViolationError, PropagationError, check_tolerances, sample_times
 
-__all__ = ["MAX_FOCK_DIM", "MAX_HORIZON", "MAX_SAMPLES", "ConfigError", "ScenarioConfig", "run", "main"]
+__all__ = ["MAX_FOCK_DIM", "MAX_HORIZON", "MAX_SAMPLES", "MAX_STEPS", "ConfigError", "ScenarioConfig", "run", "main"]
 
 MODELS = ("oscillator", "tls", "corr", "maxent_solve")
 
@@ -43,14 +43,13 @@ _NUMERICAL_ERRORS = (
 _INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
 
 # Largest inputs a run accepts: the number of output samples (t_max / dt_out),
-# the t_max of a run that builds a kernel table (corr and non-Markovian
-# transport: the table reaches one step past t_max at 128 kB per unit time; a
-# corr run at the cap peaks at 158 MB RSS with dt_out 1 and near 0.30 GB at
-# the sample cap, and a Markovian run, with no table, near 0.11 GB there),
-# and the dimension of a Fock operator set (three dim x dim complex matrices,
-# one eigendecomposition per Newton step).
-# Larger requests exit 2 instead of exhausting memory.
+# the t_max and the number of kernel steps (``bath.step_counts``, known
+# before the first) of a run that integrates the kernels (corr and
+# non-Markovian transport), and the dimension of a Fock operator set (three
+# dim x dim complex matrices, one eigendecomposition per Newton step).
+# Larger requests exit 2 instead of exhausting memory or running for minutes.
 MAX_SAMPLES = 10**6
+MAX_STEPS = 2 * 10**6
 MAX_HORIZON = 1000.0
 MAX_FOCK_DIM = 1024
 
@@ -89,6 +88,10 @@ class ScenarioConfig:
             config.inputs  # built now, so that bad values are configuration errors
         except _INPUT_ERRORS as exc:
             raise ConfigError(str(exc)) from None
+        try:
+            config.record  # and so that the sidecar can record the run
+        except RecursionError:
+            raise ConfigError("the configuration is nested too deeply to record") from None
         return config
 
     @staticmethod
@@ -135,8 +138,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"t_max / dt_out = {t_max / dt_out:.3g} asks for more than {MAX_SAMPLES} samples"
             )
-        builds_table = model == "corr" or (model != "maxent_solve" and regime == "non_markovian")
-        if builds_table and t_max > MAX_HORIZON:
+        if ScenarioConfig._takes_steps(model, regime) and t_max > MAX_HORIZON:
             raise ConfigError(f"t_max = {t_max:.6g} is past {MAX_HORIZON:g}, the cap of corr and non-Markovian runs")
 
         return ScenarioConfig(
@@ -152,6 +154,16 @@ class ScenarioConfig:
             operator_set=_field(raw, "operator_set", dict, "an object"),
             targets=_field(raw, "targets", list, "a list"),
         )
+
+    @staticmethod
+    def _takes_steps(model: str, regime: str) -> bool:
+        """Whether a run integrates the kernels on the steps of ``bath.step_chunks``."""
+        return model == "corr" or (model != "maxent_solve" and regime == "non_markovian")
+
+    @cached_property
+    def record(self) -> dict:
+        """The configuration as the sidecar records it."""
+        return asdict(self)
 
     @cached_property
     def inputs(self) -> tuple:
@@ -173,8 +185,13 @@ class ScenarioConfig:
             beta=_number(self.params["beta_bath"], "params.beta_bath"),
             omega0=_number(self.params.get("omega0", 1.0), "params.omega0"),
         )
+        times = sample_times(self.t_max, self.dt_out) if self.t_max > 0 else np.empty(0)
+        if self._takes_steps(self.model, self.regime):
+            steps = bath.step_counts(np.concatenate(([0.0], times)), bath_params.W).sum()
+            if steps > MAX_STEPS:
+                raise ConfigError(f"the run would take {steps:.6g} kernel steps, more than {MAX_STEPS}")
         if self.model == "corr":
-            return bath_params, sample_times(self.t_max, self.dt_out) if self.t_max > 0 else np.empty(0)
+            return bath_params, times
         values = [_number(v, "initial") for v in self.initial]
         if len(values) != 3 or not all(map(math.isfinite, values)):
             names = "[re_a, im_a, n]" if self.model == "oscillator" else "[sz, re_sp, im_sp]"
@@ -327,7 +344,7 @@ def run(config: ScenarioConfig) -> dict:
     header, columns, solution = runner(config)
     _write_csv(config.output_path, header, columns)
     metadata = {
-        "config": asdict(config),
+        "config": config.record,
         "tolerances": {"rel_tol": config.rel_tol, "abs_tol": config.abs_tol},
         "wall_time_s": time.perf_counter() - start,
         "version": __version__,

@@ -15,8 +15,9 @@ invertible; every bath has one unless ``J(omega0)`` underflows
 
 In the non-Markovian regime A and b follow the kernels in time, and
 ``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator
-on the augmented generator ``[[A, b], [0, 0]]``.  Its step rule starts from
-the kernels' own time scale 1/W and needs no error control; see
+on the augmented generator ``[[A, b], [0, 0]]``, with the kernels
+integrated on the same steps (``bath.step_kernels``).  Its step rule starts
+from the kernels' own time scale 1/W and needs no error control; see
 ``propagate_magnus``.  Neither propagator takes a tolerance;
 ``check_tolerances`` serves the CLI's configuration check and ``odeint``.
 
@@ -24,7 +25,8 @@ the kernels' own time scale 1/W and needs no error control; see
 every block at once, then one pass over the block ends; ``propagate_linear``
 applies its one map's powers in the same blocks.  ``expm`` takes a small
 matrix's exponential as a Taylor polynomial, a larger one's by Pade scaling
-and squaring.
+and squaring; ``_augmented_expm`` makes the same choice for the Magnus
+exponents and takes the Taylor polynomial on their top rows ``[A | b]``.
 """
 
 from __future__ import annotations
@@ -204,33 +206,20 @@ def propagate_linear(A, b, y0, times) -> np.ndarray:
     return out
 
 
-# Step rule of the Magnus propagation, in units of the bath's cutoff W: steps
-# of _EARLY_STEP / W while t < _EARLY_SPAN / W, where the kernels rise on
-# their scale 1/W, then steps growing as _GRADING * t up to _LATE_STEP.
-_EARLY_STEP = 0.0625
-_EARLY_SPAN = 15.0
-_GRADING = 0.02
-_LATE_STEP = 0.01
-
-# Steps whose kernels, exponents and exponentials are formed at once.
-_STEP_CHUNK = 1024
-
-# The three Gauss-Legendre nodes of a step, as fractions of it.
-_GL3 = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
-
-
 def _commutator(x, y):
-    return x @ y - y @ x
+    """Top rows of ``[x, y]`` for augmented matrices given by their top rows
+    ``[A | b]``: the last rows are zero, so ``x y`` has the top rows
+    ``A_x [A_y | b_y]``."""
+    return x[..., :3] @ y - y[..., :3] @ x
 
 
-def _magnus_exponents(linear_system, kernels, starts, widths) -> np.ndarray:
-    """Sixth-order Magnus exponents, shape (steps, 4, 4), of the steps
-    ``[starts, starts + widths)`` (see ``propagate_magnus``)."""
-    nodes = starts[:, None] + widths[:, None] * _GL3
-    A, b = linear_system(kernels.f(nodes), kernels.f_beta(nodes))
-    G = np.zeros(nodes.shape + (4, 4))
-    G[..., :3, :3] = A
-    G[..., :3, 3] = b
+def _magnus_exponents(linear_system, f, f_beta, widths) -> np.ndarray:
+    """Top rows ``[A | b]``, shape (steps, 3, 4), of the sixth-order Magnus
+    exponents of the steps of ``widths`` whose kernels at the three
+    Gauss-Legendre nodes are ``f`` and ``f_beta``, shape (steps, 3) (see
+    ``propagate_magnus``)."""
+    A, b = linear_system(f, f_beta)
+    G = np.concatenate((A, b[..., None]), axis=-1)
     h = widths[:, None, None]
     a1 = h * G[:, 1]
     a2 = (math.sqrt(15.0) / 3.0) * h * (G[:, 2] - G[:, 0])
@@ -240,62 +229,108 @@ def _magnus_exponents(linear_system, kernels, starts, widths) -> np.ndarray:
     return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
 
 
-def propagate_magnus(linear_system, kernels, y0, times) -> np.ndarray:
+def _augmented_expm(top) -> np.ndarray:
+    """``expm`` of each augmented matrix ``[[A, b], [0, 0]]`` of a stack given
+    by its top rows ``[A | b]``, shape (n, 3, 4); returns the (n, 4, 4)
+    exponentials.
+
+    The per-matrix choice of ``expm`` is kept (the zero last row adds
+    nothing to a column's 1-norm): a matrix whose 1-norm is at most 0.25
+    takes the degree-12 Taylor polynomial, here on the top rows (see
+    ``_taylor12_top``); any other takes ``expm``'s Pade path on the whole
+    matrix.
+    """
+    n = len(top)
+    result = np.zeros((n, 4, 4))
+    result[:, 3, 3] = 1.0
+    # expm's 1-norms, with the sums and maxima over the small axes unrolled
+    # (numpy's reductions over them cost more than the Taylor products).
+    a = np.abs(top)
+    columns = a[:, 0] + a[:, 1] + a[:, 2]
+    norm = np.maximum(np.maximum(columns[:, 0], columns[:, 1]), np.maximum(columns[:, 2], columns[:, 3]))
+    small = norm <= _THETA12
+    if small.any():
+        result[small, :3] = _taylor12_top(top[small])
+    if not small.all():
+        whole = np.zeros((n - np.count_nonzero(small), 4, 4))
+        whole[:, :3] = top[~small]
+        result[~small] = _pade13(whole, norm[~small])
+    return result
+
+
+def _taylor12_top(t) -> np.ndarray:
+    """Top rows of ``_taylor12`` of the augmented matrices with top rows ``t``.
+
+    The powers of an augmented matrix have zero last rows, and a product
+    ``x y`` of two such has the top rows ``A_x [A_y | b_y]``.  A sum with
+    the identity, ``[[T], [0, 0, 0, s]]``, is kept as ``(T, s)``: ``a4``
+    times it has the top rows ``A4 T + s b4 e_4``, where ``[A4 | b4]`` are
+    the top rows of ``a4``.
+    """
+    c = _TAYLOR12
+    ident = np.eye(3, 4)
+    t2 = t[..., :3] @ t
+    t3 = t2[..., :3] @ t
+    t4 = t2[..., :3] @ t2
+
+    def cubic(k):  # top rows of c[k] + c[k+1] a + c[k+2] a^2 + c[k+3] a^3; s = c[k]
+        return c[k] * ident + c[k + 1] * t + c[k + 2] * t2 + c[k + 3] * t3
+
+    def times_a4(x, s):  # top rows of a4 @ (x, s)
+        out = t4[..., :3] @ x
+        out[..., 3] += s * t4[..., 3]
+        return out
+
+    return cubic(0) + times_a4(cubic(4) + times_a4(cubic(8) + c[12] * t4, c[8]), c[4])
+
+
+def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.ndarray:
     """Samples of ``y' = A(t) y + b(t)``, ``y(0) = y0``, on ``times[k] = k * dt``.
 
-    ``(A, b) = linear_system(f, f_beta)`` for the kernel values of the
-    ``CorrelatorCache`` ``kernels``, given as arrays: A has their shape plus
-    (3, 3), b their shape plus (3,).  Returns an array of shape
-    ``(len(times), 3)``; the first sample is ``y0`` itself.
+    ``(A, b) = linear_system(f, f_beta)`` for the kernel values of the bath
+    ``params``, given as arrays: A has their shape plus (3, 3), b their
+    shape plus (3,).  Returns an array of shape ``(len(times), 3)``; the
+    first sample is ``y0`` itself.
 
-    Every output interval is cut into ``ceil(dt / h(t))`` equal steps, t its
-    start, so every sample ends a step.  The step rule is
-    ``h(t) = 0.0625 / W`` for ``t < 15 / W``, where the kernels rise, and
-    ``h(t) = min(0.02 t, 0.01)`` after.  A step of length h maps the
-    augmented state ``(y, 1)`` by ``expm(Omega)``, the sixth-order Magnus
-    exponent of the generator ``G = [[A, b], [0, 0]]`` at the three
-    Gauss-Legendre nodes of the step (Blanes, Casas and Ros, BIT 40 (2000)
-    434; Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151):
+    The steps are those of ``bath.step_chunks``: every output interval is
+    cut into ``ceil(dt / h(t))`` equal steps, t its start, so every sample
+    ends a step.  The step rule is ``h(t) = 0.0625 / W`` for ``t < 15 / W``,
+    where the kernels rise, and ``h(t) = min(0.02 t, 0.01)`` after.  A step
+    of length h maps the augmented state ``(y, 1)`` by ``expm(Omega)``, the
+    sixth-order Magnus exponent of the generator ``G = [[A, b], [0, 0]]`` at
+    the three Gauss-Legendre nodes of the step (Blanes, Casas and Ros, BIT
+    40 (2000) 434; Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151):
 
         a1 = h G2,  a2 = sqrt(15) h / 3 (G3 - G1),  a3 = 10 h / 3 (G3 - 2 G2 + G1),
         C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
         Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
 
-    The steps are taken ``_STEP_CHUNK`` at a time: their kernels, exponents
-    and exponentials at once, then the maps composed in blocks by
-    ``_compose``.  An exponent's 1-norm is at most 0.14 on the README bath,
-    so ``expm`` takes its Taylor path there.
+    The steps are taken a chunk at a time: their kernels
+    (``bath.step_kernels``, carried on from the chunk before), exponents and
+    exponentials at once, then the maps composed in blocks by ``_compose``.
+    The exponents and their Taylor exponentials are formed on the top rows
+    ``[A | b]`` of the augmented matrices.  An exponent's 1-norm is at most
+    0.14 on the README bath, so it takes the Taylor path there.
 
     Raises ``PropagationError`` where an exponent or a sample is not finite.
     """
     y0 = np.asarray(y0, dtype=float)
     times = np.asarray(times, dtype=float)
-    spans = np.diff(times)
-    W = kernels.params.W
-    h = np.where(times[:-1] < _EARLY_SPAN / W, _EARLY_STEP / W, np.minimum(_GRADING * times[:-1], _LATE_STEP))
-    # Steps per interval from the nominal dt, with a margin for its rounding
-    # so that dt = h takes one step.
-    counts = np.ceil((times[1] if times.size > 1 else 0.0) / h - 1e-9).astype(np.intp)
-    ends = np.cumsum(counts)  # ends[i]: the steps taken by the end of interval i
-
     states = np.empty((times.size, y0.size))
     states[0] = y0
     y = np.append(y0, 1.0)
-    total = int(ends[-1]) if ends.size else 0
+    kernels_at_start = (0j, 0j)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        for lo in range(0, total, _STEP_CHUNK):
-            step = np.arange(lo, min(lo + _STEP_CHUNK, total))
-            interval = np.searchsorted(ends, step, side="right")
-            widths = spans[interval] / counts[interval]
-            starts = times[interval] + (step - ends[interval] + counts[interval]) * widths
-            omega = _magnus_exponents(linear_system, kernels, starts, widths)
+        for interval, last, starts, widths in bath.step_chunks(times, params.W):
+            f, f_beta = bath.step_kernels(params, starts, widths, *kernels_at_start)
+            kernels_at_start = (f[-1, 3], f_beta[-1, 3])
+            omega = _magnus_exponents(linear_system, f[:, :3], f_beta[:, :3], widths)
             finite = np.isfinite(omega).all(axis=(1, 2))
             if not finite.all():
                 raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
-            path = _compose(expm(omega), y)
+            path = _compose(_augmented_expm(omega), y)
             y = path[-1]
-            done = step + 1 == ends[interval]  # the steps that end an interval
-            states[interval[done] + 1] = path[done, :3]
+            states[interval[last] + 1] = path[last, :3]
     if not np.all(np.isfinite(states)):
         bad = times[np.argmin(np.isfinite(states).all(axis=1))]
         raise PropagationError(f"the propagated state is not finite at t = {bad:.6g}")
@@ -309,10 +344,8 @@ def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: flo
     its three components at t = 0.  The samples are ``sample_times(t_max,
     dt_out)`` and the states have shape ``(len(times), 3)``.  The Markovian
     regime freezes the kernels at ``bath.markovian_limits`` and propagates
-    exactly (``propagate_linear``); the non-Markovian one builds the shared
-    table of ``bath.correlator_cache`` to one step past ``t_max``, so that
-    every Magnus node lies strictly inside it, and takes Magnus steps
-    (``propagate_magnus``).
+    exactly (``propagate_linear``); the non-Markovian one takes Magnus
+    steps (``propagate_magnus``), which integrate the kernels as they go.
 
     Raises ``ValueError`` for an unknown regime, a non-finite ``t_max`` or
     ``dt_out``, or unless ``0 < dt_out <= t_max``.
@@ -327,6 +360,4 @@ def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: flo
     if regime == "markovian":
         limits = bath.markovian_limits(params)
         return times, propagate_linear(*linear_system(limits.f_inf, limits.f_beta_inf), y0, times)
-    kernels = bath.correlator_cache(params)
-    kernels.ensure_horizon(t_max)
-    return times, propagate_magnus(linear_system, kernels, y0, times)
+    return times, propagate_magnus(linear_system, params, y0, times)

@@ -10,8 +10,8 @@ boolean selection at a time, the Hermite oracle evaluates the cardinal
 basis on intervals found by bisection, the kernel-table oracle builds the
 whole table in one pass over full-length arrays, the integrator oracle
 runs each Dormand-Prince step on numpy arrays, the transport oracle
-integrates the equations of motion with scipy's DOP853 at tight
-tolerances, and the matrix exponentials are scipy's and mpmath's.
+integrates the equations of motion and the kernels with scipy's DOP853 at
+tight tolerances, and the matrix exponentials are scipy's and mpmath's.
 """
 
 import math
@@ -302,10 +302,14 @@ def project_moment_neutral(delta: np.ndarray, operators) -> np.ndarray:
     return _vec_to_hermitian(vec, dim)
 
 
-def reference_transport(model: str, kernels, y0, times, drive: float = 0.0) -> np.ndarray:
+def reference_transport(model: str, params, y0, times, drive: float = 0.0) -> np.ndarray:
     """States of a non-Markovian transport run at ``times`` by scipy's DOP853
     at rtol 1e-12 and atol 1e-14, on the equations of motion written out
-    here and the kernels read one time at a time from ``kernels.pair``.
+    here.  The kernels are integrated along with the state: the system has
+    seven real components, the state and Re and Im of f and f_beta, whose
+    derivatives are ``corr_f_integrand`` and ``corr_f_beta_integrand`` of
+    the bath ``params``, so no kernel value comes from the library's
+    integration.
 
     ``model`` "oscillator" has the state (Re <a>, Im <a>, <n>); "tls", the
     two-level system on resonance with drive amplitude ``drive``, has
@@ -313,21 +317,25 @@ def reference_transport(model: str, kernels, y0, times, drive: float = 0.0) -> n
     """
     from scipy.integrate import solve_ivp
 
+    from releq.bath import corr_f_beta_integrand, corr_f_integrand
+
     def rhs(t, y):
-        f, f_beta = kernels.pair(t)
+        f, f_beta = complex(y[3], y[4]), complex(y[5], y[6])
         if model == "oscillator":
             d_a = -complex(y[0], y[1]) * f.conjugate()
-            return [d_a.real, d_a.imag, -2.0 * f.real * y[2] + (f_beta - f).real]
-        s_plus = complex(y[1], y[2])
-        d_sp = -2j * drive * y[0] - f_beta * s_plus
-        return [2.0 * drive * s_plus.imag - 2.0 * f_beta.real * y[0] - f.real, d_sp.real, d_sp.imag]
+            state = [d_a.real, d_a.imag, -2.0 * f.real * y[2] + (f_beta - f).real]
+        else:
+            s_plus = complex(y[1], y[2])
+            d_sp = -2j * drive * y[0] - f_beta * s_plus
+            state = [2.0 * drive * s_plus.imag - 2.0 * f_beta.real * y[0] - f.real, d_sp.real, d_sp.imag]
+        d_f, d_f_beta = corr_f_integrand(t, params), corr_f_beta_integrand(t, params)
+        return state + [d_f.real, d_f.imag, d_f_beta.real, d_f_beta.imag]
 
     times = np.asarray(times, dtype=float)
-    solution = solve_ivp(
-        rhs, (0.0, float(times[-1])), np.asarray(y0, dtype=float), method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14
-    )
+    start = np.concatenate((np.asarray(y0, dtype=float), np.zeros(4)))
+    solution = solve_ivp(rhs, (0.0, float(times[-1])), start, method="DOP853", t_eval=times, rtol=1e-12, atol=1e-14)
     assert solution.success, solution.message
-    return solution.y.T
+    return solution.y[:3].T
 
 
 # Dormand-Prince 5(4) tableau of reference_integrate, as numpy arrays.

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import releq
-from releq import maxent, oscillator, tls, transport
-from releq.bath import REGIMES, CorrelatorCache, correlator_cache
-from releq.cli import MAX_HORIZON, MAX_SAMPLES, MODELS, ConfigError, ScenarioConfig, main, run
+from releq import bath, maxent, oscillator, tls, transport
+from releq.bath import REGIMES
+from releq.cli import MAX_HORIZON, MAX_SAMPLES, MAX_STEPS, MODELS, ConfigError, ScenarioConfig, main, run
 
 
 TLS_PARAMS = {"omega0": 1.0, "omegaL": 1.0, "W": 10.0, "beta_bath": 3.0, "Omega": 0.3}
@@ -99,6 +100,33 @@ class TestConfigValidation:
         argv = ["--sweep", str(tmp_path)] if sweep else ["oscillator", "--config", str(path)]
         assert main(argv) == 2
         assert f"{path}: configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    def test_params_nested_too_deeply_to_record_exit_2_before_the_run(self, tmp_path, capsys, sweep):
+        # json.loads takes 900 levels, but the sidecar's record of them
+        # (dataclasses.asdict) would not, after the run had written its CSV.
+        path = tmp_path / "deep.json"
+        nested = json.loads("[" * 900 + "]" * 900)
+        write_config(path, params={"omega0": 1.0, "W": 10.0, "beta_bath": 3.0, "note": nested})
+        argv = ["--sweep", str(tmp_path)] if sweep else ["oscillator", "--config", str(path)]
+        assert main(argv) == 2
+        assert f"{path}: configuration error: the configuration is nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    @pytest.mark.parametrize("W, steps", [(1e5, "1.6e+07"), (1e300, "1.6e+302")])
+    def test_a_run_past_the_step_cap_exits_2_at_once(self, tmp_path, capsys, W, steps, sweep):
+        # t_max = dt_out = 10: the one interval starts before 15 / W and
+        # takes 10 / (0.0625 / W) steps, a count no integer type holds at
+        # W = 1e300.
+        path = tmp_path / "cfg.json"
+        write_config(path, params={"omega0": 1.0, "W": W, "beta_bath": 3.0}, t_max=10.0, dt_out=10.0)
+        argv = ["--sweep", str(tmp_path)] if sweep else ["oscillator", "--config", str(path)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"{steps} kernel steps, more than {MAX_STEPS}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_exit_code_2_on_model_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -214,7 +242,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("model", ["oscillator", "tls"])
     def test_markovian_runs_past_the_horizon_cap(self, tmp_path, model):
-        # An exact Markovian run builds no kernel table, so the cap leaves it be.
+        # An exact Markovian run takes no kernel steps, so the cap leaves it be.
         path = tmp_path / "cfg.json"
         initial = [0.0, 0.0, 0.0] if model == "tls" else [1.0, 0.0, 9.0]
         write_config(path, model=model, params=TLS_PARAMS, initial=initial, t_max=5e4, dt_out=100.0)
@@ -498,12 +526,11 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, kind, blocke
         assert f"{sweep_dir / 'a.json'}: cannot write {target}: " in err
 
 
-# tracemalloc peak of ``run`` per output row, the kernel table built
-# beforehand.  The columns stay numpy arrays up to the writer, which boxes
-# one chunk of rows at a time: a Markovian oscillator holds its five columns
-# (48 bytes a row) and the propagation's temporaries, a corr run the times
-# and both kernels (40 bytes a row) and one kernel lookup's gather (about
-# 100 bytes a row).  Holding every cell as a Python float in a list costs
+# tracemalloc peak of ``run`` per output row.  The columns stay numpy arrays
+# up to the writer, which boxes one chunk of rows at a time: a Markovian
+# oscillator holds its five columns (48 bytes a row) and the propagation's
+# temporaries, a corr run the times and both kernels (40 bytes a row) and
+# their step grid.  Holding every cell as a Python float in a list costs
 # 32 bytes more a cell, which these bounds do not leave room for.
 _BATH_PARAMS = {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}
 RUN_MEMORY = [
@@ -518,8 +545,6 @@ RUN_MEMORY = [
 @pytest.mark.parametrize("raw, bytes_per_row", RUN_MEMORY, ids=["osc-m", "corr"])
 def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
     config = ScenarioConfig.from_dict(dict(raw, output_path=str(tmp_path / "out.csv")))
-    if config.model == "corr":
-        correlator_cache(config.inputs[0]).ensure_horizon(config.t_max)
     tracemalloc.start()
     try:
         run(config)
@@ -533,11 +558,12 @@ def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
 
 # The README configurations, both regimes where they apply; any change to a
 # number or its text shows here.  The non-Markovian transport digests are
-# those of the sixth-order Magnus steps on the kernel table built from cubic
-# Hermite pieces, the Markovian ones those of the exact propagation with
-# the principal-value frequency shifts; both take Taylor exponentials of
-# small matrices and compose their step maps in blocks, and both use the
-# array formulas for the two-level S and beta; the
+# those of the sixth-order Magnus steps on kernels integrated by 8-point
+# Gauss-Legendre on each step, with Taylor exponentials taken on the top
+# rows, the Markovian ones those of the exact propagation with the
+# principal-value frequency shifts; both compose their step maps in blocks,
+# and both use the array formulas for the two-level S and beta; the corr
+# digest is that of the same kernel integration on its own grid; the
 # maxent digest is that of the Newton solve with the exact Jacobian, started
 # from the closed-form two-level multipliers of the targets.  They were
 # taken on x86-64 with numpy 2.4.6, and no scipy code runs in these
@@ -559,15 +585,15 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "155b0a35ff04407d8d889612d4d08f951665e4b53cb5ea3515d38879801ce717"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "ee11b7fbb2733cb491fc7fd9e48a40f76464a649658bc61ba5a979614b667165"),
     (dict(_README_OSCILLATOR, regime="markovian"), "09440538dcb31bebf7eb4bc2f8a859002b25e839df6afbcbd3c5871cd36b0a3f"),
-    (dict(_README_TLS, regime="non_markovian"), "dd552485dfcbc42d155b2b4eb831646413793b51cd42018158bc87f85f415814"),
+    (dict(_README_TLS, regime="non_markovian"), "bc04bf01cd34b07d0b62f925c9ec2634821eaeba75409dbd894e5973b1478fae"),
     (dict(_README_TLS, regime="markovian"), "e55f02639c1c8fa924a3842f6e0b4486c76eb5a7fee82cf2edd6f0c10c7e610c"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "aa30d61771ef5470dcbb558569dff0c9b8f4a087902ee928976f4a76d41fb56c"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "72c8c3fe8d2140de3483b3c16acfe84cae08dbe0e1833d47345e5c81be8f8e97"),
     (dict(_WEAK_TLS, regime="markovian"), "f87a80f1f751438b2bfc5866091bd18c37cd875bc3dfd335ec40ed2de8b26325"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
-        "6f689d69280702a28597324402ce2e1151fba20621a441c3e7cc1aafff314389",
+        "4031738283cf5a31be9006626eb8db8a2fea395b32cb18b5d72d1827601d9814",
     ),
     (
         {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},
@@ -623,17 +649,17 @@ def test_the_cli_imports_no_scipy(tmp_path):
     assert (tmp_path / "out.csv").exists()
 
 
-# Kernel-table points the README runs read, counted by wrapping the table's
-# lookups ``CorrelatorCache.f`` and ``f_beta``.  A non-Markovian run reads
-# both kernels at the three Gauss-Legendre nodes of each Magnus step, so a
-# change to the step rule shows here as a count before it shows as a CSV
-# digest.  On this bath (W = 10) the rule takes two steps per sample interval
-# before t = 15 / W = 1.5 and one after: 300 + 1850 steps, 6450 nodes.  A
-# Markovian run reads the long-time values and no table point.
+# Points at which the README runs evaluate the kernels' derivatives, counted
+# by wrapping ``bath._kernel_derivatives``.  A non-Markovian run integrates
+# both kernels with 8 points in each Magnus step, so a change to the step
+# rule or the rule's points shows here as a count before it shows as a CSV
+# digest.  On this bath (W = 10) the step rule takes two steps per sample
+# interval before t = 15 / W = 1.5 and one after: 300 + 1850 steps, 17,200
+# points.  A Markovian run reads the long-time values and no kernel point.
 KERNEL_POINTS = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), 6450),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), 17200),
     (dict(_README_OSCILLATOR, regime="markovian"), 0),
-    (dict(_README_TLS, regime="non_markovian"), 6450),
+    (dict(_README_TLS, regime="non_markovian"), 17200),
     (dict(_README_TLS, regime="markovian"), 0),
 ]
 
@@ -641,19 +667,18 @@ KERNEL_POINTS = [
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("config, points", KERNEL_POINTS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
 def test_readme_kernel_points_are_pinned(tmp_path, monkeypatch, config, points):
-    counted = {"f": 0, "f_beta": 0}
-    for name in counted:
-        lookup = getattr(CorrelatorCache, name)
+    counted = [0]
+    derivatives = bath._kernel_derivatives
 
-        def counting(self, t, name=name, lookup=lookup):
-            counted[name] += np.size(t)
-            return lookup(self, t)
+    def counting(t, params):
+        counted[0] += np.size(t)
+        return derivatives(t, params)
 
-        monkeypatch.setattr(CorrelatorCache, name, counting)
+    monkeypatch.setattr(bath, "_kernel_derivatives", counting)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
-    assert counted == {"f": points, "f_beta": points}
+    assert counted == [points]
 
 
 # Acceptance criterion 7 compares the oscillator's closed form with its

@@ -2,35 +2,40 @@
 matrix exponential against scipy's and mpmath's, its runs against scipy's
 exponential at every sample, and its refusal of a singular A.  The Magnus
 path of the non-Markovian regime: its runs against a tight DOP853 reference
-on a grid of baths and drives, its kernel reads, its memory and its refusal
-of non-finite steps."""
+on a grid of baths and drives, its top-row exponentials, its memory and its
+refusal of non-finite steps."""
 
-import gc
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
 import oracles
 from releq import oscillator, tls
-from releq.bath import _TABLE_STEP, BathParams, correlator_cache, markovian_limits
+from releq.bath import (
+    _STEP_CHUNK,
+    BathParams,
+    correlator_cache,
+    correlator_samples,
+    markovian_limits,
+    step_counts,
+    step_kernels,
+)
 from releq.transport import (
     _BLOCK,
-    _STEP_CHUNK,
     _THETA12,
     _THETA13,
     PropagationError,
+    _augmented_expm,
     _magnus_exponents,
     expm,
     propagate_linear,
     propagate_magnus,
     sample_times,
-    simulate,
 )
 
 EPS = np.finfo(float).eps
@@ -92,8 +97,9 @@ def test_expm_of_small_augmented_generators_is_accurate():
     for matrix in stack:
         assert norm1(matrix) <= _THETA12
         reference = oracles.expm_mp(matrix)
-        error = norm1(expm(matrix) - reference)
-        assert error <= 4.0 * EPS * norm1(reference), (norm1(matrix), error)
+        for exponential in (expm(matrix), _augmented_expm(matrix[None, :3])[0]):
+            error = norm1(exponential - reference)
+            assert error <= 4.0 * EPS * norm1(reference), (norm1(matrix), error)
 
 
 def test_expm_of_zero_and_of_a_non_finite_matrix():
@@ -231,24 +237,6 @@ def test_every_accepted_bath_gives_an_invertible_A(bath):
         assert abs(np.linalg.det(A)) > 0.0
 
 
-def test_bind_builds_the_shared_table_one_step_past_t_max():
-    # A bath no other test uses, so its shared table starts at this run.
-    bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
-    simulate(oscillator._linear_system, bath, "non_markovian", (1.0, 0.0, 9.0), 10.0, 0.5)
-    assert 10.0 < correlator_cache(bath).t_max <= 10.0 + 2 * _TABLE_STEP
-
-
-def test_binding_a_bath_frees_the_table_of_the_one_before():
-    baths = [BathParams(W=W, beta=2.5, omega0=1.1) for W in (6.0, 7.5, 9.0)]
-    simulate(oscillator._linear_system, baths[0], "non_markovian", (1.0, 0.0, 9.0), 2.0, 0.5)
-    first = weakref.ref(correlator_cache(baths[0]))
-    for bath in baths[1:]:
-        simulate(oscillator._linear_system, bath, "non_markovian", (1.0, 0.0, 9.0), 2.0, 0.5)
-    assert correlator_cache.cache_info().currsize == 1
-    gc.collect()
-    assert first() is None
-
-
 @pytest.mark.parametrize("t_max, dt_out", [(math.inf, 1.0), (math.inf, math.inf), (10.0, math.nan)])
 def test_a_non_finite_horizon_or_step_is_refused(t_max, dt_out):
     bath = BATHS[0]
@@ -270,10 +258,28 @@ def test_a_markovian_run_builds_no_kernel_table():
     assert correlator_cache.cache_info().misses == misses
 
 
+def test_no_run_builds_a_kernel_table():
+    # A bath no other test uses, so a table built here would be a cache miss:
+    # non-Markovian runs and corr samples integrate the kernels themselves.
+    bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
+    misses = correlator_cache.cache_info().misses
+    oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "non_markovian", t_max=10.0, dt_out=0.5)
+    tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(1.3, 1.3, 0.3, bath), "non_markovian", t_max=10.0, dt_out=0.5)
+    correlator_samples(bath, sample_times(10.0, 0.5))
+    assert correlator_cache.cache_info().misses == misses
+
+
+def test_samples_far_closer_than_the_steps_take_one_step_each():
+    # dt_out / h = 1.6e-11 lies below the 1e-9 rounding margin of the step
+    # count; each interval still takes one step, so every sample is set.
+    assert step_counts(sample_times(1e-11, 1e-13), 10.0).tolist() == [1] * 100
+    run = oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), BATHS[0], "non_markovian", 1e-11, 1e-13)
+    assert np.max(np.abs(run.mean_n - 9.0)) <= 1e-12
+
+
 def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
-    # The shared cache keeps one bath's table, so each thread's run evicts
-    # the table the other thread's run is reading.  A run holds the table
-    # it bound, so every output is the one a serial run gives.
+    # Runs on two baths, interleaved by two threads, give every output a
+    # serial run gives: a run's kernels are its own.
     baths = [BathParams(W=10.0, beta=3.0, omega0=1.0), BathParams(W=5.0, beta=2.0, omega0=1.0)]
     state = oscillator.OscillatorState(mean_a=0.6 + 0.2j, mean_n=1.5)
 
@@ -319,6 +325,24 @@ def test_expm_of_a_stack_is_the_expm_of_each_matrix():
     assert expm(stack.reshape(5, 8, 4, 4)).shape == (5, 8, 4, 4)
 
 
+def test_augmented_expm_keeps_the_choice_and_the_pade_path_of_expm():
+    # Top rows of generators with a zero last row, with 1-norms on both sides
+    # of theta = 0.25 and of theta_13: a matrix above 0.25 gets expm's bits,
+    # one below it expm's Taylor polynomial taken on the top rows.
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((40, 4, 4)) * np.geomspace(1e-3, 50.0, 40)[:, None, None]
+    stack[:, 3] = 0.0
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    for theta in (_THETA12, _THETA13):
+        assert np.any(norms <= theta) and np.any(norms > theta)
+    result = _augmented_expm(stack[:, :3])
+    expected = np.array([expm(matrix) for matrix in stack])
+    taylor = norms <= _THETA12
+    assert np.array_equal(result[~taylor], expected[~taylor])
+    for exponential, reference in zip(result[taylor], expected[taylor]):
+        assert norm1(exponential - reference) <= 4.0 * EPS * norm1(reference)
+
+
 def test_linear_systems_of_kernel_arrays_are_the_stacked_scalar_systems():
     kernels = correlator_cache(BATHS[0])
     times = np.array([[0.0, 0.3, 1.7], [2.5, 6.0, 9.9]])
@@ -333,12 +357,13 @@ def test_linear_systems_of_kernel_arrays_are_the_stacked_scalar_systems():
 
 # The non-Markovian accuracy grid: cutoffs from 5 to 100 (beta = 3,
 # omega0 = 1), the oscillator and the two-level system at a weak and a strong
-# drive, against DOP853 at rtol 1e-12 on the same kernel table.  Dormand-Prince
-# 5(4) at the default tolerances, the integrator these runs replaced, was off
-# by up to 8.9e-8 on this grid; the Magnus runs are off by at most 2.0e-8 (the
-# oscillator's n at W = 100) at dt_out 0.01 and 2.2e-10 at dt_out 0.5.  Two
-# tight references differ by up to 2.7e-9 on one table, so a bound much
-# below 5e-9 would measure the reference.
+# drive, against DOP853 at rtol 1e-12 on the state and the kernels.
+# Dormand-Prince 5(4) at the default tolerances, the integrator these runs
+# replaced, was off by up to 8.9e-8 on this grid, and the Magnus runs on the
+# kernel table by up to 2.0e-8; on the integrated kernels they are off by at
+# most 1.3e-9 (the strongly driven two-level system at W = 100) at dt_out
+# 0.01 and 2.2e-10 at dt_out 0.5.  The reference differs from one at rtol
+# 1e-13 by up to 1.6e-11.
 GRID = [(W, model, drive) for W in (5.0, 10.0, 20.0, 50.0, 100.0) for model, drive in (("oscillator", 0.0), ("tls", 0.3), ("tls", 5.0))]
 
 
@@ -359,7 +384,7 @@ def test_magnus_runs_match_a_tight_reference(W, model, drive):
     bath = BathParams(W=W, beta=3.0, omega0=1.0)
     times, states = magnus_run(model, bath, drive, 0.01)
     y0 = states[0]
-    reference = oracles.reference_transport(model, correlator_cache(bath), y0, times, drive)
+    reference = oracles.reference_transport(model, bath, y0, times, drive)
     assert np.all(np.max(np.abs(states - reference), axis=0) <= 5e-8)
     # Every 50th sample of the reference is a sample of the dt_out = 0.5 run.
     coarse_times, coarse = magnus_run(model, bath, drive, 0.5)
@@ -372,11 +397,11 @@ def test_blocked_composition_is_the_one_map_at_a_time_composition(steps):
     # Samples 1 / (16 W) apart take one step each, so the run composes
     # ``steps`` maps: within one block, at its edges, and past a chunk.
     bath = BATHS[0]
-    kernels = correlator_cache(bath)
     times = np.arange(steps + 1) * (0.0625 / bath.W)
     y0 = np.array([1.0, 0.0, 9.0])
-    states = propagate_magnus(oscillator._linear_system, kernels, y0, times)
-    maps = expm(_magnus_exponents(oscillator._linear_system, kernels, times[:-1], np.diff(times)))
+    states = propagate_magnus(oscillator._linear_system, bath, y0, times)
+    f, f_beta = step_kernels(bath, times[:-1], np.diff(times))
+    maps = _augmented_expm(_magnus_exponents(oscillator._linear_system, f[:, :3], f_beta[:, :3], np.diff(times)))
     y = np.append(y0, 1.0)
     expected = [y0]
     for step_map in maps:
@@ -388,22 +413,20 @@ def test_blocked_composition_is_the_one_map_at_a_time_composition(steps):
 
 def test_grading_keeps_a_wide_cutoff_close_to_the_tight_reference():
     # At W = 100 the steps grow as 0.02 t from t = 0.15 to t = 0.5.  The
-    # strongly driven two-level system is off by 1.35e-9 with that grading
-    # and by 1.13e-8 with steps of 0.01 from t = 0.15; the bound sits above
-    # the 2.7e-9 by which two tight references differ.
+    # strongly driven two-level system is off by 1.30e-9 with that grading
+    # and by 1.12e-8 with steps of 0.01 from t = 0.15.
     bath = BathParams(W=100.0, beta=3.0, omega0=1.0)
     times, states = magnus_run("tls", bath, 5.0, 0.01)
-    reference = oracles.reference_transport("tls", correlator_cache(bath), states[0], times, 5.0)
+    reference = oracles.reference_transport("tls", bath, states[0], times, 5.0)
     assert np.max(np.abs(states - reference)) <= 5e-9
 
 
 def test_magnus_run_memory_is_bounded_by_the_chunk():
     # 100,001 samples and as many steps.  The run's output (states, complex
     # amplitude, entropy and beta) is about 6 MB, and the run peaks near
-    # 8.8 MB, a chunk's prefix products included; a propagation forming
+    # 8.0 MB, a chunk's kernels and prefix products included; a propagation forming
     # every step's exponential at once peaks near 210 MB.
     bath = BATHS[0]
-    correlator_cache(bath).ensure_horizon(101.0)  # the table is not the run's to count
     initial = oscillator.OscillatorState(1.0 + 0j, 9.0)
     tracemalloc.start()
     try:
@@ -416,7 +439,6 @@ def test_magnus_run_memory_is_bounded_by_the_chunk():
 
 
 def test_non_finite_magnus_steps_are_refused():
-    kernels = correlator_cache(BATHS[0])
     times = sample_times(5.0, 0.1)
 
     def blowing_up(f, f_beta):  # y' = 1000 y: finite exponents, exp(5000) overflows
@@ -428,6 +450,6 @@ def test_non_finite_magnus_steps_are_refused():
         return A * np.inf, b
 
     with pytest.raises(PropagationError, match="state is not finite"):
-        propagate_magnus(blowing_up, kernels, np.ones(3), times)
+        propagate_magnus(blowing_up, BATHS[0], np.ones(3), times)
     with pytest.raises(PropagationError, match="exponent is not finite at t = 0"):
-        propagate_magnus(infinite, kernels, np.ones(3), times)
+        propagate_magnus(infinite, BATHS[0], np.ones(3), times)
