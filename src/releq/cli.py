@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bath, maxent, oscillator, tls
+from . import __version__, bath, csvtext, maxent, oscillator, tls
 from .bath import REGIMES, BathParams, QuadratureError
 from .transport import InvariantViolationError, PropagationError, check_tolerances, sample_times
 
-__all__ = ["MAX_FOCK_DIM", "MAX_HORIZON", "MAX_SAMPLES", "MAX_STEPS", "ConfigError", "ScenarioConfig", "run", "main"]
+__all__ = ["MAX_FOCK_DIM", "MAX_HORIZON", "MAX_SAMPLES", "MAX_STEPS", "MAX_W_BETA", "ConfigError", "ScenarioConfig", "run", "main"]
 
 MODELS = ("oscillator", "tls", "corr", "maxent_solve")
 
@@ -52,6 +52,13 @@ MAX_SAMPLES = 10**6
 MAX_STEPS = 2 * 10**6
 MAX_HORIZON = 1000.0
 MAX_FOCK_DIM = 1024
+
+# Largest W * beta_bath of a run that integrates the kernels.  The
+# finite-temperature kernel reads trigamma at (1 - i t W) / (W beta), which
+# lies within trigamma's 1e-12 pole tolerance of 0 near t = 0 from here on.
+# Such runs, and those whose beta_bath**2 overflows, exit 2; Markovian runs
+# read the long-time limits only and take any bath.
+MAX_W_BETA = 1e12
 
 
 class ConfigError(ValueError):
@@ -190,6 +197,14 @@ class ScenarioConfig:
             steps = bath.step_counts(np.concatenate(([0.0], times)), bath_params.W).sum()
             if steps > MAX_STEPS:
                 raise ConfigError(f"the run would take {steps:.6g} kernel steps, more than {MAX_STEPS}")
+            W, beta = bath_params.W, bath_params.beta
+            if not W * beta < MAX_W_BETA:
+                raise ConfigError(
+                    f"W * beta_bath = {W * beta:.6g} is not below {MAX_W_BETA:g}: the finite-temperature kernel "
+                    "cannot be evaluated there (trigamma's argument comes within 1e-12 of its pole at 0)"
+                )
+            if not math.isfinite(beta * beta):
+                raise ConfigError(f"beta_bath = {beta:.6g} is too large: beta_bath**2 overflows in the kernels")
         if self.model == "corr":
             return bath_params, times
         values = [_number(v, "initial") for v in self.initial]
@@ -231,20 +246,17 @@ def _sidecar_path(output_path: str) -> Path:
     return Path(output_path).with_suffix(".meta.json")
 
 
-_CSV_CHUNK = 4096  # rows that _write_csv turns into Python scalars at a time
+_CSV_CHUNK = 2048  # rows that _write_csv formats at a time
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    """Equal-length numpy columns as CSV rows under ``header``.  A chunk of
-    rows at a time goes through ``tolist``, and ``repr`` then writes an int
-    as itself and a float in shortest round-trip form (a numpy scalar would
-    not be)."""
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\n")
+    """Equal-length numpy columns as CSV rows under ``header``, a chunk of
+    rows at a time: ints as their digits, floats in the shortest round-trip
+    text that ``repr`` writes (``csvtext.rows``)."""
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK):
-            chunk = [column[start : start + _CSV_CHUNK].tolist() for column in columns]
-            for row in zip(*chunk):
-                handle.write(",".join(map(repr, row)) + "\n")
+            handle.write(csvtext.rows([column[start : start + _CSV_CHUNK] for column in columns]))
 
 
 def _complex_pairs(values, size: int, name: str) -> np.ndarray:

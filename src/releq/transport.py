@@ -168,7 +168,7 @@ def propagate_linear(A, b, y0, times) -> np.ndarray:
     products formed once for all.  The first sample is ``y0`` itself.
 
     Raises ``PropagationError`` where A is singular, so that there is no
-    fixed point, or where ``A dt`` is not finite.
+    fixed point, or where ``A dt`` or a sample is not finite.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -188,22 +188,23 @@ def propagate_linear(A, b, y0, times) -> np.ndarray:
     if not np.all(np.isfinite(scaled)):
         raise PropagationError(f"A dt overflows at dt = {dt:.3g}")
 
-    step = expm(scaled)
-    powers = np.empty((_BLOCK, y0.size, y0.size))
-    powers[0] = np.eye(y0.size)
-    for i in range(1, _BLOCK):
-        powers[i] = powers[i - 1] @ step
-    block_step = powers[-1] @ step
-    blocks = -(-times.size // _BLOCK)
-    starts = np.empty((blocks, y0.size))
-    starts[0] = y0 - fixed
-    for j in range(1, blocks):
-        starts[j] = block_step @ starts[j - 1]
-    # (starts @ powers[i].T)[j] = powers[i] @ starts[j], sample 48 j + i.
-    samples = (starts @ powers.transpose(0, 2, 1)).transpose(1, 0, 2)
-    out = samples.reshape(-1, y0.size)[: times.size] + fixed
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are refused below
+        step = expm(scaled)
+        powers = np.empty((_BLOCK, y0.size, y0.size))
+        powers[0] = np.eye(y0.size)
+        for i in range(1, _BLOCK):
+            powers[i] = powers[i - 1] @ step
+        block_step = powers[-1] @ step
+        blocks = -(-times.size // _BLOCK)
+        starts = np.empty((blocks, y0.size))
+        starts[0] = y0 - fixed
+        for j in range(1, blocks):
+            starts[j] = block_step @ starts[j - 1]
+        # (starts @ powers[i].T)[j] = powers[i] @ starts[j], sample 48 j + i.
+        samples = (starts @ powers.transpose(0, 2, 1)).transpose(1, 0, 2)
+        out = samples.reshape(-1, y0.size)[: times.size] + fixed
     out[0] = y0
-    return out
+    return _finite(out, times)
 
 
 def _commutator(x, y):
@@ -331,9 +332,14 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
             path = _compose(_augmented_expm(omega), y)
             y = path[-1]
             states[interval[last] + 1] = path[last, :3]
-    if not np.all(np.isfinite(states)):
-        bad = times[np.argmin(np.isfinite(states).all(axis=1))]
-        raise PropagationError(f"the propagated state is not finite at t = {bad:.6g}")
+    return _finite(states, times)
+
+
+def _finite(states, times) -> np.ndarray:
+    """``states``; raises ``PropagationError`` at the first sample that is not finite."""
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise PropagationError(f"the propagated state is not finite at t = {times[np.argmin(finite)]:.6g}")
     return states
 
 

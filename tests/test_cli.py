@@ -128,6 +128,60 @@ class TestConfigValidation:
         assert f"{steps} kernel steps, more than {MAX_STEPS}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    @pytest.mark.parametrize(
+        "model, W, beta, named, markovian",
+        [
+            ("oscillator", 1e7, 1e6, "W * beta_bath = 1e+13 is not below 1e+12", 0),
+            ("oscillator", 10.0, 1e30, "W * beta_bath = 1e+31 is not below 1e+12", 0),
+            ("tls", 10.0, 1e30, "W * beta_bath = 1e+31 is not below 1e+12", 0),
+            ("corr", 10.0, 1e30, "W * beta_bath = 1e+31 is not below 1e+12", None),
+            ("oscillator", 1e-300, 1e300, "beta_bath = 1e+300 is too large", 3),
+            ("tls", 1e-300, 1e300, "beta_bath = 1e+300 is too large", 3),
+        ],
+        ids=["trigamma-pole", "cold", "tls-cold", "corr-cold", "beta-squared", "tls-beta-squared"],
+    )
+    def test_kernels_that_cannot_be_evaluated_exit_2(self, tmp_path, capsys, model, W, beta, named, markovian, sweep):
+        # trigamma refuses its argument 1/(W beta) at t = 0 within 1e-12 of the
+        # pole at 0, and beta**2 overflows past 1.3e154.  A Markovian run reads
+        # only the long-time limits of the same bath; at W = 1e-300 the
+        # golden-rule rate J(omega0) underflows, and it exits 3 as a singular A.
+        path = tmp_path / "cfg.json"
+        initial = [] if model == "corr" else [0.0, 0.0, 0.0] if model == "tls" else [1.0, 0.0, 9.0]
+        params = dict(TLS_PARAMS, W=W, beta_bath=beta)
+        write_config(path, model=model, params=params, initial=initial, t_max=1e-4, dt_out=1e-6)
+        argv = ["--sweep", str(tmp_path)] if sweep else [model, "--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: configuration error: {named}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+        if markovian is not None:
+            assert main(argv + ["--markovian"]) == markovian
+            assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("oscillator", {"omega0": 1.0, "W": 1e300, "beta_bath": 3.0}),
+            ("tls", dict(TLS_PARAMS, Omega=1e300)),
+            ("tls", dict(TLS_PARAMS, W=1e300)),
+        ],
+        ids=["oscillator-W", "tls-Omega", "tls-W"],
+    )
+    def test_a_markovian_run_whose_exponential_overflows_exits_3(self, tmp_path, capsys, model, params, sweep):
+        path = tmp_path / "cfg.json"
+        initial = [0.0, 0.0, 0.0] if model == "tls" else [1.0, 0.0, 1.5]
+        write_config(path, model=model, params=params, initial=initial, regime="markovian", t_max=1.0, dt_out=0.1)
+        argv = ["--sweep", str(tmp_path)] if sweep else [model, "--config", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: numerical failure: the propagated state is not finite at t = 0.1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_exit_code_2_on_model_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
         write_config(path)
@@ -527,11 +581,13 @@ def test_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, kind, blocke
 
 
 # tracemalloc peak of ``run`` per output row.  The columns stay numpy arrays
-# up to the writer, which boxes one chunk of rows at a time: a Markovian
-# oscillator holds its five columns (48 bytes a row) and the propagation's
-# temporaries, a corr run the times and both kernels (40 bytes a row) and
-# their step grid.  Holding every cell as a Python float in a list costs
-# 32 bytes more a cell, which these bounds do not leave room for.
+# up to the writer, which formats one chunk of rows at a time in numpy
+# (``csvtext.rows``, a few hundred bytes of temporaries per cell of the
+# chunk): a Markovian oscillator holds its five columns (48 bytes a row)
+# and the propagation's temporaries, a corr run the times and both kernels
+# (40 bytes a row) and their step grid.  Holding every cell as a Python
+# float in a list costs 32 bytes more a cell, which these bounds do not
+# leave room for.
 _BATH_PARAMS = {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}
 RUN_MEMORY = [
     (
