@@ -12,13 +12,25 @@ needed.  The module provides the state builder, the moment map, its Newton
 inversion (moments -> multipliers), the entropy phi + sum F_m <P_m>, and an
 independent eigenvalue-based von Neumann entropy.
 
+Sets whose operators are all zero off their three central diagonals (the
+Fock and spin sets, and explicit tridiagonal ones) take a band path: their
+exponent is a Hermitian tridiagonal matrix H with real diagonal and
+superdiagonal u.  With the unit phases d_0 = 1, d_{j+1} = d_j conj(u_j)/|u_j|
+(1 where u_j = 0), T = D^dagger H D is real symmetric with superdiagonal |u|,
+so H = D T D^dagger exactly: T has the eigenvalues of H, and the
+eigenvectors of H are D times the real eigenvectors of T (Parlett, The
+Symmetric Eigenvalue Problem, SIAM 1998).  The state is then built by a real
+eigendecomposition and a real product, with the phases put back entrywise,
+and the moments are read from three diagonals of rho.  Other sets take the
+dense complex path.
+
 Bosonic operator sets are truncated; the tail-mass check guards against a
 truncation too small for the occupation being represented.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,10 +99,15 @@ class RelevantOperatorSet:
     index (pairing[m] == m) must hold a Hermitian operator.  Admissible
     multiplier vectors satisfy F_{m'} = conj(F_m), which makes
     sum_m F_m P_m Hermitian for every assignment.
+
+    ``bands`` is set when every operator is zero off its three central
+    diagonals: the stacked (main, upper, lower) diagonals, of shapes
+    (M, dim), (M, dim - 1) and (M, dim - 1).  It is None otherwise.
     """
 
     operators: tuple
     pairing: tuple[int, ...]
+    bands: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
@@ -104,15 +121,27 @@ class RelevantOperatorSet:
                 raise ValueError("all operators must be square with equal dimension")
         if sorted(self.pairing) != list(range(len(ops))):
             raise ValueError("pairing must be a permutation of the operator indices")
+        bands = None
+        if not any(np.any(np.triu(op, 2)) or np.any(np.tril(op, -2)) for op in ops):
+            bands = tuple(np.array([np.diagonal(op, k) for op in ops]) for k in (0, 1, -1))
         for m, m_adj in enumerate(self.pairing):
             if self.pairing[m_adj] != m:
                 raise ValueError("pairing must be an involution")
-            diff = np.max(np.abs(ops[m_adj] - ops[m].conj().T))
+            if bands is None:
+                diff = np.max(np.abs(ops[m_adj] - ops[m].conj().T))
+            else:
+                main, upper, lower = bands
+                diff = max(
+                    np.max(np.abs(main[m_adj] - main[m].conj())),
+                    np.max(np.abs(upper[m_adj] - lower[m].conj())),
+                    np.max(np.abs(lower[m_adj] - upper[m].conj())),
+                )
             if diff > _ADJOINT_TOL:
                 kind = "Hermitian" if m_adj == m else "the adjoint of its partner"
                 raise ValueError(f"operator {m} is not {kind} (deviation {diff:.2e})")
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "pairing", tuple(self.pairing))
+        object.__setattr__(self, "bands", bands)
 
     @property
     def dim(self) -> int:
@@ -167,15 +196,54 @@ def build_state(F, ops: RelevantOperatorSet) -> RelevantState:
 
     The Hermitian exponent is diagonalized and the normalization handled in
     log-sum-exp form, so the construction cannot overflow regardless of the
-    eigenvalue spread (far-detuned weights underflow to exact zeros).
+    eigenvalue spread (far-detuned weights underflow to exact zeros).  A
+    tridiagonal set is diagonalized in real arithmetic on its bands (see the
+    module docstring); an exponent that is not finite raises before any
+    eigendecomposition.
     """
     F = validate_multipliers(F, ops)
-    exponent = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for coeff, op in zip(F, ops.operators):
-        exponent += coeff * op
-    exponent = 0.5 * (exponent + exponent.conj().T)
+    if ops.bands is None:
+        exponent = np.zeros((ops.dim, ops.dim), dtype=complex)
+        for coeff, op in zip(F, ops.operators):
+            exponent += coeff * op
+        exponent = 0.5 * (exponent + exponent.conj().T)
+        _check_finite(exponent)
+        levels, vectors = np.linalg.eigh(exponent)
+        phi, weights = _normalization(levels)
+        rho = (vectors * weights) @ vectors.conj().T
+    else:
+        diagonal = np.zeros(ops.dim, dtype=complex)
+        upper = np.zeros(ops.dim - 1, dtype=complex)
+        lower = np.zeros(ops.dim - 1, dtype=complex)
+        for coeff, main_m, upper_m, lower_m in zip(F, *ops.bands):
+            diagonal += coeff * main_m
+            upper += coeff * upper_m
+            lower += coeff * lower_m
+        diagonal = diagonal.real
+        upper = 0.5 * (upper + lower.conj())
+        _check_finite(diagonal, upper)
+        magnitude = np.abs(upper)
+        steps = np.ones(ops.dim, dtype=complex)
+        np.divide(upper.conj(), magnitude, out=steps[1:], where=magnitude > 0.0)
+        phases = np.cumprod(steps)
+        tridiagonal = np.diag(diagonal)
+        tridiagonal.flat[1 :: ops.dim + 1] = magnitude
+        tridiagonal.flat[ops.dim :: ops.dim + 1] = magnitude
+        levels, real_vectors = np.linalg.eigh(tridiagonal)
+        phi, weights = _normalization(levels)
+        rho = (real_vectors * weights) @ real_vectors.T * np.outer(phases, phases.conj())
+        vectors = phases[:, None] * real_vectors
+    return RelevantState(multipliers=F.copy(), phi=phi, rho=rho, levels=levels, vectors=vectors)
 
-    levels, vectors = np.linalg.eigh(exponent)
+
+def _check_finite(*parts: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(part)) for part in parts):
+        raise MaxEntError("the exponent sum_m F_m P_m is not finite; the multipliers are too large")
+
+
+def _normalization(levels: np.ndarray) -> tuple[float, np.ndarray]:
+    """``phi = ln sum_i exp(-levels_i)`` in log-sum-exp form, and the weights
+    exp(-levels - phi)."""
     neg = -levels
     shift = float(neg.max())
     phi = shift + float(np.log(np.sum(np.exp(neg - shift))))
@@ -183,16 +251,22 @@ def build_state(F, ops: RelevantOperatorSet) -> RelevantState:
         raise MaxEntError(
             f"normalization is not finite (eigenvalue spread {np.ptp(neg):.3g})"
         )
-    weights = np.exp(neg - phi)
-    rho = (vectors * weights) @ vectors.conj().T
-    return RelevantState(multipliers=F.copy(), phi=float(phi), rho=rho, levels=levels, vectors=vectors)
+    return phi, np.exp(neg - phi)
 
 
 def moments(state: RelevantState, ops: RelevantOperatorSet) -> np.ndarray:
-    """Averages Tr(P_m rho) for every operator in the set."""
-    return np.array(
-        [np.einsum("ij,ji->", op, state.rho) for op in ops.operators], dtype=complex
-    )
+    """Averages Tr(P_m rho) for every operator in the set.
+
+    For a tridiagonal set only three diagonals of rho enter:
+    Tr(P rho) = sum_i P_ii rho_ii + P_{i,i+1} rho_{i+1,i} + P_{i+1,i} rho_{i,i+1}.
+    """
+    if ops.bands is None:
+        return np.array(
+            [np.einsum("ij,ji->", op, state.rho) for op in ops.operators], dtype=complex
+        )
+    main, upper, lower = ops.bands
+    rho = state.rho
+    return main @ np.diagonal(rho) + upper @ np.diagonal(rho, -1) + lower @ np.diagonal(rho, 1)
 
 
 def entropy(state: RelevantState, targets) -> float:
@@ -309,8 +383,9 @@ def solve_self_consistency(
     InfeasibleTargetsError
         If the multipliers run away beyond ``multiplier_bound``, the
         signature of targets on or outside the attainable moment region.
-        The bound is checked before convergence, so it holds for the start
-        and for the returned multipliers too.
+        The bound is checked before convergence, so it holds for the
+        returned multipliers too, and on the start before its state is
+        built.
         Boundary targets (pure states) would otherwise "converge" to
         arbitrary huge multipliers once the residual saturates below
         ``tol``; the default bound of 20 rejects them while leaving ample
@@ -327,7 +402,13 @@ def solve_self_consistency(
         x = np.zeros(basis.shape[1])
     else:
         F = validate_multipliers(initial_F, ops)
-        x = (basis.conj().T @ F).real / np.sum(np.abs(basis) ** 2, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (basis.conj().T @ F).real / np.sum(np.abs(basis) ** 2, axis=0)
+        if not np.all(np.abs(x) <= multiplier_bound):
+            raise InfeasibleTargetsError(
+                f"the start multipliers exceed {multiplier_bound} in magnitude; "
+                "start closer to the solution or raise the bound"
+            )
 
     def evaluate(x_vec: np.ndarray) -> tuple[RelevantState, np.ndarray, float]:
         state = build_state(basis @ x_vec, ops)

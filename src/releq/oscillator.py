@@ -119,8 +119,11 @@ def multipliers(state: OscillatorState) -> OscillatorMultipliers:
 def entropy(state: OscillatorState) -> float:
     """Entropy (1 + n_eff) ln(1 + n_eff) - n_eff ln n_eff of the state.
 
-    The coherent limit n_eff -> 0 has entropy 0; states at or below the
-    degeneracy tolerance return that limit with a warning.
+    It is evaluated as ln(1 + n_eff) + n_eff ln(1 + 1/n_eff), a sum of two
+    positive terms: the form above cancels at large n_eff, where it loses
+    about log10(n_eff) digits (all of them at n_eff = 1e16).  The coherent
+    limit n_eff -> 0 has entropy 0; states at or below the degeneracy
+    tolerance return that limit with a warning.
     """
     n_eff = state.n_eff
     if n_eff <= _DEGENERATE_TOL:
@@ -130,7 +133,7 @@ def entropy(state: OscillatorState) -> float:
             stacklevel=2,
         )
         return 0.0
-    return (1.0 + n_eff) * math.log1p(n_eff) - n_eff * math.log(n_eff)
+    return math.log1p(n_eff) + n_eff * math.log1p(1.0 / n_eff)
 
 
 def inverse_temperature(state: OscillatorState, omega0: float) -> float:
@@ -278,10 +281,14 @@ def simulate(
     mean_a = states[:, 0] + 1j * states[:, 1]
     mean_n = states[:, 2]
     n_eff = check_domain(times, mean_a, mean_n)
+    with np.errstate(over="ignore"):
+        log_ratio = np.log1p(1.0 / n_eff)
+    # ln(1 + 1/n) = -ln n to rounding where 1/n overflows (n below 2**-1024).
+    log_ratio = np.where(np.isinf(log_ratio), -np.log(n_eff), log_ratio)
     return OscillatorRun(
         times=times,
         mean_a=mean_a,
         mean_n=mean_n,
-        entropy=(1.0 + n_eff) * np.log1p(n_eff) - n_eff * np.log(n_eff),
-        beta=np.log1p(1.0 / n_eff) / params.omega0,
+        entropy=np.log1p(n_eff) + n_eff * log_ratio,
+        beta=log_ratio / params.omega0,
     )

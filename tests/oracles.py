@@ -11,7 +11,9 @@ basis on intervals found by bisection, the kernel-table oracle builds the
 whole table in one pass over full-length arrays, the integrator oracle
 runs each Dormand-Prince step on numpy arrays, the transport oracle
 integrates the equations of motion and the kernels with scipy's DOP853 at
-tight tolerances, and the matrix exponentials are scipy's and mpmath's.
+tight tolerances, the maximum-entropy state is built from a dense complex
+eigendecomposition of any operator set, and the matrix exponentials are
+scipy's and mpmath's.
 """
 
 import math
@@ -260,6 +262,22 @@ def binary_entropy(p: float) -> float:
         if q > 0.0:
             out -= q * math.log(q)
     return out
+
+
+def dense_maxent_state(F, operators) -> tuple:
+    """``(rho, phi, exponent)`` of exp(-H)/Z for H = sum_m F_m P_m.
+
+    H is assembled as a dense complex matrix, made Hermitian by averaging
+    with its adjoint, and diagonalized by complex ``eigh``, whatever the
+    shape of the operators.
+    """
+    exponent = sum(complex(coeff) * np.asarray(op, dtype=complex) for coeff, op in zip(F, operators))
+    exponent = 0.5 * (exponent + exponent.conj().T)
+    levels, vectors = np.linalg.eigh(exponent)
+    weights = np.exp(levels.min() - levels)
+    total = weights.sum()
+    rho = (vectors * (weights / total)) @ vectors.conj().T
+    return rho, math.log(total) - levels.min(), exponent
 
 
 def _hermitian_to_vec(h: np.ndarray) -> np.ndarray:

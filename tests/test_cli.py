@@ -451,6 +451,23 @@ class TestOtherModels:
             assert main(["maxent_solve", "--config", str(path)]) == 3, targets
             assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    def test_a_start_that_overflows_the_exponent_exits_3(self, tmp_path, capsys, sweep):
+        path = tmp_path / "cfg.json"
+        write_config(
+            path,
+            model="maxent_solve",
+            operator_set={"kind": "fock", "dim": 16},
+            targets=[[0.1, 0.0], 1.0, [0.1, 0.0]],
+            initial=[[1e308, 0.0], [1e308, 0.0], [1e308, 0.0]],
+        )
+        argv = ["--sweep", str(tmp_path)] if sweep else ["maxent_solve", "--config", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: numerical failure: the start multipliers exceed 20.0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSweep:
     def test_sweep_runs_all_configs(self, tmp_path):
@@ -641,8 +658,8 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "ee11b7fbb2733cb491fc7fd9e48a40f76464a649658bc61ba5a979614b667165"),
-    (dict(_README_OSCILLATOR, regime="markovian"), "09440538dcb31bebf7eb4bc2f8a859002b25e839df6afbcbd3c5871cd36b0a3f"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "412f45c9b1a99b7547e95989f84f6250e1f3ff808a970b2bc4fbbf58fee26f94"),
+    (dict(_README_OSCILLATOR, regime="markovian"), "022aaa32efa90411c2b215e93f7eb5e1de4d8046990350a8b17e777a01ad791c"),
     (dict(_README_TLS, regime="non_markovian"), "bc04bf01cd34b07d0b62f925c9ec2634821eaeba75409dbd894e5973b1478fae"),
     (dict(_README_TLS, regime="markovian"), "e55f02639c1c8fa924a3842f6e0b4486c76eb5a7fee82cf2edd6f0c10c7e610c"),
     (dict(_WEAK_TLS, regime="non_markovian"), "72c8c3fe8d2140de3483b3c16acfe84cae08dbe0e1833d47345e5c81be8f8e97"),
@@ -802,6 +819,51 @@ def test_cli_maxent_solve_starts_from_the_closed_form(tmp_path, monkeypatch, ope
     F = np.array([complex(float(row[1]), float(row[2])) for row in rows])
     assert np.max(np.abs(F - reference)) <= 1e-9
     assert json.loads((tmp_path / "out.meta.json").read_text())["solution"]["residual"] <= 1e-10
+
+
+def _json_matrix(op) -> list:
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(op, dtype=complex)]
+
+
+_A2 = maxent.annihilation(4) @ maxent.annihilation(4)
+
+
+@pytest.mark.parametrize(
+    "operator_set, targets, dtype",
+    [
+        (*MAXENT_BUILDS[0][:2], np.float64),
+        (*MAXENT_BUILDS[1][:2], np.float64),
+        (
+            {"kind": "explicit", "operators": [_json_matrix(op) for op in (_A2.T, np.diag(np.arange(4.0)), _A2)], "pairing": [2, 1, 0]},
+            [0.05 - 0.02j, 1.2, 0.05 + 0.02j],
+            np.complex128,
+        ),
+    ],
+    ids=["fock-256", "spin", "explicit-a2"],
+)
+def test_maxent_runs_diagonalize_real_tridiagonal_matrices(tmp_path, monkeypatch, operator_set, targets, dtype):
+    # One eigh per state built (the build counts are pinned above);
+    # tridiagonal sets hand it real matrices, a set holding a**2 the
+    # complex exponent.
+    eigh, build_state = np.linalg.eigh, maxent.build_state
+    matrices, states = [], []
+
+    def recording_eigh(matrix):
+        matrices.append(matrix)
+        return eigh(matrix)
+
+    def counting_build_state(F, ops):
+        states.append(F)
+        return build_state(F, ops)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(maxent, "build_state", counting_build_state)
+    path = tmp_path / "cfg.json"
+    pairs = [[complex(t).real, complex(t).imag] for t in targets]
+    write_config(path, model="maxent_solve", operator_set=operator_set, targets=pairs, initial=[])
+    assert main(["maxent_solve", "--config", str(path)]) == 0
+    assert len(matrices) == len(states) >= 2
+    assert {matrix.dtype for matrix in matrices} == {np.dtype(dtype)}
 
 
 # Each example starts from a valid configuration of one model and applies up

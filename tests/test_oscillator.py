@@ -102,6 +102,23 @@ class TestEntropyAndTemperature:
         expected = 9.0 * math.log(9.0) - 8.0 * math.log(8.0)
         assert entropy(OscillatorState(1.0 + 0j, 9.0)) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("n_eff", [1e8, 1e12, 1e16])
+    def test_large_occupation_keeps_its_digits(self, fig_bath, n_eff):
+        # S = ln n + 1 + 1/(2n) - 1/(6n**2) + ..., so the three terms are
+        # exact to 1e-17 here; (1 + n) ln(1 + n) - n ln n cancels, and at
+        # n = 1e16 it reads 0.
+        expected = math.log(n_eff) + 1.0 + 0.5 / n_eff
+        assert entropy(OscillatorState(0j, n_eff)) == pytest.approx(expected, rel=2e-16)
+        run = simulate(OscillatorState(0j, n_eff), fig_bath, "markovian", t_max=0.01, dt_out=0.01)
+        assert run.entropy[0] == pytest.approx(expected, rel=2e-16)
+
+    def test_subnormal_occupation_has_finite_entropy_and_temperature(self, fig_bath):
+        # 1/n overflows below 2**-1024, where ln(1 + 1/n) = -ln n to rounding.
+        n_eff = 1e-310
+        run = simulate(OscillatorState(0j, n_eff), fig_bath, "markovian", t_max=0.01, dt_out=0.01)
+        assert run.beta[0] == pytest.approx(-math.log(n_eff), rel=1e-15)
+        assert run.entropy[0] == pytest.approx(n_eff * (1.0 - math.log(n_eff)), rel=1e-12)
+
     def test_against_fock_von_neumann(self):
         state = OscillatorState(0.6 - 0.2j, 4.0)
         mult = multipliers(state)
