@@ -127,15 +127,7 @@ class RelevantOperatorSet:
         for m, m_adj in enumerate(self.pairing):
             if self.pairing[m_adj] != m:
                 raise ValueError("pairing must be an involution")
-            if bands is None:
-                diff = np.max(np.abs(ops[m_adj] - ops[m].conj().T))
-            else:
-                main, upper, lower = bands
-                diff = max(
-                    np.max(np.abs(main[m_adj] - main[m].conj())),
-                    np.max(np.abs(upper[m_adj] - lower[m].conj())),
-                    np.max(np.abs(lower[m_adj] - upper[m].conj())),
-                )
+            diff = np.max(np.abs(ops[m_adj] - ops[m].conj().T))
             if diff > _ADJOINT_TOL:
                 kind = "Hermitian" if m_adj == m else "the adjoint of its partner"
                 raise ValueError(f"operator {m} is not {kind} (deviation {diff:.2e})")
@@ -406,8 +398,8 @@ def solve_self_consistency(
             x = (basis.conj().T @ F).real / np.sum(np.abs(basis) ** 2, axis=0)
         if not np.all(np.abs(x) <= multiplier_bound):
             raise InfeasibleTargetsError(
-                f"the start multipliers exceed {multiplier_bound} in magnitude; "
-                "start closer to the solution or raise the bound"
+                f"the start multipliers exceed {multiplier_bound} in magnitude; targets look "
+                "infeasible (boundary or exterior of the moment region), or a given start is too far out"
             )
 
     def evaluate(x_vec: np.ndarray) -> tuple[RelevantState, np.ndarray, float]:

@@ -449,7 +449,9 @@ class TestOtherModels:
         for operator_set, targets in cases:
             write_config(path, model="maxent_solve", operator_set=operator_set, targets=targets, initial=[])
             assert main(["maxent_solve", "--config", str(path)]) == 3, targets
-            assert "numerical failure" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "numerical failure" in err
+            assert "targets look infeasible (boundary or exterior of the moment region)" in err, err
 
     @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
     def test_a_start_that_overflows_the_exponent_exits_3(self, tmp_path, capsys, sweep):
