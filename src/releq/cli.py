@@ -45,8 +45,9 @@ _INPUT_ERRORS = (TypeError, ValueError, OverflowError, InvariantViolationError)
 # Largest inputs a run accepts: the number of output samples (t_max / dt_out),
 # the t_max and the number of kernel steps (``bath.step_counts``, known
 # before the first) of a run that integrates the kernels (corr and
-# non-Markovian transport), and the dimension of a Fock operator set (three
-# dim x dim complex matrices, one eigendecomposition per Newton step).
+# non-Markovian transport), and the dimension of a Fock operator set (kept
+# as its three diagonals; each Newton trial diagonalizes a dim x dim real
+# matrix, and a solve at 1024 peaks near 150 MiB of arrays).
 # Larger requests exit 2 instead of exhausting memory or running for minutes.
 MAX_SAMPLES = 10**6
 MAX_STEPS = 2 * 10**6

@@ -21,8 +21,10 @@ so H = D T D^dagger exactly: T has the eigenvalues of H, and the
 eigenvectors of H are D times the real eigenvectors of T (Parlett, The
 Symmetric Eigenvalue Problem, SIAM 1998).  The state is then built by a real
 eigendecomposition and a real product, with the phases put back entrywise,
-and the moments are read from three diagonals of rho.  Other sets take the
-dense complex path.
+the moments are read from three diagonals of rho, and the moment Jacobian
+rotates the operators by real products (``_rotated_operators``).  The Fock
+and spin sets store only their bands.  Other sets take the dense complex
+path.
 
 Bosonic operator sets are truncated; the tail-mass check guards against a
 truncation too small for the occupation being represented.
@@ -91,7 +93,7 @@ class DensityMatrixError(MaxEntError):
     """Matrix is not a density matrix within tolerance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RelevantOperatorSet:
     """Operators P_m plus the pairing map tying adjoint partners together.
 
@@ -102,45 +104,97 @@ class RelevantOperatorSet:
 
     ``bands`` is set when every operator is zero off its three central
     diagonals: the stacked (main, upper, lower) diagonals, of shapes
-    (M, dim), (M, dim - 1) and (M, dim - 1).  It is None otherwise.
+    (M, dim), (M, dim - 1) and (M, dim - 1).  It is None otherwise.  A set
+    made by ``from_bands`` (the Fock and spin sets) stores only its bands
+    and forms the dense ``operators`` anew at each request; a set made
+    from dense matrices keeps them.
     """
 
-    operators: tuple
     pairing: tuple[int, ...]
-    bands: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    bands: tuple | None = field(repr=False)
+    _dense: tuple | None = field(repr=False)
 
-    def __post_init__(self):
-        ops = tuple(np.asarray(op, dtype=complex) for op in self.operators)
+    def __init__(self, operators, pairing):
+        ops = tuple(np.asarray(op, dtype=complex) for op in operators)
         if not ops:
             raise ValueError("operator set must not be empty")
-        dim = ops[0].shape[0]
-        if dim < 2:
-            raise ValueError(f"operator dimension must be >= 2, got {dim}")
+        dim = _checked_dim(ops[0].shape[0])
         for op in ops:
             if op.shape != (dim, dim):
                 raise ValueError("all operators must be square with equal dimension")
-        if sorted(self.pairing) != list(range(len(ops))):
-            raise ValueError("pairing must be a permutation of the operator indices")
         bands = None
         if not any(np.any(np.triu(op, 2)) or np.any(np.tril(op, -2)) for op in ops):
             bands = tuple(np.array([np.diagonal(op, k) for op in ops]) for k in (0, 1, -1))
-        for m, m_adj in enumerate(self.pairing):
-            if self.pairing[m_adj] != m:
+        self._setup(ops, bands, pairing)
+
+    @classmethod
+    def from_bands(cls, main, upper, lower, pairing) -> RelevantOperatorSet:
+        """The set of tridiagonal operators with diagonals ``main[m]``,
+        superdiagonals ``upper[m]`` and subdiagonals ``lower[m]``."""
+        main, upper, lower = np.asarray(main), np.asarray(upper), np.asarray(lower)
+        if main.ndim != 2 or not len(main):
+            raise ValueError("main must stack one diagonal per operator")
+        dim = _checked_dim(main.shape[1])
+        if upper.shape != lower.shape or upper.shape != (main.shape[0], dim - 1):
+            raise ValueError("all operators must be square with equal dimension")
+        ops = cls.__new__(cls)
+        ops._setup(None, (main, upper, lower), pairing)
+        return ops
+
+    def _setup(self, dense, bands, pairing) -> None:
+        """Check ``pairing`` against the operators, on their bands if they
+        have them, and store it with ``dense`` (None for a band-only set)
+        and ``bands``."""
+        pairing = tuple(pairing)
+        if bands is None:
+            entries, adjoints = dense, [op.conj().T for op in dense]
+        else:
+            main, upper, lower = bands
+            entries = np.concatenate(bands, axis=1)
+            adjoints = np.concatenate((main, lower, upper), axis=1).conj()
+        if sorted(pairing) != list(range(len(entries))):
+            raise ValueError("pairing must be a permutation of the operator indices")
+        for m, m_adj in enumerate(pairing):
+            if pairing[m_adj] != m:
                 raise ValueError("pairing must be an involution")
-            diff = np.max(np.abs(ops[m_adj] - ops[m].conj().T))
+            diff = np.max(np.abs(entries[m_adj] - adjoints[m]))
             if diff > _ADJOINT_TOL:
                 kind = "Hermitian" if m_adj == m else "the adjoint of its partner"
                 raise ValueError(f"operator {m} is not {kind} (deviation {diff:.2e})")
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "pairing", tuple(self.pairing))
+        object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "bands", bands)
+        object.__setattr__(self, "_dense", dense)
+
+    @property
+    def operators(self) -> tuple:
+        """The operators as dense complex dim x dim matrices."""
+        if self._dense is not None:
+            return self._dense
+        return tuple(_tridiagonal(*diagonals, complex) for diagonals in zip(*self.bands))
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.bands[0].shape[1] if self._dense is None else len(self._dense[0])
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return len(self.pairing)
+
+
+def _checked_dim(dim: int) -> int:
+    if dim < 2:
+        raise ValueError(f"operator dimension must be >= 2, got {dim}")
+    return dim
+
+
+def _tridiagonal(main, upper, lower, dtype) -> np.ndarray:
+    """The dense matrix with diagonal ``main``, superdiagonal ``upper`` and
+    subdiagonal ``lower``."""
+    dim = len(main)
+    out = np.zeros((dim, dim), dtype=dtype)
+    out.flat[:: dim + 1] = main
+    out.flat[1 :: dim + 1] = upper
+    out.flat[dim :: dim + 1] = lower
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +202,11 @@ class RelevantState:
     """Multipliers with the resulting normalization value and density matrix.
 
     ``levels`` and ``vectors`` are the eigendecomposition of the exponent
-    sum_m F_m P_m that ``rho`` was built from.
+    sum_m F_m P_m that ``rho`` was built from.  A state built on the bands
+    also keeps the factors of ``vectors = phases[:, None] * real_vectors``:
+    the unit phases and the real eigenvectors of the phased exponent (see
+    the module docstring), which ``moment_jacobian`` works with.  They are
+    None for a state built from dense operators.
     """
 
     multipliers: np.ndarray
@@ -156,6 +214,8 @@ class RelevantState:
     rho: np.ndarray
     levels: np.ndarray
     vectors: np.ndarray
+    phases: np.ndarray | None = None
+    real_vectors: np.ndarray | None = None
 
 
 def _check_pairing(values, ops: RelevantOperatorSet, tol: float, what: str, why: str) -> np.ndarray:
@@ -203,29 +263,27 @@ def build_state(F, ops: RelevantOperatorSet) -> RelevantState:
         levels, vectors = np.linalg.eigh(exponent)
         phi, weights = _normalization(levels)
         rho = (vectors * weights) @ vectors.conj().T
-    else:
-        diagonal = np.zeros(ops.dim, dtype=complex)
-        upper = np.zeros(ops.dim - 1, dtype=complex)
-        lower = np.zeros(ops.dim - 1, dtype=complex)
-        for coeff, main_m, upper_m, lower_m in zip(F, *ops.bands):
-            diagonal += coeff * main_m
-            upper += coeff * upper_m
-            lower += coeff * lower_m
-        diagonal = diagonal.real
-        upper = 0.5 * (upper + lower.conj())
-        _check_finite(diagonal, upper)
-        magnitude = np.abs(upper)
-        steps = np.ones(ops.dim, dtype=complex)
-        np.divide(upper.conj(), magnitude, out=steps[1:], where=magnitude > 0.0)
-        phases = np.cumprod(steps)
-        tridiagonal = np.diag(diagonal)
-        tridiagonal.flat[1 :: ops.dim + 1] = magnitude
-        tridiagonal.flat[ops.dim :: ops.dim + 1] = magnitude
-        levels, real_vectors = np.linalg.eigh(tridiagonal)
-        phi, weights = _normalization(levels)
-        rho = (real_vectors * weights) @ real_vectors.T * np.outer(phases, phases.conj())
-        vectors = phases[:, None] * real_vectors
-    return RelevantState(multipliers=F.copy(), phi=phi, rho=rho, levels=levels, vectors=vectors)
+        return RelevantState(multipliers=F.copy(), phi=phi, rho=rho, levels=levels, vectors=vectors)
+    diagonal = np.zeros(ops.dim, dtype=complex)
+    upper = np.zeros(ops.dim - 1, dtype=complex)
+    lower = np.zeros(ops.dim - 1, dtype=complex)
+    for coeff, main_m, upper_m, lower_m in zip(F, *ops.bands):
+        diagonal += coeff * main_m
+        upper += coeff * upper_m
+        lower += coeff * lower_m
+    diagonal = diagonal.real
+    upper = 0.5 * (upper + lower.conj())
+    _check_finite(diagonal, upper)
+    magnitude = np.abs(upper)
+    steps = np.ones(ops.dim, dtype=complex)
+    np.divide(upper.conj(), magnitude, out=steps[1:], where=magnitude > 0.0)
+    phases = np.cumprod(steps)
+    levels, real_vectors = np.linalg.eigh(_tridiagonal(diagonal, magnitude, magnitude, float))
+    phi, weights = _normalization(levels)
+    rho = np.multiply.outer(phases, phases.conj())
+    rho *= (real_vectors * weights) @ real_vectors.T
+    vectors = phases[:, None] * real_vectors
+    return RelevantState(F.copy(), phi, rho, levels, vectors, phases, real_vectors)
 
 
 def _check_finite(*parts: np.ndarray) -> None:
@@ -310,7 +368,7 @@ def moment_jacobian(state: RelevantState, ops: RelevantOperatorSet) -> np.ndarra
     the Kubo-Mori covariance, the Hessian of phi (Petz and Toth 1993).  Only
     admissible directions dF are meaningful, but those span every index.
     """
-    levels, vectors = state.levels, state.vectors
+    levels = state.levels
     weights = np.exp(-levels - state.phi)
     gap = np.abs(levels[:, None] - levels[None, :])
     # k_ij = max(p_i, p_j) (1 - exp(-gap)) / gap: no cancellation between
@@ -320,19 +378,47 @@ def moment_jacobian(state: RelevantState, ops: RelevantOperatorSet) -> np.ndarra
     np.divide(-np.expm1(-gap), gap, out=ratio, where=gap > 0.0)
     root_kernel = np.sqrt(np.maximum.outer(weights, weights) * ratio)
 
-    # Q_m' = Q_m^dagger for adjoint partners, so one product per pair.
-    adjoint = vectors.conj().T
-    rotated = np.empty((len(ops), ops.dim, ops.dim), dtype=complex)
-    for m, m_adj in enumerate(ops.pairing):
-        if m <= m_adj:
-            rotated[m] = adjoint @ (ops.operators[m] @ vectors)
-            rotated[m_adj] = rotated[m].conj().T
+    rotated = _rotated_operators(state, ops)
     means = np.einsum("mii,i->m", rotated, weights)
     # (Q_n)_ji = conj(Q_n')_ij, so the sum is the Gram matrix of the
-    # Q_m sqrt(k), read at the partner column n'.
-    scaled = (rotated * root_kernel).reshape(len(ops), -1)
-    gram = scaled @ scaled.conj().T
+    # Q_m sqrt(k), read at the partner column n'; ``vdot`` conjugates its
+    # first argument without a copy.
+    rotated *= root_kernel
+    scaled = rotated.reshape(len(ops), -1)
+    gram = np.array([[np.vdot(b, a) for b in scaled] for a in scaled])
     return np.outer(means, means) - gram[:, list(ops.pairing)]
+
+
+def _rotated_operators(state: RelevantState, ops: RelevantOperatorSet) -> np.ndarray:
+    """The stacked Q_m = V^dagger P_m V, one product per adjoint pair, as
+    Q_m' = Q_m^dagger.
+
+    On the bands, V = D W with D the unit phases and W real, so
+    Q_m = W^T B_m W with B_m = D^dagger P_m D tridiagonal: B_m W costs
+    O(dim^2), and W^T times its real and imaginary parts is one real
+    product with the complex array read as interleaved real columns.
+    """
+    rotated = np.empty((len(ops), ops.dim, ops.dim), dtype=complex)
+    pairs = [(m, m_adj) for m, m_adj in enumerate(ops.pairing) if m <= m_adj]
+    if state.real_vectors is None:
+        vectors, operators = state.vectors, ops.operators
+        for m, _ in pairs:
+            rotated[m] = vectors.conj().T @ (operators[m] @ vectors)
+    else:
+        real_vectors = state.real_vectors
+        # The bands of every B_m: (B_m)_{i,i+1} = conj(d_i) d_{i+1} P_{i,i+1}.
+        turn = state.phases[1:] * state.phases[:-1].conj()
+        main, upper, lower = ops.bands
+        upper, lower = upper * turn, lower * turn.conj()
+        banded = np.empty_like(rotated[0])
+        for m, _ in pairs:
+            np.multiply(main[m][:, None], real_vectors, out=banded)
+            banded[:-1] += upper[m][:, None] * real_vectors[1:]
+            banded[1:] += lower[m][:, None] * real_vectors[:-1]
+            np.matmul(real_vectors.T, banded.view(float), out=rotated[m].view(float))
+    for m, m_adj in pairs:
+        rotated[m_adj] = rotated[m].conj().T
+    return rotated
 
 
 def _real_basis(pairing: tuple[int, ...]) -> np.ndarray:
@@ -466,18 +552,22 @@ def number_operator(dim: int) -> np.ndarray:
 
 def fock_operator_set(dim: int = 256) -> RelevantOperatorSet:
     """Bosonic set (raising, occupation, lowering) on a truncated ladder."""
-    return RelevantOperatorSet(
-        operators=(creation(dim), number_operator(dim), annihilation(dim)),
+    ladder = np.sqrt(np.arange(1, dim, dtype=float))
+    empty = np.zeros_like(ladder)
+    return RelevantOperatorSet.from_bands(
+        main=[np.zeros(dim), np.arange(dim, dtype=float), np.zeros(dim)],
+        upper=[empty, empty, ladder],
+        lower=[ladder, empty, empty],
         pairing=(2, 1, 0),
     )
 
 
 def spin_operator_set() -> RelevantOperatorSet:
     """Spin-1/2 set (raising, z-component with +-1/2 levels, lowering)."""
-    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    sz = np.diag([0.5, -0.5]).astype(complex)
-    return RelevantOperatorSet(
-        operators=(raising, sz, raising.conj().T),
+    return RelevantOperatorSet.from_bands(
+        main=[[0.0, 0.0], [0.5, -0.5], [0.0, 0.0]],
+        upper=[[1.0], [0.0], [0.0]],
+        lower=[[0.0], [0.0], [1.0]],
         pairing=(2, 1, 0),
     )
 

@@ -12,8 +12,10 @@ whole table in one pass over full-length arrays, the integrator oracle
 runs each Dormand-Prince step on numpy arrays, the transport oracle
 integrates the equations of motion and the kernels with scipy's DOP853 at
 tight tolerances, the maximum-entropy state is built from a dense complex
-eigendecomposition of any operator set, and the matrix exponentials are
-scipy's and mpmath's.
+eigendecomposition of any operator set, its moment Jacobian from the same
+decomposition with divided differences of the weights (a Taylor series
+between near-equal levels), and the matrix exponentials are scipy's and
+mpmath's.
 """
 
 import math
@@ -278,6 +280,32 @@ def dense_maxent_state(F, operators) -> tuple:
     total = weights.sum()
     rho = (vectors * (weights / total)) @ vectors.conj().T
     return rho, math.log(total) - levels.min(), exponent
+
+
+def dense_moment_jacobian(F, operators) -> np.ndarray:
+    """d<P_m>/dF_n of exp(-H)/Z for H = sum_m F_m P_m, from a dense complex
+    eigendecomposition of H.
+
+    With levels l_i, weights p_i and Q_m = V^dagger P_m V,
+    d<P_m>/dF_n = <P_m><P_n> - sum_ij (Q_m)_ij (Q_n)_ji k_ij, where k_ij is
+    the divided difference (p_i - p_j) / (l_j - l_i).  Between levels
+    closer than 1e-3 it is p_j (1 - exp(-g)) / g with g = l_i - l_j, summed
+    as its Taylor series, whose limit p_i at g = 0 covers equal levels.
+    """
+    _, _, exponent = dense_maxent_state(F, operators)
+    levels, vectors = np.linalg.eigh(exponent)
+    weights = np.exp(levels.min() - levels)
+    weights /= weights.sum()
+    g = levels[:, None] - levels[None, :]
+    near = np.abs(g) < 1e-3
+    series = sum((-g) ** k / math.factorial(k + 1) for k in range(10))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(near, weights[None, :] * series, (weights[:, None] - weights[None, :]) / -g)
+    rotated = [vectors.conj().T @ np.asarray(op, dtype=complex) @ vectors for op in operators]
+    means = np.array([q.diagonal() @ weights for q in rotated])
+    return np.array(
+        [[means[m] * means[n] - np.sum(q_m * q_n.T * kernel) for n, q_n in enumerate(rotated)] for m, q_m in enumerate(rotated)]
+    )
 
 
 def _hermitian_to_vec(h: np.ndarray) -> np.ndarray:

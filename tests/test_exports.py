@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,28 @@ def test_no_module_level_import_is_dead():
     # deleted code.
     dead = {path.name: _dead_imports(path) for path in sorted(Path(releq.__file__).parent.glob("*.py"))}
     assert not {name: imports for name, imports in dead.items() if imports}
+
+
+def test_a_fock_solve_through_the_cli_imports_no_scipy(tmp_path):
+    # scipy serves only the kernels' reference quadrature; its import costs
+    # a max-ent run a fifth of a second and about 25 MB.  The start F = 0
+    # makes the solve take Newton steps, so the Jacobian runs too.
+    config = tmp_path / "fock.json"
+    config.write_text(json.dumps({
+        "model": "maxent_solve",
+        "operator_set": {"kind": "fock", "dim": 64},
+        "targets": [[0.2, -0.1], [1.5, 0.0], [0.2, 0.1]],
+        "initial": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "output_path": str(tmp_path / "fock.csv"),
+    }))
+    code = (
+        "import sys, releq.cli; "
+        f"assert releq.cli.main(['maxent_solve', '--config', {str(config)!r}]) == 0; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(releq.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+    assert (tmp_path / "fock.csv").read_text().count("\n") == 4

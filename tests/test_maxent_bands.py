@@ -1,11 +1,12 @@
 """The band path of tridiagonal operator sets against dense complex arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import dense_maxent_state
+from oracles import dense_maxent_state, dense_moment_jacobian
 from releq import maxent
 from releq.maxent import InfeasibleTargetsError, MaxEntError, RelevantOperatorSet
 
@@ -143,3 +144,80 @@ def test_a_start_beyond_the_bound_is_refused_before_its_state_is_built(monkeypat
             [0.1, 1.0, 0.1], maxent.fock_operator_set(16), initial_F=[1e308, 1e308, 1e308]
         )
     assert calls == []
+
+
+def test_the_dense_operators_of_band_sets_are_formed_on_request():
+    for dim in (2, 3, 17):
+        ops = maxent.fock_operator_set(dim)
+        expected = (maxent.creation(dim), maxent.number_operator(dim), maxent.annihilation(dim))
+        assert all(op.dtype == complex and np.array_equal(op, want) for op, want in zip(ops.operators, expected))
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    spin = (raising, np.diag([0.5, -0.5]).astype(complex), raising.T)
+    assert all(np.array_equal(op, want) for op, want in zip(maxent.spin_operator_set().operators, spin))
+
+
+def test_a_fock_set_of_one_level_is_refused():
+    with pytest.raises(ValueError, match="operator dimension must be >= 2, got 1"):
+        maxent.fock_operator_set(1)
+
+
+def test_a_fock_1024_set_holds_its_bands_only():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ops = maxent.fock_operator_set(1024)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ops.dim == 1024 and held < 100_000
+
+
+def test_a_fock_solve_forms_no_dense_operator(monkeypatch):
+    def no_operators(self):
+        raise AssertionError("dense operators formed")
+
+    monkeypatch.setattr(RelevantOperatorSet, "operators", property(no_operators))
+    ops, F = thermal_fock(64, n_eff=3.0)
+    targets = maxent.moments(maxent.build_state(F, ops), ops)
+    assert np.max(np.abs(maxent.solve_self_consistency(targets, ops) - F)) <= 1e-9
+
+
+def test_band_pairing_is_checked_on_the_bands():
+    main = [[0.0, 0.0], [0.5, -0.5], [0.0, 0.0]]
+    with pytest.raises(ValueError, match="operator 0 is not the adjoint of its partner"):
+        RelevantOperatorSet.from_bands(main, [[1.0], [0.0], [1.0]], [[0.0], [0.0], [0.0]], (2, 1, 0))
+    with pytest.raises(ValueError, match="operator 1 is not Hermitian"):
+        RelevantOperatorSet.from_bands([[0.0, 0.0], [0.5j, 0.0], [0.0, 0.0]], [[1.0], [0.0], [0.0]], [[0.0], [0.0], [1.0]], (2, 1, 0))
+    with pytest.raises(ValueError, match="equal dimension"):
+        RelevantOperatorSet.from_bands(main, [[1.0], [0.0], [0.0]], [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], (2, 1, 0))
+
+
+def random_admissible(rng) -> np.ndarray:
+    """Multipliers (F1, F2, conj(F1)) with F2 in [0.2, 2] and |F1| below 0.71."""
+    f1 = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    return np.array([f1, rng.uniform(0.2, 2.0), f1.conjugate()])
+
+
+def random_tridiagonal(rng, dim: int) -> RelevantOperatorSet:
+    """A random Hermitian tridiagonal operator and a random tridiagonal
+    adjoint pair, from their bands."""
+    g_main = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    g_upper, g_lower, h_upper = rng.normal(size=(3, dim - 1)) + 1j * rng.normal(size=(3, dim - 1))
+    return RelevantOperatorSet.from_bands(
+        [g_main, rng.normal(size=dim), g_main.conj()],
+        [g_upper, h_upper, g_lower.conj()],
+        [g_lower, h_upper.conj(), g_upper.conj()],
+        (2, 1, 0),
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 33, 64])
+@pytest.mark.parametrize("kind", ["fock", "tridiagonal"])
+def test_band_jacobian_matches_the_dense_formula(rng, kind, dim):
+    ops = maxent.fock_operator_set(dim) if kind == "fock" else random_tridiagonal(rng, dim)
+    for F in [np.zeros(3)] + [random_admissible(rng) for _ in range(3)]:
+        state = maxent.build_state(F, ops)
+        assert state.real_vectors is not None
+        expected = dense_moment_jacobian(F, ops.operators)
+        jacobian = maxent.moment_jacobian(state, ops)
+        assert np.max(np.abs(jacobian - expected)) <= 1e-13 * max(1.0, np.max(np.abs(expected)))
