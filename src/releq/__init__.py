@@ -17,7 +17,6 @@ from .bath import (
     MarkovianLimits,
     corr_f,
     corr_f_beta,
-    correlator_cache,
     markovian_limits,
     spectral_density,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "build_state",
     "corr_f",
     "corr_f_beta",
-    "correlator_cache",
     "markovian_limits",
     "moments",
     "solve_self_consistency",

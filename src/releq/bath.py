@@ -13,11 +13,12 @@ the spectral density J(w) = w exp(-w/W)).  Both kernels vanish at t = 0 and
 approach constant long-time values whose real parts are pi*J(w0) and
 pi*J(w0)*coth(beta*w0/2).
 
-A run's Magnus propagation and the corr samples integrate the closed-form
-derivatives above on the steps of one step rule (``step_chunks``), a chunk
-of steps at a time, and read both kernels at each step's nodes and end
-(``step_kernels``).  The closed-form oscillator solution reads them from a
-table of cubic Hermite pieces (``CorrelatorCache``) instead.
+Every consumer integrates the closed-form derivatives above on the steps of
+one step rule (``step_chunks``), a chunk of steps at a time, and reads both
+kernels at each step's nodes and end (``step_kernels``): a run's Magnus
+propagation does so in its own loop, and ``correlator_samples`` and the
+closed-form oscillator solution sample them at given times, the latter
+together with the time integral of f.
 The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
 W**2 / (s W + i)**2 = -r, so both take one pass over the points and one
 trigamma call.
@@ -28,7 +29,6 @@ kept as the reference evaluation path.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -41,7 +41,6 @@ from .specfun import trigamma
 __all__ = [
     "REGIMES",
     "BathParams",
-    "CorrelatorCache",
     "MarkovianLimits",
     "QuadratureError",
     "coth",
@@ -49,7 +48,6 @@ __all__ = [
     "corr_f_beta",
     "corr_f_integrand",
     "corr_f_beta_integrand",
-    "correlator_cache",
     "correlator_samples",
     "markovian_limits",
     "spectral_density",
@@ -199,8 +197,10 @@ _LATE_STEP = 0.01
 # at once.
 _STEP_CHUNK = 1024
 
-# The three Gauss-Legendre nodes of a step, and its end, as fractions of it.
+# The three Gauss-Legendre nodes of a step, and its end, as fractions of it,
+# and the nodes' weights as fractions of the step.
 _STEP_NODES = np.append(0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0, 1.0)
+_STEP_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +273,13 @@ def step_kernels(params: BathParams, starts, widths, f0: complex = 0j, f_beta0: 
     increments to their ends after ``(f0, f_beta0)``, so a chunk that goes on
     from the last end of the one before gives the bits of one long call.
     """
+    return _step_kernels(params, starts, widths, f0, f_beta0)[:2]
+
+
+def _step_kernels(params: BathParams, starts, widths, f0: complex, f_beta0: complex):
+    """``step_kernels``' two arrays, and f' at every step's m points, an
+    array of shape ``(steps, m)``, from which ``_kernel_samples`` integrates
+    f over the steps."""
     starts = np.asarray(starts, dtype=float)
     widths = np.asarray(widths, dtype=float)
     fractions, integrals = _integration_matrix(_POINTS_PER_STEP)
@@ -284,192 +291,7 @@ def step_kernels(params: BathParams, starts, widths, f0: complex = 0j, f_beta0: 
     increments = increments.view(complex)  # (steps, 4, 2): f and f_beta
     at_starts = np.cumsum(np.concatenate(([[f0, f_beta0]], increments[:, 3])), axis=0)
     values = at_starts[:-1, None] + increments
-    return values[..., 0], values[..., 1]
-
-
-# ---------------------------------------------------------------------------
-# Composite Gauss-Legendre helpers (vectorised over panels).
-
-_GL_NODES, _GL_WEIGHTS = leggauss(4)
-
-# Panels a table build integrates at once.  The integrands allocate several
-# temporaries per node (trigamma most), so this bounds the memory a build
-# needs beside the table itself; every panel's value is the same in any chunk.
-_PANEL_CHUNK = 4096
-
-
-# Grid step of the kernel table.  The Hermite error on an interval is at most
-# step**4/384 * max|f''''| (de Boor, A Practical Guide to Splines, ch. IV).
-# It is largest at t = 0, where |f''''| = 24 W**5: about 6e-14 * W**5.
-_TABLE_STEP = 1e-3
-
-
-class CorrelatorCache:
-    """Table of f(t) and f(t, beta) on a uniform grid, served as cubics.
-
-    It serves only the closed-form oscillator solution
-    (``oscillator.closed_form_trajectory``), which integrates f over time;
-    the runs and the corr samples integrate the kernels on their own steps
-    (``step_kernels``) and build no table.  The node values are built by
-    cumulative panelwise Gauss-Legendre integration of the closed-form
-    kernel derivatives, and each interval is the cubic Hermite piece through
-    its two node values and the exact derivatives there.  Its error grows as
-    W**5 (see ``_TABLE_STEP``): near t = 0 it is about 6e-9 at W = 10 and
-    6e-4 at W = 100, against 4e-14 and 4e-13 for ``step_kernels``.  The
-    pieces are kept as one float table of shape (intervals, 16): row i
-    holds, for the interval [i*step, (i+1)*step), the power-basis
-    coefficients (highest power first) of Re f, Im f, Re f_beta and
-    Im f_beta.  A lookup finds its row by index arithmetic.
-
-    A new table holds only a few rows; it grows to the times a caller asks
-    for, to one step past them (``ensure_horizon``, and every array lookup).
-    The pieces are local, so an extension copies the old rows as they were
-    into a new table, fills the rows after them chunk by chunk, and then
-    publishes it; a lookup running meanwhile reads the one it started with,
-    so concurrent lookups stay in range.  A scalar lookup past the horizon
-    grows the table as ``ensure_horizon`` does.
-    """
-
-    def __init__(self, params: BathParams, t_max: float = 10 * _TABLE_STEP):
-        self.params = params
-        self._lock = threading.Lock()
-        self._table = np.empty((0, 16))
-        self._build(max(t_max, 10 * _TABLE_STEP))
-
-    def _build(self, t_max: float):
-        h = _TABLE_STEP
-        n = int(math.ceil(t_max / h))
-        old = self._table
-        first = len(old)  # the first new row
-        table = np.empty((n, 16))
-        table[:first] = old
-        rows = table.reshape(n, 4, 4)
-        # An extension sums on from the first node of the old last row, whose
-        # constant coefficients hold that node's value exactly.  The sums
-        # then run in the order of a fresh build, and so do the new rows;
-        # each chunk carries on from the last node value of the one before.
-        start = max(first - 1, 0)
-        y_end = [complex(old[start, 8 * k + 3], old[start, 8 * k + 7]) if first else 0j for k in (0, 1)]
-        for lo in range(start, n, _PANEL_CHUNK):
-            hi = min(lo + _PANEL_CHUNK, n)
-            grid = np.arange(lo, hi + 1) * h
-            skip = max(first - lo, 0)  # the old last row, if this chunk holds it
-            # The panels' 4-point Gauss-Legendre nodes, then the grid nodes
-            # of the new rows: both kernels' derivatives in one evaluation.
-            half = 0.5 * np.diff(grid)
-            nodes = (grid[:-1] + half)[:, None] + half[:, None] * _GL_NODES[None, :]
-            derivatives = _kernel_derivatives(np.concatenate((nodes.reshape(-1), grid[skip:])), self.params)
-            for k, values in enumerate(derivatives):
-                panels = half * (values[: nodes.size].reshape(nodes.shape) @ _GL_WEIGHTS)
-                y = np.cumsum(np.concatenate(([y_end[k]], panels)))
-                y_end[k] = y[-1]
-                y = y[skip:]
-                d = values[nodes.size :]
-                d0, d1 = d[:-1], d[1:]
-                slope = np.diff(y) / h
-                coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
-                rows[lo + skip : hi, 2 * k] = coeffs.real
-                rows[lo + skip : hi, 2 * k + 1] = coeffs.imag
-        self._table = table
-        # Published last: a caller that sees the new horizon sees the new table.
-        self.t_max = grid[-1]
-
-    def ensure_horizon(self, t: float):
-        """Extend the table so that ``t`` lies strictly inside it.
-
-        The table is built to one step past ``t``, so a lookup at any time up
-        to ``t`` reads the row that every longer table holds, never the last
-        node, whose cubic reproduces the node value only to rounding.
-        """
-        if t < self.t_max:
-            return
-        with self._lock:
-            if t >= self.t_max:
-                self._build(t + _TABLE_STEP)
-
-    def pair(self, t: float) -> tuple[complex, complex]:
-        """(f(t), f(t, beta)) at one time; the scalar form of ``f``/``f_beta``."""
-        t = float(t)
-        table = self._table
-        step = _TABLE_STEP
-        i = int(t / step)
-        if t < i * step:
-            i -= 1
-        elif t >= (i + 1) * step:
-            i += 1
-        if i >= len(table):
-            if t > len(table) * step:
-                self.ensure_horizon(t)
-                return self.pair(t)
-            i = len(table) - 1  # t on the last node: the last interval is closed
-        elif i < 0:
-            i = 0  # before the grid: the first cubic, extrapolated
-        s = t - i * step
-        ss = s * s
-        sss = ss * s
-        a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = table[i].tolist()
-        return (
-            complex(((a3 + a2 * s) + a1 * ss) + a0 * sss, ((b3 + b2 * s) + b1 * ss) + b0 * sss),
-            complex(((c3 + c2 * s) + c1 * ss) + c0 * sss, ((d3 + d2 * s) + d1 * ss) + d0 * sss),
-        )
-
-    def _locate(self, t):
-        """(table, rows, offsets) of an array of times; ``pair``'s index arithmetic."""
-        flat = np.asarray(t, dtype=float).reshape(-1)
-        if flat.size:
-            self.ensure_horizon(float(flat.max()))
-        table = self._table
-        i = (flat / _TABLE_STEP).astype(np.intp)
-        i -= flat < i * _TABLE_STEP
-        i += flat >= (i + 1) * _TABLE_STEP
-        np.clip(i, 0, len(table) - 1, out=i)
-        return table, i, flat - i * _TABLE_STEP
-
-    def _evaluate(self, t, kernel: int) -> np.ndarray:
-        """f (``kernel`` 0) or f_beta (1) at an array of times; ``pair`` vectorised."""
-        table, i, s = self._locate(t)
-        ss = s * s
-        sss = ss * s
-        rows = table[i, 8 * kernel : 8 * kernel + 8]  # the kernel's columns only
-        out = np.empty(s.shape, dtype=complex)
-        for part, c in ((out.real, rows[:, :4]), (out.imag, rows[:, 4:])):
-            part[...] = ((c[:, 3] + c[:, 2] * s) + c[:, 1] * ss) + c[:, 0] * sss
-        return out.reshape(np.shape(t))
-
-    def f(self, t):
-        """f(t), cubic interpolation on the table."""
-        return self.pair(t)[0] if np.ndim(t) == 0 else self._evaluate(t, 0)
-
-    def f_beta(self, t):
-        """f(t, beta), cubic interpolation on the table."""
-        return self.pair(t)[1] if np.ndim(t) == 0 else self._evaluate(t, 1)
-
-    def f_time_integral(self, t):
-        """integral_0^t f(s) ds of the interpolated f, the exponent of the
-        amplitude decay: the whole intervals before t, then the part of the
-        one that holds t."""
-        table, i, s = self._locate(t)
-        c = table[:, 0:4] + 1j * table[:, 4:8]
-
-        def integral(c, s):  # of the cubics c (highest power first) over [0, s]
-            return s * (c[:, 3] + s * (c[:, 2] / 2 + s * (c[:, 1] / 3 + s * (c[:, 0] / 4))))
-
-        whole = np.concatenate(([0j], np.cumsum(integral(c, _TABLE_STEP))))
-        out = whole[i] + integral(c[i], s)
-        return complex(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
-
-
-@lru_cache(maxsize=1)
-def correlator_cache(params: BathParams) -> CorrelatorCache:
-    """The shared kernel table of the latest bath asked for, which the
-    closed-form oscillator solution reads.
-
-    Only that one is kept: a table can be large (128 bytes per step of
-    1e-3), so the last bath's table is freed when the next one is asked
-    for.  A caller keeps the table it holds alive itself, so callers on
-    other baths cannot take it away from under it.
-    """
-    return CorrelatorCache(params)
+    return values[..., 0], values[..., 1], derivatives[:, 0].reshape(starts.size, _POINTS_PER_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -544,19 +366,39 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
 # Sampling.
 
 
+def _kernel_samples(params: BathParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(f, f_beta, I)`` at the times ``times``, increasing in their flat
+    order, as complex arrays of their shape; I(t) is the integral of f from
+    0 to t.
+
+    Both kernels are integrated from t = 0 on the steps of ``step_chunks``
+    by ``step_kernels``, a chunk at a time.  I sums the integrals of f over
+    the steps, each w f(start) + integral (end - u) f'(u) du by the m-point
+    Gauss-Legendre rule on the f' that gives the kernels.  The sums run on
+    from the chunk before as ``step_kernels``' do, so the chunk length does
+    not change a bit of the values.
+    """
+    times = np.asarray(times, dtype=float)
+    flat = times.reshape(-1)
+    if np.any(flat < 0) or np.any(np.diff(flat) <= 0):
+        raise ValueError("correlator sample times must be >= 0 and increasing")
+    grid = np.concatenate(([0.0], flat))  # a first time of 0 takes no step
+    out = np.zeros((3, grid.size), dtype=complex)
+    carry = (0j, 0j, 0j)
+    fractions, integrals = _integration_matrix(_POINTS_PER_STEP)
+    tail = integrals[3] * (1.0 - fractions)  # integral (end - u) g(u) du, in units of the width squared
+    for gap, last, starts, widths in step_chunks(grid, params.W):
+        f, f_beta, derivative = _step_kernels(params, starts, widths, *carry[:2])
+        at_starts = np.concatenate(([carry[0]], f[:-1, 3]))
+        over_steps = widths * (at_starts + widths * (derivative * tail).sum(axis=1))
+        integral = np.cumsum(np.concatenate(([carry[2]], over_steps)))[1:]
+        carry = (f[-1, 3], f_beta[-1, 3], integral[-1])
+        out[:, gap[last] + 1] = f[last, 3], f_beta[last, 3], integral[last]
+    return tuple(values[1:].reshape(times.shape) for values in out)
+
+
 def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Both kernels at the increasing times ``times``, complex arrays
     ``(f, f_beta)``, integrated from t = 0 on the steps of ``step_chunks``
     by ``step_kernels``, a chunk at a time."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("correlator sample times must be >= 0 and increasing")
-    grid = np.concatenate(([0.0], times))  # a first time of 0 takes no step
-    out = np.zeros((2, grid.size), dtype=complex)
-    carry = (0j, 0j)
-    for gap, last, starts, widths in step_chunks(grid, params.W):
-        f, f_beta = step_kernels(params, starts, widths, *carry)
-        carry = (f[-1, 3], f_beta[-1, 3])
-        out[0, gap[last] + 1] = f[last, 3]
-        out[1, gap[last] + 1] = f_beta[last, 3]
-    return out[0, 1:], out[1, 1:]
+    return _kernel_samples(params, times)[:2]

@@ -203,19 +203,27 @@ class RelevantState:
 
     ``levels`` and ``vectors`` are the eigendecomposition of the exponent
     sum_m F_m P_m that ``rho`` was built from.  A state built on the bands
-    also keeps the factors of ``vectors = phases[:, None] * real_vectors``:
+    keeps only the factors of ``vectors = phases[:, None] * real_vectors``:
     the unit phases and the real eigenvectors of the phased exponent (see
-    the module docstring), which ``moment_jacobian`` works with.  They are
-    None for a state built from dense operators.
+    the module docstring), which ``moment_jacobian`` works with, and forms
+    ``vectors`` from them at each request.  The factors are None for a
+    state built from dense operators, which keeps ``vectors`` itself.
     """
 
     multipliers: np.ndarray
     phi: float
     rho: np.ndarray
     levels: np.ndarray
-    vectors: np.ndarray
+    _vectors: np.ndarray | None = field(repr=False)
     phases: np.ndarray | None = None
     real_vectors: np.ndarray | None = None
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The eigenvectors of the exponent, as a complex dim x dim matrix."""
+        if self.real_vectors is None:
+            return self._vectors
+        return self.phases[:, None] * self.real_vectors
 
 
 def _check_pairing(values, ops: RelevantOperatorSet, tol: float, what: str, why: str) -> np.ndarray:
@@ -263,7 +271,7 @@ def build_state(F, ops: RelevantOperatorSet) -> RelevantState:
         levels, vectors = np.linalg.eigh(exponent)
         phi, weights = _normalization(levels)
         rho = (vectors * weights) @ vectors.conj().T
-        return RelevantState(multipliers=F.copy(), phi=phi, rho=rho, levels=levels, vectors=vectors)
+        return RelevantState(F.copy(), phi, rho, levels, vectors)
     diagonal = np.zeros(ops.dim, dtype=complex)
     upper = np.zeros(ops.dim - 1, dtype=complex)
     lower = np.zeros(ops.dim - 1, dtype=complex)
@@ -282,8 +290,7 @@ def build_state(F, ops: RelevantOperatorSet) -> RelevantState:
     phi, weights = _normalization(levels)
     rho = np.multiply.outer(phases, phases.conj())
     rho *= (real_vectors * weights) @ real_vectors.T
-    vectors = phases[:, None] * real_vectors
-    return RelevantState(F.copy(), phi, rho, levels, vectors, phases, real_vectors)
+    return RelevantState(F.copy(), phi, rho, levels, None, phases, real_vectors)
 
 
 def _check_finite(*parts: np.ndarray) -> None:

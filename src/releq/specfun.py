@@ -49,8 +49,8 @@ def trigamma(z):
     converges to better than 1e-13 relative error.  The poles at the
     non-positive integers are rejected.  The shifts run in real arithmetic,
     over the whole array at once when every point shares its real part, as
-    the points of a kernel table do, and point by point otherwise; both give
-    the same bits.
+    the kernels' points of one bath do, and point by point otherwise; both
+    give the same bits.
 
     Parameters
     ----------
@@ -84,8 +84,8 @@ def trigamma(z):
     y2 = y * y
     re, im = np.zeros_like(x), np.zeros_like(x)
     if x.size and (x == x[0]).all():
-        # Points of a kernel table share Re z, so all of them take every
-        # shift and x**2 is one number.
+        # The kernels' points of one bath share Re z, so all of them take
+        # every shift and x**2 is one number.
         x = float(x[0])
         while x < _SHIFT_THRESHOLD:
             _add_inverse_square(re, im, x, y, y2)

@@ -75,59 +75,6 @@ def masked_trigamma(z) -> np.ndarray:
     return series
 
 
-def cubic_hermite(nodes, values, derivatives, times) -> np.ndarray:
-    """Piecewise cubic Hermite interpolant through ``values`` and
-    ``derivatives`` at the sorted ``nodes``, evaluated at ``times`` in the
-    cardinal basis h00, h10, h01, h11.  Intervals are half-open except the
-    last, which is closed."""
-    nodes = np.asarray(nodes, dtype=float)
-    times = np.asarray(times, dtype=float)
-    i = np.clip(np.searchsorted(nodes, times, side="right") - 1, 0, nodes.size - 2)
-    h = nodes[i + 1] - nodes[i]
-    u = (times - nodes[i]) / h
-    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-    h10 = u * (1.0 - u) ** 2
-    h01 = u * u * (3.0 - 2.0 * u)
-    h11 = u * u * (u - 1.0)
-    return (
-        h00 * values[i]
-        + h10 * h * derivatives[i]
-        + h01 * values[i + 1]
-        + h11 * h * derivatives[i + 1]
-    )
-
-
-def reference_table(params, t_max: float) -> np.ndarray:
-    """The (rows, 16) coefficient table of ``releq.bath.CorrelatorCache``
-    built to ``t_max`` in one pass: panel integrals (4096 panels at a time),
-    node values, derivatives and coefficients each as one full-length array.
-    The library builds the same table chunk by chunk into preallocated rows
-    and extends it from an older table; its bytes must equal these."""
-    from releq.bath import _TABLE_STEP, corr_f_beta_integrand, corr_f_integrand
-
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    h = _TABLE_STEP
-    n = int(math.ceil(t_max / h))
-    grid = np.arange(n + 1) * h
-    rows = np.empty((n, 4, 4))
-    for k, integrand in enumerate((corr_f_integrand, corr_f_beta_integrand)):
-        panels = np.empty(n, dtype=complex)
-        for start in range(0, n, 4096):
-            part = grid[start : start + 4097]
-            half = 0.5 * np.diff(part)
-            at = (part[:-1] + half)[:, None] + half[:, None] * nodes[None, :]
-            values = integrand(at.reshape(-1), params).reshape(at.shape)
-            panels[start : start + half.size] = half * (values @ weights)
-        y = np.cumsum(np.concatenate(([0j], panels)))
-        d = integrand(grid, params)
-        d0, d1 = d[:-1], d[1:]
-        slope = np.diff(y) / h
-        coeffs = np.stack(((d0 + d1 - 2.0 * slope) / h**2, (3.0 * slope - 2.0 * d0 - d1) / h, d0, y[:-1]), axis=1)
-        rows[:, 2 * k] = coeffs.real
-        rows[:, 2 * k + 1] = coeffs.imag
-    return rows.reshape(n, 16)
-
-
 def coth_product(w: float, beta: float, W: float) -> float:
     """J(w) * coth(beta w / 2) with the w -> 0 limit handled as a product."""
     if beta * w < 1e-4:

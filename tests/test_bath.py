@@ -1,7 +1,4 @@
 import math
-import sys
-import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,21 +8,16 @@ from oracles import (
     F_BETA_ORACLE_T1,
     F_ORACLE_T1,
     corr_oracle_2d,
-    cubic_hermite,
     pv_frequency_shift,
-    reference_table,
     windowed_correlator_average,
 )
 from releq import bath
 from releq.bath import (
-    _TABLE_STEP,
     BathParams,
-    CorrelatorCache,
     corr_f,
     corr_f_beta,
     corr_f_beta_integrand,
     corr_f_integrand,
-    correlator_cache,
     correlator_samples,
     coth,
     markovian_limits,
@@ -109,9 +101,9 @@ class TestCorrelators:
         assert abs(corr_f_beta(t, fig_bath) - oracle_fb) <= 1e-6 * abs(oracle_fb)
 
     def test_detailed_balance_excess(self, fig_bath):
-        cache = correlator_cache(fig_bath)
         times = np.linspace(0.01, 10.0, 200)
-        excess = np.real(cache.f_beta(times) - cache.f(times))
+        f, f_beta = correlator_samples(fig_bath, times)
+        excess = np.real(f_beta - f)
         assert np.all(excess >= 0.0)
 
     def test_conjugated_fourier_kernel_gives_conjugate(self, fig_bath):
@@ -122,208 +114,39 @@ class TestCorrelators:
 
 
 class TestCorrelatorCache:
+    """The sampled kernels and the time integral of f.  The class keeps
+    the name of the kernel table these tests read before the table went."""
+
     def test_matches_direct_quadrature(self, fig_bath):
-        cache = correlator_cache(fig_bath)
-        for t in (0.0037, 0.41, 1.7, 6.283, 19.99):
-            assert abs(cache.f(t) - corr_f(t, fig_bath)) < 1e-8
-            assert abs(cache.f_beta(t) - corr_f_beta(t, fig_bath)) < 1e-8
+        times = (0.0037, 0.41, 1.7, 6.283, 19.99)
+        f, f_beta = correlator_samples(fig_bath, times)
+        for t, value, value_beta in zip(times, f, f_beta):
+            assert abs(value - corr_f(t, fig_bath)) < 1e-8
+            assert abs(value_beta - corr_f_beta(t, fig_bath)) < 1e-8
 
     def test_time_integral_antiderivative(self, fig_bath):
-        cache = correlator_cache(fig_bath)
         h = 1e-4
         t = 2.5
-        derivative = (cache.f_time_integral(t + h) - cache.f_time_integral(t - h)) / (2 * h)
-        assert derivative == pytest.approx(cache.f(t), rel=1e-6)
-        assert cache.f_time_integral(0.0) == 0j
+        f, _, integral = bath._kernel_samples(fig_bath, [t - h, t, t + h])
+        derivative = (integral[2] - integral[0]) / (2 * h)
+        assert derivative == pytest.approx(f[1], rel=1e-6)
+        assert bath._kernel_samples(fig_bath, 0.0)[2] == 0j
 
     def test_time_integral_against_quadrature_of_the_table(self, fig_bath):
-        cache = correlator_cache(fig_bath)
+        # I(t) = integral_0^t (t - u) f'(u) du, by QUADPACK on the closed-form
+        # derivative.  The values are off by at most 2e-15 relative.
         times = (0.0037, 0.41, 2.5, 6.283, 19.99)
-        values = cache.f_time_integral(np.array(times))
+        values = bath._kernel_samples(fig_bath, times)[2]
         for t, value in zip(times, values):
             for part, got in (("real", value.real), ("imag", value.imag)):
-                expected, _ = quad(lambda s: getattr(cache.f(s), part), 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
+                integrand = lambda u: getattr((t - u) * corr_f_integrand(u, fig_bath), part)
+                expected, _ = quad(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
                 assert got == pytest.approx(expected, rel=1e-10)
-            assert cache.f_time_integral(t) == value
-
-    def test_auto_extension(self, fig_bath):
-        cache = correlator_cache(fig_bath)
-        t = cache.t_max + 3.0
-        value = cache.f(t)
-        assert np.isfinite(value)
-        assert t < cache.t_max <= t + 2 * _TABLE_STEP
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_lookups_of_no_times(self, fig_bath, shape):
-        cache = correlator_cache(fig_bath)
-        for lookup in (cache.f, cache.f_beta, cache.f_time_integral):
-            out = lookup(np.empty(shape))
+        for out in bath._kernel_samples(fig_bath, np.empty(shape)):
             assert out.shape == shape and out.dtype == complex
-
-    def test_table_is_the_cubic_hermite_interpolant(self, fig_bath, rng):
-        # Node values are the same in every table that covers them, but a
-        # table's last node is held only by its last cubic, which reproduces
-        # it to rounding.  So the reference takes its node values from the
-        # longer shared table, and its derivatives from the closed forms.
-        shared = correlator_cache(fig_bath)
-        shared.ensure_horizon(10.0)
-        cache = CorrelatorCache(fig_bath, t_max=5.0)
-        for horizon in (5.0, 7.0):  # each extends the table to one step past it
-            cache.ensure_horizon(horizon)
-            grid = np.arange(round(cache.t_max / _TABLE_STEP) + 1) * _TABLE_STEP
-            assert grid[-1] == cache.t_max < shared.t_max
-            times = np.concatenate(
-                ([0.0], grid, grid[:-1] + 0.5 * _TABLE_STEP, rng.uniform(0.0, cache.t_max, 400), [cache.t_max])
-            )
-            f, f_beta = cache.f(times), cache.f_beta(times)
-            for got, node_values, derivative in (
-                (f, shared.f(grid), corr_f_integrand),
-                (f_beta, shared.f_beta(grid), corr_f_beta_integrand),
-            ):
-                expected = cubic_hermite(grid, node_values, derivative(grid, fig_bath), times)
-                # The power basis and the cardinal basis round differently.
-                tolerance = 32 * np.finfo(float).eps * np.max(np.abs(expected))
-                assert np.max(np.abs(got - expected)) <= tolerance
-            pairs = list(zip(f.tolist(), f_beta.tolist()))
-            assert [cache.pair(t) for t in times] == pairs
-            for t, pair in list(zip(times, pairs))[::50]:
-                assert (cache.f(t), cache.f_beta(t)) == pair
-
-    def test_extension_equals_a_fresh_build(self):
-        params = BathParams(W=5.0, beta=2.0, omega0=1.0)
-        cache = CorrelatorCache(params, t_max=25.0)
-        old_table = cache._table
-        old_rows = old_table.copy()
-        cache.ensure_horizon(40.0)
-        assert cache._table is not old_table
-        assert 40.0 < cache.t_max <= 40.0 + 2 * _TABLE_STEP
-        assert np.array_equal(old_table, old_rows)
-        assert cache._table[: len(old_rows)].tobytes() == old_rows.tobytes()
-        assert np.array_equal(cache._table, CorrelatorCache(params, t_max=40.0 + _TABLE_STEP)._table)
-
-    @pytest.mark.parametrize("t_max", [4.096, 4.097, 8.193])
-    def test_fresh_build_is_the_whole_array_build(self, fig_bath, t_max):
-        # Horizons on both sides of the first chunk boundary and past the second.
-        table = CorrelatorCache(fig_bath, t_max=t_max)._table
-        assert table.tobytes() == reference_table(fig_bath, t_max).tobytes()
-
-    def test_extension_chain_is_the_whole_array_build(self):
-        params = BathParams(W=20.0, beta=9.0, omega0=2.0)
-        cache = CorrelatorCache(params, t_max=3.0)
-        for horizon in (8.2, 30.0):
-            cache.ensure_horizon(horizon)
-            expected = reference_table(params, horizon + _TABLE_STEP)
-            assert cache._table.tobytes() == expected.tobytes()
-
-    def test_build_memory_stays_near_the_table(self):
-        # numpy reports its buffers to tracemalloc.  A build holds the new
-        # table, the old one it extends and chunk-sized temporaries only.
-        params = BathParams(W=10.0, beta=3.0, omega0=1.0)
-        slack = 8 * 2**20
-        tracemalloc.start()
-        try:
-            cache = CorrelatorCache(params, t_max=100.0)
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak <= cache._table.nbytes + slack
-            old = cache._table.nbytes
-            tracemalloc.reset_peak()
-            cache.ensure_horizon(150.0)
-            _, peak = tracemalloc.get_traced_memory()
-            assert peak <= old + cache._table.nbytes + slack
-        finally:
-            tracemalloc.stop()
-
-    def test_table_bytes_do_not_depend_on_the_chunk_length(self, monkeypatch):
-        # numpy computes a product of two large arrays into a temporary
-        # operand in place, swapping the operands when the temporary is the
-        # right one, and a complex product's last bit depends on their
-        # order.  1000 panels evaluate fewer points than numpy does that for,
-        # 4096 and 7000 more, so a kernel whose bits followed it would make
-        # the bytes follow the chunk length.
-        params = BathParams(W=20.0, beta=9.0, omega0=2.0)
-        horizon = 30.0 + _TABLE_STEP
-        expected = None
-        for chunk in (1000, 4096, 7000):
-            monkeypatch.setattr(bath, "_PANEL_CHUNK", chunk)
-            fresh = CorrelatorCache(params, t_max=horizon)
-            extended = CorrelatorCache(params, t_max=3.0)
-            for t in (8.2, 30.0):
-                extended.ensure_horizon(t)
-            expected = expected or fresh._table.tobytes()
-            assert fresh._table.tobytes() == expected
-            assert extended._table.tobytes() == expected
-
-    def test_lookup_memory_is_one_kernels_columns(self, fig_bath):
-        # A lookup of one kernel gathers that kernel's 8 columns of each row
-        # (64 bytes a time); the row indices, offsets and their powers take
-        # 40 bytes, the result 16, and the Horner temporaries 16 more.
-        cache = correlator_cache(fig_bath)
-        cache.ensure_horizon(10.0)
-        times = np.linspace(0.0, 10.0, 10**6)
-        for lookup in (cache.f, cache.f_beta):
-            tracemalloc.start()
-            try:
-                lookup(times)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 144 * times.size
-
-    def test_kernel_pair_past_the_horizon_extends_the_table(self):
-        params = BathParams(W=10.0, beta=3.0, omega0=2.0)
-        cache = correlator_cache(params)
-        t = cache.t_max + 1.0
-        pair = cache.pair(t)
-        assert t < cache.t_max <= t + 2 * _TABLE_STEP
-        assert pair == cache.pair(t)
-
-    def test_lookups_while_the_table_grows(self, fig_bath):
-        # Lookups past the first horizon extend the table themselves.  An
-        # extension leaves the old rows as they were, so every table gives
-        # the same values at times inside it and the longer shared table
-        # supplies the expected ones.  The first horizon itself is left out:
-        # its last cubic reproduces the node value there only to rounding.
-        shared = correlator_cache(fig_bath)
-        cache = CorrelatorCache(fig_bath, t_max=2.0)
-        near = np.logspace(-12, -4, 5)
-        times = np.concatenate((np.linspace(0.0, 2.6, 99), 2.0 - near, 2.0 + near))
-        expected_pairs = [shared.pair(t) for t in times]
-        expected_f = shared.f(times)
-        errors, mismatches, rounds = [], [], []
-
-        def look():
-            try:
-                while True:
-                    if [cache.pair(t) for t in times] != expected_pairs:
-                        mismatches.append("pair")
-                    if cache.f(times).tobytes() != expected_f.tobytes():
-                        mismatches.append("f")
-                    rounds.append(1)
-                    if not grower.is_alive():
-                        return
-            except Exception as exc:
-                errors.append(exc)
-
-        def grow():
-            for horizon in (3.0, 6.0, 12.0, 20.0):
-                cache.ensure_horizon(horizon)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            grower = threading.Thread(target=grow)
-            lookers = [threading.Thread(target=look) for _ in range(4)]
-            grower.start()
-            for thread in lookers:
-                thread.start()
-            for thread in [grower, *lookers]:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == [] and mismatches == []
-        assert len(rounds) >= 4
-        assert 20.0 < cache.t_max <= 20.0 + 2 * _TABLE_STEP
 
 
 def quadpack_kernels(params, times) -> np.ndarray:
@@ -359,8 +182,7 @@ class TestStepKernels:
     def test_against_quadpack(self, W):
         # The first 40 steps, where the kernels rise on the scale 1/W, and
         # three late ones, of a README run (t_max 20, dt_out 0.01).  The
-        # values are off by 3.6e-14 at W = 10 and 3.6e-13 at W = 100; the
-        # kernel table is off by 5.8e-9 and 6.0e-4 at the same times.
+        # values are off by 3.6e-14 at W = 10 and 3.6e-13 at W = 100.
         params = BathParams(W=W, beta=3.0, omega0=1.0)
         starts, widths, f, f_beta = run_kernels(params, np.arange(2001) * 0.01)
         steps = np.r_[0:40, len(starts) // 4, len(starts) // 2, len(starts) - 1]
@@ -370,14 +192,15 @@ class TestStepKernels:
         assert error <= 1e-11, error
 
     def test_chunks_give_the_bits_of_one_long_call(self, fig_bath, monkeypatch):
-        # A README run's kernels at every step, and a corr grid's samples, do
-        # not depend on how the steps are cut into chunks.
+        # A README run's kernels at every step, and a corr grid's samples
+        # with the time integral of f, do not depend on how the steps are
+        # cut into chunks.
         times = np.arange(2001) * 0.01
-        run, samples = run_kernels(fig_bath, times), correlator_samples(fig_bath, times)
+        run, samples = run_kernels(fig_bath, times), bath._kernel_samples(fig_bath, times)
         assert len(run[0]) == 2150 > bath._STEP_CHUNK
         for chunk in (1, 7, 1000):
             monkeypatch.setattr(bath, "_STEP_CHUNK", chunk)
-            for expected, values in zip(run + list(samples), run_kernels(fig_bath, times) + list(correlator_samples(fig_bath, times))):
+            for expected, values in zip(run + list(samples), run_kernels(fig_bath, times) + list(bath._kernel_samples(fig_bath, times))):
                 assert expected.tobytes() == values.tobytes(), chunk
 
     def test_corr_samples_against_quadpack_out_to_1000(self, fig_bath):

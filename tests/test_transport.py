@@ -19,7 +19,6 @@ from releq import oscillator, tls
 from releq.bath import (
     _STEP_CHUNK,
     BathParams,
-    correlator_cache,
     correlator_samples,
     markovian_limits,
     step_counts,
@@ -248,25 +247,30 @@ def test_a_non_finite_horizon_or_step_is_refused(t_max, dt_out):
             tls.simulate(tls.TlsState(0.1, 0j), tls_params, regime, t_max=t_max, dt_out=dt_out)
 
 
-def test_a_markovian_run_builds_no_kernel_table():
-    # A bath no other test uses, so a table built here would be a cache miss.
-    # This is why the CLI's horizon cap leaves Markovian runs be.
+def forbidden(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_a_markovian_run_builds_no_kernel_table(monkeypatch):
+    # Markovian runs read the long-time kernel values only: they integrate
+    # no kernel, not even through the closed form's sampling helper.
     bath = BathParams(W=8.5, beta=2.2, omega0=0.9)
-    misses = correlator_cache.cache_info().misses
+    for name in ("step_kernels", "_kernel_samples"):
+        monkeypatch.setattr(f"releq.bath.{name}", forbidden)
     oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "markovian", t_max=50.0, dt_out=0.5)
     tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(0.9, 0.9, 0.3, bath), "markovian", t_max=50.0, dt_out=0.5)
-    assert correlator_cache.cache_info().misses == misses
 
 
-def test_no_run_builds_a_kernel_table():
-    # A bath no other test uses, so a table built here would be a cache miss:
-    # non-Markovian runs and corr samples integrate the kernels themselves.
+def test_no_run_builds_a_kernel_table(monkeypatch):
+    # Non-Markovian runs integrate the kernels on their own Magnus steps,
+    # not through the sampling helper of the corr samples and the closed
+    # form, which also integrates f over time.
     bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
-    misses = correlator_cache.cache_info().misses
+    monkeypatch.setattr("releq.bath._kernel_samples", forbidden)
     oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "non_markovian", t_max=10.0, dt_out=0.5)
     tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(1.3, 1.3, 0.3, bath), "non_markovian", t_max=10.0, dt_out=0.5)
-    correlator_samples(bath, sample_times(10.0, 0.5))
-    assert correlator_cache.cache_info().misses == misses
+    with pytest.raises(AssertionError, match="called"):
+        oscillator.closed_form_trajectory(sample_times(10.0, 0.5), oscillator.OscillatorState(1.0 + 0j, 9.0), bath)
 
 
 def test_samples_far_closer_than_the_steps_take_one_step_each():
@@ -344,9 +348,8 @@ def test_augmented_expm_keeps_the_choice_and_the_pade_path_of_expm():
 
 
 def test_linear_systems_of_kernel_arrays_are_the_stacked_scalar_systems():
-    kernels = correlator_cache(BATHS[0])
     times = np.array([[0.0, 0.3, 1.7], [2.5, 6.0, 9.9]])
-    f, f_beta = kernels.f(times), kernels.f_beta(times)
+    f, f_beta = correlator_samples(BATHS[0], times)
     for system in (oscillator._linear_system, lambda *pair: tls._linear_system(0.3, *pair)):
         A, b = system(f, f_beta)
         assert A.shape == (2, 3, 3, 3) and b.shape == (2, 3, 3)
