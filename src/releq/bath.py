@@ -16,12 +16,17 @@ pi*J(w0)*coth(beta*w0/2).
 Every consumer integrates the closed-form derivatives above on the steps of
 one step rule (``step_chunks``), a chunk of steps at a time, and reads both
 kernels at each step's nodes and end (``step_kernels``): a run's Magnus
-propagation does so in its own loop, and ``correlator_samples`` and the
-closed-form oscillator solution sample them at given times, the latter
-together with the time integral of f.
+propagation does so in its own loop, ``correlator_samples`` samples them at
+given times, and the closed-form oscillator solution reads them, with the
+time integral of f, at the nodes and ends of its run's steps.  The steps
+are integrated on panels of up to 16 steps of one width, which the
+kernels' scale 1/W allows (fewer where exp(-i w0 s) turns by more than 8
+over them): one Gauss-Legendre rule of at most 24 points
+per panel, never more than 8 per step, and a spectral integration matrix
+per panel length give the integrals to every step's nodes and end.
 The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
 W**2 / (s W + i)**2 = -r, so both take one pass over the points and one
-trigamma call.
+trigamma call per chunk.
 Direct adaptive quadrature (scipy's ``quad``, imported only when called) is
 kept as the reference evaluation path.
 """
@@ -34,7 +39,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legvander
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .specfun import trigamma
 
@@ -194,35 +199,98 @@ _GRADING = 0.02
 _LATE_STEP = 0.01
 
 # Steps whose kernels (and, in a run, exponents and exponentials) are formed
-# at once.
-_STEP_CHUNK = 1024
+# at once, rounded down to whole blocks of ``_panels``.  A README run (2,150 steps) then
+# takes two chunks; in-process, its oscillator and two-level runs took
+# 12.0, 11.4, 10.3 and 11.6 ms at 512, 1024, 1536 and 2048 steps.
+_STEP_CHUNK = 1536
 
 # The three Gauss-Legendre nodes of a step, and its end, as fractions of it,
 # and the nodes' weights as fractions of the step.
 _STEP_NODES = np.append(0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0, 1.0)
 _STEP_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
+# The kernels are integrated on panels of up to _PANEL_STEPS consecutive
+# steps whose widths agree within _EQUAL_WIDTH relative, from one
+# Gauss-Legendre rule of min(24, 8 k) points on a panel of k steps.  At
+# 16 steps of 0.0625 / W a panel is 1 / W wide, the kernels' own scale.
+# The phase exp(-i omega0 t) turns by at most _PANEL_PHASE over a panel of
+# more than one step, where the rule leaves about J_24(4) = 3e-17 of it.
+_PANEL_STEPS = 16
+_EQUAL_WIDTH = 1e-9
+_PANEL_PHASE = 8.0
+
 
 @lru_cache(maxsize=None)
-def _integration_matrix(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m Gauss-Legendre points of a step as fractions of it, and the
-    (4, m) matrix that takes a function's values there to its integrals
-    from the step's start to each of ``_STEP_NODES``, in units of the step.
-
-    Row k integrates the interpolating polynomial of degree m - 1 through
-    the values (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071).  Its
-    Legendre coefficients are exact by the m-point rule, since each product
-    with P_n, n < m, has degree below 2 m; the last row is the rule's
-    weights, halved.  Formed at the first call, not at import.
-    """
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre nodes and weights on [-1, 1], formed once
+    per process (read-only)."""
     nodes, weights = leggauss(m)
-    basis = legvander(nodes, m - 1).T * weights * (np.arange(m) + 0.5)[:, None]
-    return 0.5 * (nodes + 1.0), 0.5 * legvander(2.0 * _STEP_NODES - 1.0, m) @ legint(basis, lbnd=-1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-# Derivative points per step.  At m = 8 the kernels at the nodes are off
-# QUADPACK by 3.6e-14 at W = 10 and 3.6e-13 at W = 100 (m = 7: 1.0e-12).
-_POINTS_PER_STEP = 8
+@lru_cache(maxsize=None)
+def _panel_rule(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The m = min(24, 8 k) Gauss-Legendre points of a panel of k equal
+    steps as fractions of it, and two (4 k, m) matrices that take a
+    function's values there to its integral, and to its second integral,
+    from the panel's start to each step's three nodes and end (row
+    4 j + q for point q of step j), in units of the panel and its square.
+
+    The rows integrate the interpolating polynomial of degree m - 1
+    through the values (Greengard, SIAM J. Numer. Anal. 28 (1991) 1071).
+    Its Legendre coefficients are exact by the m-point rule, since each
+    product with P_n, n < m, has degree below 2 m, and the integrals of
+    P_n from -1 are (P_(n+1) - P_(n-1)) / (2 n + 1), and P_0 + P_1 for
+    n = 0.  Formed at the first panel of k steps, not at import.
+    """
+    m = min(24, 8 * k)
+    nodes, weights = _gauss_legendre(m)
+    targets = 2.0 * ((np.arange(k)[:, None] + _STEP_NODES) / k).reshape(-1) - 1.0
+    values = legvander(np.concatenate((nodes, targets)), m + 1)
+    coefficients = values[:m, :m].T * weights * (np.arange(m) + 0.5)[:, None]
+    once = _antiderivatives(values[m:])  # of P_0 ... P_m at the targets
+    twice = _antiderivatives(once)
+    return 0.5 * (nodes + 1.0), 0.5 * once[:, :m] @ coefficients, 0.25 * twice @ coefficients
+
+
+def _antiderivatives(columns: np.ndarray) -> np.ndarray:
+    """The integrals from -1 of the Legendre series whose values are the
+    columns n = 0 ... N of ``columns``, for n = 0 ... N - 1."""
+    n = np.arange(1, columns.shape[1] - 1)
+    return np.column_stack((columns[:, 0] + columns[:, 1], (columns[:, 2:] - columns[:, :-2]) / (2 * n + 1)))
+
+
+def _panels(widths: np.ndarray, omega0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The first step and the number of steps of each panel of the steps of
+    ``widths``.
+
+    Runs of steps each within ``_EQUAL_WIDTH`` relative of the one before
+    are cut into blocks of ``_PANEL_STEPS`` from each run's first step, the
+    last one shorter.  Given ``omega0``, each block is cut again into
+    panels of the largest power of two of its steps that turn the phase by
+    at most ``_PANEL_PHASE``, one step at least.  A block's panels depend on
+    its own widths only, so chunks of whole blocks have the panels of all
+    the steps.
+    """
+    n = widths.size
+    breaks = np.flatnonzero(np.abs(np.diff(widths)) > _EQUAL_WIDTH * widths[:-1]) + 1
+    runs = np.concatenate(([0], breaks))
+    first, lengths = _cut(runs, n, np.full(runs.size, _PANEL_STEPS))
+    if omega0 is not None:
+        steps = np.clip(_PANEL_PHASE / (omega0 * widths[first]), 1.0, _PANEL_STEPS)
+        first, lengths = _cut(first, n, 2 ** np.floor(np.log2(steps)).astype(int))
+    return first, lengths
+
+
+def _cut(first: np.ndarray, n: int, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segments of ``range(n)`` that start at ``first`` cut into pieces
+    of ``size`` (one per segment) from their starts, the last one shorter:
+    the pieces' first indices and lengths."""
+    pieces = -(-np.diff(np.append(first, n)) // size)
+    within = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    starts = np.repeat(first, pieces) + np.repeat(size, pieces) * within
+    return starts, np.diff(np.append(starts, n))
 
 
 def step_counts(times, W: float) -> np.ndarray:
@@ -243,21 +311,31 @@ def step_counts(times, W: float) -> np.ndarray:
 
 
 def step_chunks(times, W: float):
-    """The steps of ``step_counts(times, W)``, ``_STEP_CHUNK`` at a time.
+    """The steps of ``step_counts(times, W)``, up to ``_STEP_CHUNK`` at a time.
 
     Yields ``(gap, last, starts, widths)`` per chunk: for each step the
     index of its gap, whether it ends the gap, its start and its width.
+    Every chunk but the last ends where a panel of ``_panels`` ends, and
+    holds at least one, so the chunks' panels are those of all the steps.
     """
     times = np.asarray(times, dtype=float)
     counts = step_counts(times, W)
     ends = np.cumsum(counts)  # ends[i]: the steps taken by the end of gap i
     total = int(ends[-1]) if ends.size else 0
-    for lo in range(0, total, _STEP_CHUNK):
-        step = np.arange(lo, min(lo + _STEP_CHUNK, total))
+    lo = 0
+    while lo < total:
+        step = np.arange(lo, min(lo + max(_STEP_CHUNK, _PANEL_STEPS), total))
         gap = np.searchsorted(ends, step, side="right")
         widths = (times[gap + 1] - times[gap]) / counts[gap]
+        if step[-1] + 1 < total:
+            # A last panel shorter than _PANEL_STEPS may go on past the
+            # chunk, so it starts the next one; a panel comes before it.
+            first, lengths = _panels(widths)
+            if lengths[-1] < _PANEL_STEPS:
+                step, gap, widths = step[: first[-1]], gap[: first[-1]], widths[: first[-1]]
         starts = times[gap] + (step - ends[gap] + counts[gap]) * widths
         yield gap, step + 1 == ends[gap], starts, widths
+        lo = int(step[-1]) + 1
 
 
 def step_kernels(params: BathParams, starts, widths, f0: complex = 0j, f_beta0: complex = 0j):
@@ -266,32 +344,62 @@ def step_kernels(params: BathParams, starts, widths, f0: complex = 0j, f_beta0: 
     ``(steps, 4)``, for consecutive steps whose first starts where the
     kernels are ``f0`` and ``f_beta0``.
 
-    Both derivatives are evaluated at the m-point Gauss-Legendre points of
-    every step, and one product with the integration matrix of
-    ``_integration_matrix`` gives every step's increments to its nodes and
-    end.  The values at the steps' starts are the cumulative sum of the
-    increments to their ends after ``(f0, f_beta0)``, so a chunk that goes on
-    from the last end of the one before gives the bits of one long call.
+    The steps are cut into the panels of ``_panels``.  Both derivatives are
+    evaluated at the Gauss-Legendre points of every panel in one call, and
+    a product with the first matrix of the panel's ``_panel_rule`` gives
+    the increments from its start to each of its steps' nodes and ends.
+    The values at the panels' starts are the cumulative sum of the
+    increments to their ends after ``(f0, f_beta0)``, so a chunk of whole
+    panels that goes on from the last end of the one before gives the bits
+    of one long call.
     """
-    return _step_kernels(params, starts, widths, f0, f_beta0)[:2]
+    return _step_kernels(params, starts, widths, f0, f_beta0)
 
 
-def _step_kernels(params: BathParams, starts, widths, f0: complex, f_beta0: complex):
-    """``step_kernels``' two arrays, and f' at every step's m points, an
-    array of shape ``(steps, m)``, from which ``_kernel_samples`` integrates
-    f over the steps."""
+def _step_kernels(params: BathParams, starts, widths, *at_start):
+    """``step_kernels``' two arrays from ``at_start = (f0, f_beta0)``; given
+    a third value I0 there, also I, the integral of f from the first start
+    on plus I0, at the same nodes and ends.
+
+    On a panel of length L from a, I(a + x L) = I(a) + x L f(a) plus the
+    second integral of f' from a, which the second matrix of
+    ``_panel_rule`` takes from the same derivative values; I(a) runs on
+    from panel to panel as the kernels do.
+    """
     starts = np.asarray(starts, dtype=float)
     widths = np.asarray(widths, dtype=float)
-    fractions, integrals = _integration_matrix(_POINTS_PER_STEP)
-    points = (starts[:, None] + widths[:, None] * fractions).reshape(-1)
-    derivatives = np.stack(_kernel_derivatives(points, params), axis=-1)
-    # Per step, (4, m) @ (m, 4 reals: Re f', Im f', Re f_beta', Im f_beta').
-    increments = integrals @ derivatives.view(float).reshape(starts.size, _POINTS_PER_STEP, 4)
-    increments *= widths[:, None, None]
-    increments = increments.view(complex)  # (steps, 4, 2): f and f_beta
-    at_starts = np.cumsum(np.concatenate(([[f0, f_beta0]], increments[:, 3])), axis=0)
-    values = at_starts[:-1, None] + increments
-    return values[..., 0], values[..., 1], derivatives[:, 0].reshape(starts.size, _POINTS_PER_STEP)
+    first, lengths = _panels(widths, params.omega0)
+    a = starts[first]
+    spans = starts[first + lengths - 1] + widths[first + lengths - 1] - a
+    groups = [(k, np.flatnonzero(lengths == k)) for k in sorted(set(lengths.tolist()))]
+    points = [(a[p, None] + spans[p, None] * _panel_rule(k)[0]).reshape(-1) for k, p in groups]
+    derivatives = np.stack(_kernel_derivatives(np.concatenate(points) if points else np.empty(0), params), axis=-1)
+    integral = len(at_start) == 3
+    # Per step and node, from the panel's start: Re and Im of the integrals
+    # of f' and f_beta', and of the second integral of f'.
+    increments = np.empty((starts.size, 4, 6 if integral else 4))
+    offset = 0
+    for (k, p), panel_points in zip(groups, points):
+        _, once, twice = _panel_rule(k)
+        steps = (first[p, None] + np.arange(k)).reshape(-1)
+        # Per panel, (4 k, m) @ (m, 4 reals: Re f', Im f', Re f_beta', Im f_beta').
+        values = derivatives[offset : offset + panel_points.size].view(float).reshape(p.size, -1, 4)
+        offset += panel_points.size
+        increments[steps, :, :4] = (spans[p, None, None] * (once @ values)).reshape(-1, 4, 4)
+        if integral:
+            increments[steps, :, 4:] = (spans[p, None, None] ** 2 * (twice @ values[..., :2])).reshape(-1, 4, 2)
+    increments = increments.view(complex)
+    to_ends = increments[first + lengths - 1, 3]
+    at_panels = np.cumsum(np.concatenate(([at_start[:2]], to_ends[:, :2])), axis=0)
+    kernels = np.repeat(at_panels[:-1], lengths, axis=0)[:, None] + increments[..., :2]
+    if not integral:
+        return kernels[..., 0], kernels[..., 1]
+    along = spans * at_panels[:-1, 0]  # L f(a)
+    at_panels_i = np.cumsum(np.concatenate(([at_start[2]], along + to_ends[:, 2])))
+    within = np.arange(starts.size) - np.repeat(first, lengths)
+    fractions = (within[:, None] + _STEP_NODES) / np.repeat(lengths, lengths)[:, None]
+    integrals = np.repeat(at_panels_i[:-1], lengths)[:, None] + (fractions * np.repeat(along, lengths)[:, None] + increments[..., 2])
+    return kernels[..., 0], kernels[..., 1], integrals
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +444,7 @@ def _frequency_shifts(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
         w = ((edges[:-1] + half)[:, None] + half[:, None] * nodes).reshape(-1)
         return (g(w) - np.where(w < 2.0 * w0, g0, 0.0)) / (w - w0) * (half[:, None] * weights).reshape(-1)
 
-    high, low = (terms(*leggauss(n)) for n in (48, 32))
+    high, low = (terms(*_gauss_legendre(n)) for n in (48, 32))
     shifts = high.sum(axis=1)
     rounding = 50.0 * np.finfo(float).eps * np.abs(high).sum(axis=1)
     return shifts, np.abs(shifts - low.sum(axis=1)) + rounding
@@ -366,34 +474,36 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
 # Sampling.
 
 
-def _kernel_samples(params: BathParams, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _step_values(params: BathParams, times, integral: bool):
+    """The steps of ``step_chunks(times, params.W)`` with the kernels on
+    them, a chunk at a time: ``(gap, last, widths, f, f_beta)``, and I last
+    if ``integral``, each value an array of shape ``(steps, 4)`` at the
+    steps' three nodes and ends (see ``_step_kernels``).
+
+    The kernels are integrated from t = 0, I from I(0) = 0.  The sums run
+    on from the chunk before, so the chunk length does not change a bit of
+    the values.
+    """
+    carry = (0j, 0j, 0j) if integral else (0j, 0j)
+    for gap, last, starts, widths in step_chunks(times, params.W):
+        values = _step_kernels(params, starts, widths, *carry)
+        carry = tuple(value[-1, 3] for value in values)
+        yield (gap, last, widths) + values
+
+
+def _kernel_samples(params: BathParams, times, integral: bool = True) -> tuple[np.ndarray, ...]:
     """``(f, f_beta, I)`` at the times ``times``, increasing in their flat
     order, as complex arrays of their shape; I(t) is the integral of f from
-    0 to t.
-
-    Both kernels are integrated from t = 0 on the steps of ``step_chunks``
-    by ``step_kernels``, a chunk at a time.  I sums the integrals of f over
-    the steps, each w f(start) + integral (end - u) f'(u) du by the m-point
-    Gauss-Legendre rule on the f' that gives the kernels.  The sums run on
-    from the chunk before as ``step_kernels``' do, so the chunk length does
-    not change a bit of the values.
-    """
+    0 to t, and is left out unless ``integral``.  The values are those of
+    ``_step_values`` at the ends of the gaps."""
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     if np.any(flat < 0) or np.any(np.diff(flat) <= 0):
         raise ValueError("correlator sample times must be >= 0 and increasing")
     grid = np.concatenate(([0.0], flat))  # a first time of 0 takes no step
-    out = np.zeros((3, grid.size), dtype=complex)
-    carry = (0j, 0j, 0j)
-    fractions, integrals = _integration_matrix(_POINTS_PER_STEP)
-    tail = integrals[3] * (1.0 - fractions)  # integral (end - u) g(u) du, in units of the width squared
-    for gap, last, starts, widths in step_chunks(grid, params.W):
-        f, f_beta, derivative = _step_kernels(params, starts, widths, *carry[:2])
-        at_starts = np.concatenate(([carry[0]], f[:-1, 3]))
-        over_steps = widths * (at_starts + widths * (derivative * tail).sum(axis=1))
-        integral = np.cumsum(np.concatenate(([carry[2]], over_steps)))[1:]
-        carry = (f[-1, 3], f_beta[-1, 3], integral[-1])
-        out[:, gap[last] + 1] = f[last, 3], f_beta[last, 3], integral[last]
+    out = np.zeros((3 if integral else 2, grid.size), dtype=complex)
+    for gap, last, _, *values in _step_values(params, grid, integral):
+        out[:, gap[last] + 1] = [value[last, 3] for value in values]
     return tuple(values[1:].reshape(times.shape) for values in out)
 
 
@@ -401,4 +511,4 @@ def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.n
     """Both kernels at the increasing times ``times``, complex arrays
     ``(f, f_beta)``, integrated from t = 0 on the steps of ``step_chunks``
     by ``step_kernels``, a chunk at a time."""
-    return _kernel_samples(params, times)[:2]
+    return _kernel_samples(params, times, integral=False)

@@ -168,10 +168,11 @@ def closed_form_trajectory(
     stays non-positive and long horizons stay well conditioned.  The steps
     are those a run on the sample times takes (``bath.step_chunks``); each
     step's integral is the 3-point Gauss-Legendre rule at its nodes.  The
-    kernels and I at every node and step end come from the sampling loop of
-    ``bath.correlator_samples``.  The propagator is never called, so the
-    solution checks a run independently of it.  At t_max 20 and beta 3 it
-    is off ``simulate`` by at most 7.5e-11 for W = 5 to 100.
+    kernels and I at every node and step end are integrated on those steps
+    by ``bath._step_values``, whose kernels ``bath.correlator_samples``
+    samples too.  The propagator is never called, so the solution checks a
+    run independently of it.  At t_max 20 and beta 3 it is off ``simulate``
+    by at most 7.5e-11 for W = 5 to 100.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -197,12 +198,10 @@ def closed_form_trajectory(
     if times[-1] == 0.0:
         return mean_a, mean_n
     # Every step of the run: the sample gap it lies in, whether it ends it,
-    # its start and its width.
-    gap, last, starts, widths = (
-        np.concatenate(column) for column in zip(*bath.step_chunks(np.concatenate(([0.0], times)), params.W))
+    # its width, and f, f_beta and I at its three nodes and end.
+    gap, last, widths, f, f_beta, integral = (
+        np.concatenate(column) for column in zip(*bath._step_values(params, np.concatenate(([0.0], times)), True))
     )
-    points = (starts[:, None] + widths[:, None] * bath._STEP_NODES).reshape(-1)
-    f, f_beta, integral = (values.reshape(-1, 4) for values in bath._kernel_samples(params, points))
     exponent = 2.0 * integral.real  # D at each step's three nodes and end
     at_start = np.concatenate(([0.0], exponent[:-1, 3]))
     local = np.exp(exponent[:, :3] - exponent[:, 3:]) * (f_beta - f).real[:, :3]

@@ -307,8 +307,10 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
         Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
 
     The steps are taken a chunk at a time: their kernels
-    (``bath.step_kernels``, carried on from the chunk before), exponents and
-    exponentials at once, then the maps composed in blocks by ``_compose``.
+    (``bath.step_kernels``, carried on from the chunk before, integrated on
+    panels of up to 16 steps of one width with at most 24 derivative points
+    each), exponents and exponentials at once, then the maps composed in
+    blocks by ``_compose``.
     The exponents and their Taylor exponentials are formed on the top rows
     ``[A | b]`` of the augmented matrices.  An exponent's 1-norm is at most
     0.14 on the README bath, so it takes the Taylor path there.

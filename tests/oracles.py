@@ -5,11 +5,11 @@ correlator oracle does the full two-dimensional frequency-time quadrature,
 the long-time frequency shift comes from a principal-value integral and,
 in the time domain, from a windowed average of the kernels, the
 trigamma oracle is a direct series with a midpoint tail correction, the
-masked trigamma applies the library's recurrence and asymptotic series one
-boolean selection at a time, the Hermite oracle evaluates the cardinal
-basis on intervals found by bisection, the kernel-table oracle builds the
-whole table in one pass over full-length arrays, the integrator oracle
-runs each Dormand-Prince step on numpy arrays, the transport oracle
+scalar trigamma and kernel derivatives are written out on plain
+``complex`` numbers (the kernels' QUADPACK references and the transport
+oracle read them), the masked trigamma applies the library's recurrence
+and asymptotic series one boolean selection at a time, the integrator
+oracle runs each Dormand-Prince step on numpy arrays, the transport oracle
 integrates the equations of motion and the kernels with scipy's DOP853 at
 tight tolerances, the maximum-entropy state is built from a dense complex
 eigendecomposition of any operator set, its moment Jacobian from the same
@@ -18,6 +18,7 @@ between near-equal levels), and the matrix exponentials are scipy's and
 mpmath's.
 """
 
+import cmath
 import math
 import warnings
 
@@ -37,6 +38,39 @@ def trigamma_series(z: complex, terms: int = 200_000) -> complex:
     partial = complex(np.sum(1.0 / (z + k) ** 2))
     w = z + terms - 0.5
     return partial + 1.0 / w - 1.0 / (12.0 * w**3)
+
+
+# B_2, ..., B_16 of the asymptotic series of trigamma (DLMF 24.2.1).
+_ORACLE_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+
+
+def scalar_trigamma(z: complex) -> complex:
+    """psi'(z) for a plain ``complex`` z off the poles: the recurrence
+    psi'(z) = psi'(z + 1) + 1/z**2 until Re z >= 10, then the asymptotic
+    series 1/z + 1/(2 z**2) + sum_k B_2k / z**(2k + 1) (DLMF 5.15.8)."""
+    z = complex(z)
+    shifted = 0j
+    while z.real < 10.0:
+        shifted += 1.0 / (z * z)
+        z += 1.0
+    inv = 1.0 / z
+    inv2 = inv * inv
+    tail = 0j
+    for b2k in reversed(_ORACLE_BERNOULLI):
+        tail = (tail + b2k) * inv2
+    return shifted + inv * (1.0 + inv * 0.5 + tail)
+
+
+def kernel_derivatives(t: float, params) -> tuple[complex, complex]:
+    """f'(t) and f'(t, beta) of the bath ``params`` at one time, written out:
+    the phase exp(-i w0 t), the pole 1/(1/W - i t)**2, and
+    f'(t, beta) = phase (2 psi'((1 - i t W) / (W beta)) / beta**2 - pole)
+    with ``scalar_trigamma``."""
+    W, beta = params.W, params.beta
+    phase = cmath.exp(-1j * params.omega0 * t)
+    pole = 1.0 / (1.0 / W - 1j * t) ** 2
+    thermal = 2.0 * scalar_trigamma(complex(1.0 / (W * beta), -t / beta)) / beta**2
+    return phase * pole, phase * (thermal - pole)
 
 
 def masked_trigamma(z) -> np.ndarray:
@@ -147,16 +181,17 @@ def pv_frequency_shift(params, finite_beta: bool) -> float:
     return thermal + singular + tail
 
 
-def _composite_gl(func, a: float, b: float, max_step: float) -> complex:
-    """4-point Gauss-Legendre over panels of at most ``max_step`` in [a, b]."""
+def _composite_gl(func, a: float, b: float, max_step: float) -> np.ndarray:
+    """4-point Gauss-Legendre over panels of at most ``max_step`` in [a, b]
+    of a function whose values at n points have the shape (2, n)."""
     nodes, weights = np.polynomial.legendre.leggauss(4)
     edges = np.linspace(a, b, max(1, math.ceil((b - a) / max_step)) + 1)
     half = 0.5 * np.diff(edges)
-    total = 0j
+    total = np.zeros(2, dtype=complex)
     for start in range(0, half.size, 4096):  # bounds the memory of the nodes
         h = half[start : start + 4096]
         points = (edges[start : start + h.size] + h)[:, None] + h[:, None] * nodes
-        total += complex(np.sum(h * (func(points.reshape(-1)).reshape(points.shape) @ weights)))
+        total += np.sum(h * (func(points.reshape(-1)).reshape((2,) + points.shape) @ weights), axis=-1)
     return total
 
 
@@ -164,36 +199,31 @@ def windowed_correlator_average(params):
     """Average f(t) and f(t, beta) over one oscillation period at large t.
 
     Both kernels approach their long-time values with an oscillating tail;
-    averaging the cumulative integrals of ``releq.bath``'s kernel
-    derivatives over one period of the system frequency, from t = 500/w0,
-    removes the leading oscillation.  Returns the two window averages
-    together with stability estimates taken as the change between this
-    window and a second one ten periods later.
+    averaging the cumulative integrals of the kernel derivatives of
+    ``kernel_derivatives`` over one period of the system frequency, from
+    t = 500/w0, removes the leading oscillation.  Returns the two window
+    averages together with stability estimates taken as the change between
+    this window and a second one ten periods later.
     """
-    from releq.bath import corr_f_beta_integrand, corr_f_integrand
-
     w0 = params.omega0
     period = 2.0 * math.pi / w0
     t1 = 500.0 / w0
     t2 = t1 + 10 * period
     step = 0.02 / max(w0, 0.2 * params.W)
 
-    averages = []
-    for integrand in (corr_f_integrand, corr_f_beta_integrand):
-        g = lambda s, _f=integrand: _f(s, params)
-        base = _composite_gl(g, 0.0, t1, step)
-        tail = _composite_gl(g, t1, t2, step)
-        windows = []
-        for start, cumulative in ((t1, base), (t2, base + tail)):
-            # One-period average of the cumulative kernel, with the double
-            # integral collapsed to a single weighted pass over the window.
-            weighted = _composite_gl(
-                lambda s, _s=start, _g=g: (_s + period - s) * _g(s), start, start + period, step
-            )
-            windows.append(cumulative + weighted / period)
-        averages.append((windows[0], abs(windows[0] - windows[1])))
-    (avg_f, err_f), (avg_fb, err_fb) = averages
-    return avg_f, avg_fb, err_f, err_fb
+    def g(s):  # f' and f_beta', shape (2, len(s))
+        return np.array([kernel_derivatives(t, params) for t in s.tolist()], dtype=complex).T
+
+    base = _composite_gl(g, 0.0, t1, step)
+    tail = _composite_gl(g, t1, t2, step)
+    windows = []
+    for start, cumulative in ((t1, base), (t2, base + tail)):
+        # One-period average of the cumulative kernels, with the double
+        # integral collapsed to a single weighted pass over the window.
+        weighted = _composite_gl(lambda s, _s=start: (_s + period - s) * g(s), start, start + period, step)
+        windows.append(cumulative + weighted / period)
+    (avg_f, avg_fb), (err_f, err_fb) = windows[0], np.abs(windows[0] - windows[1])
+    return complex(avg_f), complex(avg_fb), float(err_f), float(err_fb)
 
 
 def expm_mp(a, dps: int = 40) -> np.ndarray:
@@ -300,17 +330,14 @@ def reference_transport(model: str, params, y0, times, drive: float = 0.0) -> np
     at rtol 1e-12 and atol 1e-14, on the equations of motion written out
     here.  The kernels are integrated along with the state: the system has
     seven real components, the state and Re and Im of f and f_beta, whose
-    derivatives are ``corr_f_integrand`` and ``corr_f_beta_integrand`` of
-    the bath ``params``, so no kernel value comes from the library's
-    integration.
+    derivatives are ``kernel_derivatives`` of the bath ``params``, so no
+    kernel value comes from the library's integration or its trigamma.
 
     ``model`` "oscillator" has the state (Re <a>, Im <a>, <n>); "tls", the
     two-level system on resonance with drive amplitude ``drive``, has
     (<s_z>, Re <s_+>, Im <s_+>).  Returns an array of shape (len(times), 3).
     """
     from scipy.integrate import solve_ivp
-
-    from releq.bath import corr_f_beta_integrand, corr_f_integrand
 
     def rhs(t, y):
         f, f_beta = complex(y[3], y[4]), complex(y[5], y[6])
@@ -321,7 +348,7 @@ def reference_transport(model: str, params, y0, times, drive: float = 0.0) -> np
             s_plus = complex(y[1], y[2])
             d_sp = -2j * drive * y[0] - f_beta * s_plus
             state = [2.0 * drive * s_plus.imag - 2.0 * f_beta.real * y[0] - f.real, d_sp.real, d_sp.imag]
-        d_f, d_f_beta = corr_f_integrand(t, params), corr_f_beta_integrand(t, params)
+        d_f, d_f_beta = kernel_derivatives(t, params)
         return state + [d_f.real, d_f.imag, d_f_beta.real, d_f_beta.imag]
 
     times = np.asarray(times, dtype=float)

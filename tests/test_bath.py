@@ -8,6 +8,7 @@ from oracles import (
     F_BETA_ORACLE_T1,
     F_ORACLE_T1,
     corr_oracle_2d,
+    kernel_derivatives,
     pv_frequency_shift,
     windowed_correlator_average,
 )
@@ -16,13 +17,12 @@ from releq.bath import (
     BathParams,
     corr_f,
     corr_f_beta,
-    corr_f_beta_integrand,
-    corr_f_integrand,
     correlator_samples,
     coth,
     markovian_limits,
     spectral_density,
     step_chunks,
+    step_counts,
     step_kernels,
 )
 
@@ -139,7 +139,7 @@ class TestCorrelatorCache:
         values = bath._kernel_samples(fig_bath, times)[2]
         for t, value in zip(times, values):
             for part, got in (("real", value.real), ("imag", value.imag)):
-                integrand = lambda u: getattr((t - u) * corr_f_integrand(u, fig_bath), part)
+                integrand = lambda u: getattr((t - u) * kernel_derivatives(u, fig_bath)[0], part)
                 expected, _ = quad(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
                 assert got == pytest.approx(expected, rel=1e-10)
 
@@ -152,10 +152,11 @@ class TestCorrelatorCache:
 def quadpack_kernels(params, times) -> np.ndarray:
     """f and f_beta, shape (2, len(times)), at the increasing ``times`` by
     QUADPACK (scipy's ``quad_vec``, rel 1e-13) on the closed-form
-    derivatives, integrated gap by gap from t = 0."""
+    derivatives of ``oracles.kernel_derivatives``, integrated gap by gap
+    from t = 0."""
 
     def derivatives(s):
-        d_f, d_f_beta = corr_f_integrand(s, params), corr_f_beta_integrand(s, params)
+        d_f, d_f_beta = kernel_derivatives(s, params)
         return np.array([d_f.real, d_f.imag, d_f_beta.real, d_f_beta.imag])
 
     out, total, previous = [], np.zeros(4), 0.0
@@ -182,7 +183,7 @@ class TestStepKernels:
     def test_against_quadpack(self, W):
         # The first 40 steps, where the kernels rise on the scale 1/W, and
         # three late ones, of a README run (t_max 20, dt_out 0.01).  The
-        # values are off by 3.6e-14 at W = 10 and 3.6e-13 at W = 100.
+        # values are off by 2.0e-14 at W = 10 and 7.3e-14 at W = 100.
         params = BathParams(W=W, beta=3.0, omega0=1.0)
         starts, widths, f, f_beta = run_kernels(params, np.arange(2001) * 0.01)
         steps = np.r_[0:40, len(starts) // 4, len(starts) // 2, len(starts) - 1]
@@ -202,6 +203,38 @@ class TestStepKernels:
             monkeypatch.setattr(bath, "_STEP_CHUNK", chunk)
             for expected, values in zip(run + list(samples), run_kernels(fig_bath, times) + list(bath._kernel_samples(fig_bath, times))):
                 assert expected.tobytes() == values.tobytes(), chunk
+
+    def test_panels_follow_a_fast_phase(self):
+        # At omega0 = 200 a step of 0.01 turns exp(-i omega0 t) by 2, so the
+        # panels hold 8 early steps and 4 late ones.  Panels of 16 steps
+        # were off by 8.6e-7 here.
+        params = BathParams(W=10.0, beta=3.0, omega0=200.0)
+        starts, widths, f, f_beta = run_kernels(params, np.arange(201) * 0.01)
+        steps = np.r_[0:20, len(starts) - 20 : len(starts)]
+        times = (starts[steps, None] + widths[steps, None] * bath._STEP_NODES).reshape(-1)
+        reference = quadpack_kernels(params, times)
+        error = max(np.max(np.abs(values[steps].reshape(-1) - expected)) for values, expected in zip((f, f_beta), reference))
+        assert error <= 1e-11, error
+
+    def test_geometric_samples_take_at_most_8_points_a_step(self, fig_bath, monkeypatch):
+        # Each gap of a geometric grid has steps of its own width, so the
+        # panels end at the gaps and many are short; a panel of k steps
+        # takes min(24, 8 k) points.
+        counted = [0]
+        derivatives = bath._kernel_derivatives
+
+        def counting(t, params):
+            counted[0] += np.size(t)
+            return derivatives(t, params)
+
+        monkeypatch.setattr(bath, "_kernel_derivatives", counting)
+        times = np.geomspace(1e-3, 20.0, 60)
+        f, f_beta = correlator_samples(fig_bath, times)
+        steps = step_counts(np.concatenate(([0.0], times)), fig_bath.W).sum()
+        assert steps < counted[0] <= 8 * steps
+        reference = quadpack_kernels(fig_bath, times)
+        assert np.max(np.abs(f - reference[0])) <= 1e-11
+        assert np.max(np.abs(f_beta - reference[1])) <= 1e-11
 
     def test_corr_samples_against_quadpack_out_to_1000(self, fig_bath):
         # 100,090 steps, all but 240 of them 0.01 wide; the values are off

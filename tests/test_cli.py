@@ -633,8 +633,9 @@ def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
 
 # The README configurations, both regimes where they apply; any change to a
 # number or its text shows here.  The non-Markovian transport digests are
-# those of the sixth-order Magnus steps on kernels integrated by 8-point
-# Gauss-Legendre on each step, with Taylor exponentials taken on the top
+# those of the sixth-order Magnus steps on kernels integrated on panels of
+# up to 16 equal steps, by one Gauss-Legendre rule of at most 24 points per
+# panel (at most 8 per step), with Taylor exponentials taken on the top
 # rows, the Markovian ones those of the exact propagation with the
 # principal-value frequency shifts; both compose their step maps in blocks,
 # and both use the array formulas for the two-level S and beta; the corr
@@ -660,15 +661,15 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "412f45c9b1a99b7547e95989f84f6250e1f3ff808a970b2bc4fbbf58fee26f94"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "a6696246261d5b8be72b4ff7b7a718669991898b836fc9ed42b9024798caf1c3"),
     (dict(_README_OSCILLATOR, regime="markovian"), "022aaa32efa90411c2b215e93f7eb5e1de4d8046990350a8b17e777a01ad791c"),
-    (dict(_README_TLS, regime="non_markovian"), "bc04bf01cd34b07d0b62f925c9ec2634821eaeba75409dbd894e5973b1478fae"),
+    (dict(_README_TLS, regime="non_markovian"), "f68e97f280a3d5615bce0322376fd6b2eee13b6b49d8ea862964140c35fdb4eb"),
     (dict(_README_TLS, regime="markovian"), "e55f02639c1c8fa924a3842f6e0b4486c76eb5a7fee82cf2edd6f0c10c7e610c"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "72c8c3fe8d2140de3483b3c16acfe84cae08dbe0e1833d47345e5c81be8f8e97"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "189f0551b0a5dc60984087ff2f33d652faf91e4ad0c92dbb75f677410b4fcdfc"),
     (dict(_WEAK_TLS, regime="markovian"), "f87a80f1f751438b2bfc5866091bd18c37cd875bc3dfd335ec40ed2de8b26325"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
-        "4031738283cf5a31be9006626eb8db8a2fea395b32cb18b5d72d1827601d9814",
+        "f03dbd5068811fe9c1cf820966d5fb7efe5f57f8a3a2497c08fb82b67be78ba3",
     ),
     (
         {"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]},
@@ -726,15 +727,19 @@ def test_the_cli_imports_no_scipy(tmp_path):
 
 # Points at which the README runs evaluate the kernels' derivatives, counted
 # by wrapping ``bath._kernel_derivatives``.  A non-Markovian run integrates
-# both kernels with 8 points in each Magnus step, so a change to the step
-# rule or the rule's points shows here as a count before it shows as a CSV
-# digest.  On this bath (W = 10) the step rule takes two steps per sample
-# interval before t = 15 / W = 1.5 and one after: 300 + 1850 steps, 17,200
-# points.  A Markovian run reads the long-time values and no kernel point.
+# both kernels on panels of up to 16 Magnus steps of one width, with 24
+# points on a panel of three steps or more, so a change to the step rule,
+# the panels or their points shows here as a count before it shows as a CSV
+# digest.  On this bath (W = 10) the step rule takes two steps of 0.005 per
+# sample interval before t = 15 / W = 1.5 and one of 0.01 after: 300 steps
+# in 19 panels and 1850 in 116, 135 panels of 24 points, 3,240 points.
+# The count moved from 17,200 when the kernels were integrated with 8
+# points on every step instead.  A Markovian run reads the long-time
+# values and no kernel point.
 KERNEL_POINTS = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), 17200),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), 3240),
     (dict(_README_OSCILLATOR, regime="markovian"), 0),
-    (dict(_README_TLS, regime="non_markovian"), 17200),
+    (dict(_README_TLS, regime="non_markovian"), 3240),
     (dict(_README_TLS, regime="markovian"), 0),
 ]
 

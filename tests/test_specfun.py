@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import masked_trigamma, trigamma_series
+from oracles import kernel_derivatives, masked_trigamma, scalar_trigamma, trigamma_series
+from releq.bath import BathParams
 from releq.specfun import PoleError, arctanh_ratio, trigamma
 
 # Oracle values frozen from a 50-digit mpmath computation, cross-checked by
@@ -70,6 +71,27 @@ class TestTrigamma:
                 for p, v in zip(z, values)
             ]
         assert max(errors) <= 1e-15
+
+    @pytest.mark.parametrize("W, beta", [(10.0, 3.0), (20.0, 9.0), (5.0, 2.0), (100.0, 50.0)])
+    def test_scalar_oracle_against_mpmath(self, W, beta):
+        # The oracles' plain-complex trigamma, which the kernels' references
+        # read, at the kernel arguments (1 - i t W)/(W beta) for t in
+        # [0, 50] and at a few points left of the real axis's origin.
+        import mpmath
+
+        t = np.linspace(0.0, 50.0, 201)
+        points = [complex(p) for p in (1.0 - 1j * t * W) / (W * beta)] + [-3.5 + 0.25j, -0.3 - 2j, 9.99 + 1e3j]
+        with mpmath.workdps(30):
+            errors = [abs(mpmath.mpc(scalar_trigamma(p)) / mpmath.psi(1, mpmath.mpc(p)) - 1) for p in points]
+        assert max(errors) <= 2e-15
+        assert scalar_trigamma(Z_BATH) == pytest.approx(trigamma_series(Z_BATH), rel=1e-13)
+
+    def test_scalar_kernel_derivatives_at_zero(self):
+        # At t = 0 the phase is 1 and the pole 1/(1/W)**2 = W**2.
+        bath = BathParams(W=10.0, beta=3.0, omega0=1.0)
+        d_f, d_f_beta = kernel_derivatives(0.0, bath)
+        assert d_f == pytest.approx(100.0, rel=1e-15)
+        assert d_f_beta == pytest.approx(2.0 * trigamma_series(1.0 / 30.0) / 9.0 - 100.0, rel=1e-13)
 
     @given(
         st.floats(min_value=1e-3, max_value=50.0),

@@ -263,10 +263,11 @@ def test_a_markovian_run_builds_no_kernel_table(monkeypatch):
 
 def test_no_run_builds_a_kernel_table(monkeypatch):
     # Non-Markovian runs integrate the kernels on their own Magnus steps,
-    # not through the sampling helper of the corr samples and the closed
-    # form, which also integrates f over time.
+    # not through the sampling helpers of the corr samples and the closed
+    # form, which also integrate f over time.
     bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
-    monkeypatch.setattr("releq.bath._kernel_samples", forbidden)
+    for name in ("_kernel_samples", "_step_values"):
+        monkeypatch.setattr(f"releq.bath.{name}", forbidden)
     oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "non_markovian", t_max=10.0, dt_out=0.5)
     tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(1.3, 1.3, 0.3, bath), "non_markovian", t_max=10.0, dt_out=0.5)
     with pytest.raises(AssertionError, match="called"):
