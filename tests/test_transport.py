@@ -396,10 +396,11 @@ def test_magnus_runs_match_a_tight_reference(W, model, drive):
     assert np.all(np.max(np.abs(coarse - reference[::50]), axis=0) <= 1e-8)
 
 
-@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _STEP_CHUNK + _BLOCK + 1])
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 1073, _STEP_CHUNK + _BLOCK + 1])
 def test_blocked_composition_is_the_one_map_at_a_time_composition(steps):
     # Samples 1 / (16 W) apart take one step each, so the run composes
-    # ``steps`` maps: within one block, at its edges, and past a chunk.
+    # ``steps`` maps: within one block, at its edges, over many blocks with a
+    # partial last one, and past a chunk.
     bath = BATHS[0]
     times = np.arange(steps + 1) * (0.0625 / bath.W)
     y0 = np.array([1.0, 0.0, 9.0])
