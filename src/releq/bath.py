@@ -13,17 +13,16 @@ the spectral density J(w) = w exp(-w/W)).  Both kernels vanish at t = 0 and
 approach constant long-time values whose real parts are pi*J(w0) and
 pi*J(w0)*coth(beta*w0/2).
 
-Every consumer integrates the closed-form derivatives above on the steps of
-one step rule (``step_chunks``), a chunk of steps at a time, and reads both
-kernels at each step's nodes and end (``step_kernels``): a run's Magnus
-propagation does so in its own loop, ``correlator_samples`` samples them at
-given times, and the closed-form oscillator solution reads them, with the
-time integral of f, at the nodes and ends of its run's steps.  The steps
+Every consumer reads the kernels off one stream, ``step_kernels``: the
+steps of one step rule (``step_counts``) a chunk at a time, with both
+kernels at each step's nodes and end.  The Magnus propagation takes its
+steps from it, ``correlator_samples`` the ends of its gaps, and the
+closed-form oscillator solution also the time integral of f.  The steps
 are integrated on panels of up to 16 steps of one width, which the
 kernels' scale 1/W allows (fewer where exp(-i w0 s) turns by more than 8
-over them): one Gauss-Legendre rule of at most 24 points
-per panel, never more than 8 per step, and a spectral integration matrix
-per panel length give the integrals to every step's nodes and end.
+over them): one Gauss-Legendre rule of at most 24 points per panel, never
+more than 8 per step, and a spectral integration matrix per panel length
+give the integrals to every step's nodes and end.
 The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
 W**2 / (s W + i)**2 = -r, so both take one pass over the points and one
 trigamma call per chunk.
@@ -56,7 +55,6 @@ __all__ = [
     "correlator_samples",
     "markovian_limits",
     "spectral_density",
-    "step_chunks",
     "step_counts",
     "step_kernels",
 ]
@@ -65,7 +63,8 @@ REGIMES = ("markovian", "non_markovian")
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the error estimate."""
+    """A kernel quadrature failed: adaptive quadrature did not converge, or a
+    step's kernels are not finite (estimate inf); carries the error estimate."""
 
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
@@ -192,11 +191,14 @@ def corr_f_beta(t: float, params: BathParams, rel_tol: float = 1e-9) -> complex:
 # Step rule of the Magnus propagation and the corr samples, in units of the
 # bath's cutoff W: steps of _EARLY_STEP / W while t < _EARLY_SPAN / W, where
 # the kernels rise on their scale 1/W, then steps growing as _GRADING * t up
-# to _LATE_STEP.
+# to _LATE_STEP.  No step turns the phase exp(-i omega0 t) by more than
+# _STEP_PHASE: at omega0 = 400, steps of 0.01 left the kernels at the steps'
+# nodes off QUADPACK by 1.8e-7 (W = 5), capped ones by 1.8e-15.
 _EARLY_STEP = 0.0625
 _EARLY_SPAN = 15.0
 _GRADING = 0.02
 _LATE_STEP = 0.01
+_STEP_PHASE = 2.0
 
 # Steps whose kernels (and, in a run, exponents and exponentials) are formed
 # at once, rounded down to whole blocks of ``_panels``.  A README run (2,150 steps) then
@@ -261,26 +263,28 @@ def _antiderivatives(columns: np.ndarray) -> np.ndarray:
     return np.column_stack((columns[:, 0] + columns[:, 1], (columns[:, 2:] - columns[:, :-2]) / (2 * n + 1)))
 
 
-def _panels(widths: np.ndarray, omega0: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The first step and the number of steps of each panel of the steps of
-    ``widths``.
+def _panels(widths: np.ndarray, omega0: float, whole: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """The number n of the steps of ``widths`` that the panels cover, and
+    the first step and the number of steps of each panel.
 
     Runs of steps each within ``_EQUAL_WIDTH`` relative of the one before
     are cut into blocks of ``_PANEL_STEPS`` from each run's first step, the
-    last one shorter.  Given ``omega0``, each block is cut again into
-    panels of the largest power of two of its steps that turn the phase by
-    at most ``_PANEL_PHASE``, one step at least.  A block's panels depend on
-    its own widths only, so chunks of whole blocks have the panels of all
-    the steps.
+    last one shorter.  Unless ``whole``, such a shorter last block is left
+    out, since its run may go on past the steps given: n is its first step.
+    Each block is cut again into panels of the largest power of two of its
+    steps that turn the phase by at most ``_PANEL_PHASE``, one step at
+    least.  A block's panels depend on its own widths only, so chunks of
+    whole blocks have the panels of all the steps.
     """
     n = widths.size
     breaks = np.flatnonzero(np.abs(np.diff(widths)) > _EQUAL_WIDTH * widths[:-1]) + 1
     runs = np.concatenate(([0], breaks))
     first, lengths = _cut(runs, n, np.full(runs.size, _PANEL_STEPS))
-    if omega0 is not None:
-        steps = np.clip(_PANEL_PHASE / (omega0 * widths[first]), 1.0, _PANEL_STEPS)
-        first, lengths = _cut(first, n, 2 ** np.floor(np.log2(steps)).astype(int))
-    return first, lengths
+    if not whole and lengths[-1] < _PANEL_STEPS:
+        n, first = int(first[-1]), first[:-1]
+    steps = np.clip(_PANEL_PHASE / (omega0 * widths[first]), 1.0, _PANEL_STEPS)
+    first, lengths = _cut(first, n, 2 ** np.floor(np.log2(steps)).astype(int))
+    return n, first, lengths
 
 
 def _cut(first: np.ndarray, n: int, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,87 +297,82 @@ def _cut(first: np.ndarray, n: int, size: np.ndarray) -> tuple[np.ndarray, np.nd
     return starts, np.diff(np.append(starts, n))
 
 
-def step_counts(times, W: float) -> np.ndarray:
-    """Steps of each gap of the non-decreasing ``times`` under the step rule.
+def step_counts(times, params: BathParams) -> np.ndarray:
+    """Steps of each gap of the non-decreasing ``times`` under the step rule
+    of the bath ``params``.
 
     A gap starting at t takes ``ceil(gap / h(t))`` equal steps, at least one
     unless it is empty, with ``h(t) = 0.0625 / W`` for ``t < 15 / W`` and
-    ``h(t) = min(0.02 t, 0.01)`` after.  The ceiling has a margin of 1e-9
-    for the rounding of the gap, so that a gap of h takes one step.  The
-    counts are whole floats, so that a huge one, and their sum, stay huge
-    rather than wrapping around as integers would.
+    ``h(t) = min(0.02 t, 0.01)`` after, but never more than ``2 / omega0``.
+    The ceiling has a margin of 1e-9 for the rounding of the gap, so that a
+    gap of h takes one step.  The counts are whole floats, so that a huge
+    one, and their sum, stay huge rather than wrapping around as integers
+    would.
     """
+    W = params.W
     times = np.asarray(times, dtype=float)
     gaps = np.diff(times)
     start = times[:-1]
     h = np.where(start < _EARLY_SPAN / W, _EARLY_STEP / W, np.minimum(_GRADING * start, _LATE_STEP))
+    h = np.minimum(h, _STEP_PHASE / params.omega0)
     return np.where(gaps > 0.0, np.maximum(np.ceil(gaps / h - 1e-9), 1.0), 0.0)
 
 
-def step_chunks(times, W: float):
-    """The steps of ``step_counts(times, W)``, up to ``_STEP_CHUNK`` at a time.
+def step_kernels(params: BathParams, times, integral: bool = False):
+    """The steps of a run on the non-decreasing ``times`` with the kernels
+    on them, up to ``_STEP_CHUNK`` steps at a time.
 
-    Yields ``(gap, last, starts, widths)`` per chunk: for each step the
-    index of its gap, whether it ends the gap, its start and its width.
-    Every chunk but the last ends where a panel of ``_panels`` ends, and
-    holds at least one, so the chunks' panels are those of all the steps.
+    Yields ``(gap, last, starts, widths, f, f_beta)`` per chunk: for each
+    step of ``step_counts(times, params)`` the index of its gap, whether it
+    ends the gap, its start and its width, and both kernels at its three
+    Gauss-Legendre nodes and end, complex arrays of shape ``(steps, 4)``.
+    Given ``integral``, I, the integral of f from 0, comes last at the same
+    points.
+
+    The values start from 0 at t = 0, and each chunk goes on from the last
+    values of the one before.  Every chunk but the last ends where a block
+    of ``_panels`` ends, so the chunk length does not change a bit of them.
     """
     times = np.asarray(times, dtype=float)
-    counts = step_counts(times, W)
+    counts = step_counts(times, params)
     ends = np.cumsum(counts)  # ends[i]: the steps taken by the end of gap i
     total = int(ends[-1]) if ends.size else 0
+    at_start = (0j, 0j, 0j) if integral else (0j, 0j)
     lo = 0
     while lo < total:
         step = np.arange(lo, min(lo + max(_STEP_CHUNK, _PANEL_STEPS), total))
         gap = np.searchsorted(ends, step, side="right")
         widths = (times[gap + 1] - times[gap]) / counts[gap]
-        if step[-1] + 1 < total:
-            # A last panel shorter than _PANEL_STEPS may go on past the
-            # chunk, so it starts the next one; a panel comes before it.
-            first, lengths = _panels(widths)
-            if lengths[-1] < _PANEL_STEPS:
-                step, gap, widths = step[: first[-1]], gap[: first[-1]], widths[: first[-1]]
+        n, first, lengths = _panels(widths, params.omega0, step[-1] + 1 == total)
+        step, gap, widths = step[:n], gap[:n], widths[:n]
         starts = times[gap] + (step - ends[gap] + counts[gap]) * widths
-        yield gap, step + 1 == ends[gap], starts, widths
+        values = _chunk_kernels(params, starts, widths, first, lengths, at_start)
+        at_start = tuple(value[-1, 3] for value in values)
+        yield (gap, step + 1 == ends[gap], starts, widths) + values
         lo = int(step[-1]) + 1
 
 
-def step_kernels(params: BathParams, starts, widths, f0: complex = 0j, f_beta0: complex = 0j):
-    """``(f, f_beta)`` at the three Gauss-Legendre nodes and the end of each
-    step ``[starts, starts + widths)``, two complex arrays of shape
-    ``(steps, 4)``, for consecutive steps whose first starts where the
-    kernels are ``f0`` and ``f_beta0``.
+def _chunk_kernels(params: BathParams, starts, widths, first, lengths, at_start: tuple) -> tuple:
+    """``step_kernels``' values on the steps ``[starts, starts + widths)`` of
+    one chunk, whose panels start at the steps ``first`` and hold
+    ``lengths`` steps, from ``at_start``, their values at the first start
+    (two, or three with I).  A function of its own, so that its temporaries
+    are freed before the chunk's consumer works.
 
-    The steps are cut into the panels of ``_panels``.  Both derivatives are
-    evaluated at the Gauss-Legendre points of every panel in one call, and
-    a product with the first matrix of the panel's ``_panel_rule`` gives
-    the increments from its start to each of its steps' nodes and ends.
-    The values at the panels' starts are the cumulative sum of the
-    increments to their ends after ``(f0, f_beta0)``, so a chunk of whole
-    panels that goes on from the last end of the one before gives the bits
-    of one long call.
-    """
-    return _step_kernels(params, starts, widths, f0, f_beta0)
-
-
-def _step_kernels(params: BathParams, starts, widths, *at_start):
-    """``step_kernels``' two arrays from ``at_start = (f0, f_beta0)``; given
-    a third value I0 there, also I, the integral of f from the first start
-    on plus I0, at the same nodes and ends.
-
-    On a panel of length L from a, I(a + x L) = I(a) + x L f(a) plus the
+    Both derivatives are evaluated at the Gauss-Legendre points of every
+    panel in one call, and a product with the first matrix of the panel's
+    ``_panel_rule`` gives the increments from its start to each of its
+    steps' nodes and ends.  The values at the panels' starts are the
+    cumulative sum of the increments to their ends after ``at_start``.  On
+    a panel of length L from a, I(a + x L) = I(a) + x L f(a) plus the
     second integral of f' from a, which the second matrix of
-    ``_panel_rule`` takes from the same derivative values; I(a) runs on
-    from panel to panel as the kernels do.
+    ``_panel_rule`` takes from the same derivative values.
     """
-    starts = np.asarray(starts, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    first, lengths = _panels(widths, params.omega0)
     a = starts[first]
     spans = starts[first + lengths - 1] + widths[first + lengths - 1] - a
     groups = [(k, np.flatnonzero(lengths == k)) for k in sorted(set(lengths.tolist()))]
     points = [(a[p, None] + spans[p, None] * _panel_rule(k)[0]).reshape(-1) for k, p in groups]
-    derivatives = np.stack(_kernel_derivatives(np.concatenate(points) if points else np.empty(0), params), axis=-1)
+    derivatives = np.stack(_kernel_derivatives(np.concatenate(points), params), axis=-1)
     integral = len(at_start) == 3
     # Per step and node, from the panel's start: Re and Im of the integrals
     # of f' and f_beta', and of the second integral of f'.
@@ -474,41 +473,25 @@ def markovian_limits(params: BathParams) -> MarkovianLimits:
 # Sampling.
 
 
-def _step_values(params: BathParams, times, integral: bool):
-    """The steps of ``step_chunks(times, params.W)`` with the kernels on
-    them, a chunk at a time: ``(gap, last, widths, f, f_beta)``, and I last
-    if ``integral``, each value an array of shape ``(steps, 4)`` at the
-    steps' three nodes and ends (see ``_step_kernels``).
+def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both kernels at the times ``times``, increasing in their flat order,
+    complex arrays ``(f, f_beta)`` of their shape: the values of
+    ``step_kernels`` at the ends of the gaps of 0 and ``times``.
 
-    The kernels are integrated from t = 0, I from I(0) = 0.  The sums run
-    on from the chunk before, so the chunk length does not change a bit of
-    the values.
+    Raises ``QuadratureError`` at the first time where a value is not
+    finite, as where W beta is below about 1e-154 and trigamma's argument
+    overflows when squared.
     """
-    carry = (0j, 0j, 0j) if integral else (0j, 0j)
-    for gap, last, starts, widths in step_chunks(times, params.W):
-        values = _step_kernels(params, starts, widths, *carry)
-        carry = tuple(value[-1, 3] for value in values)
-        yield (gap, last, widths) + values
-
-
-def _kernel_samples(params: BathParams, times, integral: bool = True) -> tuple[np.ndarray, ...]:
-    """``(f, f_beta, I)`` at the times ``times``, increasing in their flat
-    order, as complex arrays of their shape; I(t) is the integral of f from
-    0 to t, and is left out unless ``integral``.  The values are those of
-    ``_step_values`` at the ends of the gaps."""
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     if np.any(flat < 0) or np.any(np.diff(flat) <= 0):
         raise ValueError("correlator sample times must be >= 0 and increasing")
     grid = np.concatenate(([0.0], flat))  # a first time of 0 takes no step
-    out = np.zeros((3 if integral else 2, grid.size), dtype=complex)
-    for gap, last, _, *values in _step_values(params, grid, integral):
-        out[:, gap[last] + 1] = [value[last, 3] for value in values]
+    out = np.zeros((2, grid.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        for gap, last, _, _, *values in step_kernels(params, grid):
+            out[:, gap[last] + 1] = [value[last, 3] for value in values]
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        raise QuadratureError(f"the kernels are not finite at t = {grid[np.argmin(finite)]:.6g}", math.inf)
     return tuple(values[1:].reshape(times.shape) for values in out)
-
-
-def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Both kernels at the increasing times ``times``, complex arrays
-    ``(f, f_beta)``, integrated from t = 0 on the steps of ``step_chunks``
-    by ``step_kernels``, a chunk at a time."""
-    return _kernel_samples(params, times, integral=False)

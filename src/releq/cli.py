@@ -165,7 +165,7 @@ class ScenarioConfig:
 
     @staticmethod
     def _takes_steps(model: str, regime: str) -> bool:
-        """Whether a run integrates the kernels on the steps of ``bath.step_chunks``."""
+        """Whether a run reads the kernels off ``bath.step_kernels``."""
         return model == "corr" or (model != "maxent_solve" and regime == "non_markovian")
 
     @cached_property
@@ -195,7 +195,7 @@ class ScenarioConfig:
         )
         times = sample_times(self.t_max, self.dt_out) if self.t_max > 0 else np.empty(0)
         if self._takes_steps(self.model, self.regime):
-            steps = bath.step_counts(np.concatenate(([0.0], times)), bath_params.W).sum()
+            steps = bath.step_counts(np.concatenate(([0.0], times)), bath_params).sum()
             if steps > MAX_STEPS:
                 raise ConfigError(f"the run would take {steps:.6g} kernel steps, more than {MAX_STEPS}")
             W, beta = bath_params.W, bath_params.beta

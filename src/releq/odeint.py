@@ -15,9 +15,9 @@ returns a sequence of two real or complex numbers.
 At two components a numpy call costs more than its arithmetic.  So the
 step is written out on Python scalars and builds nothing per stage: each
 component's stage sum is ``0j + k0 * a0 + k1 * a1 + ...``, zero weights of
-``_B`` and ``_E`` included, which is how numpy's matrix-vector product
-(``K[:s].T @ _A[s, :s]``) sums 2 components, bit for bit.  The numbers are
-those of the earlier all-numpy step.  Two
+the last row of ``_A`` and ``_E`` included, which is how numpy's
+matrix-vector product (``K[:s].T @ _A[s, :s]``) sums 2 components, bit for
+bit.  The numbers are those of the earlier all-numpy step.  Two
 kinds of operation stay in numpy, because Python 3.11 has no fused
 multiply-add and plain Python would change the last bits:
 
@@ -58,7 +58,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B = _A[6]
 
 # Difference between the 5th- and 4th-order weights; contracting the stages
 # with it gives the local error estimate.

@@ -166,11 +166,10 @@ def closed_form_trajectory(
 
     marched step by step with the exponent taken from each step's end, so it
     stays non-positive and long horizons stay well conditioned.  The steps
-    are those a run on the sample times takes (``bath.step_chunks``); each
-    step's integral is the 3-point Gauss-Legendre rule at its nodes.  The
-    kernels and I at every node and step end are integrated on those steps
-    by ``bath._step_values``, whose kernels ``bath.correlator_samples``
-    samples too.  The propagator is never called, so the solution checks a
+    are those a run on the sample times takes, with the kernels and I at
+    each step's nodes and end, read off ``bath.step_kernels`` with the
+    integral; each step's integral is the 3-point Gauss-Legendre rule at
+    its nodes.  The propagator is never called, so the solution checks a
     run independently of it.  At t_max 20 and beta 3 it is off ``simulate``
     by at most 7.5e-11 for W = 5 to 100.
     """
@@ -199,8 +198,8 @@ def closed_form_trajectory(
         return mean_a, mean_n
     # Every step of the run: the sample gap it lies in, whether it ends it,
     # its width, and f, f_beta and I at its three nodes and end.
-    gap, last, widths, f, f_beta, integral = (
-        np.concatenate(column) for column in zip(*bath._step_values(params, np.concatenate(([0.0], times)), True))
+    gap, last, _, widths, f, f_beta, integral = (
+        np.concatenate(column) for column in zip(*bath.step_kernels(params, np.concatenate(([0.0], times)), integral=True))
     )
     exponent = 2.0 * integral.real  # D at each step's three nodes and end
     at_start = np.concatenate(([0.0], exponent[:-1, 3]))

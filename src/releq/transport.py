@@ -15,10 +15,10 @@ invertible; every bath has one unless ``J(omega0)`` underflows
 
 In the non-Markovian regime A and b follow the kernels in time, and
 ``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator
-on the augmented generator ``[[A, b], [0, 0]]``, with the kernels
-integrated on the same steps (``bath.step_kernels``).  Its step rule starts
-from the kernels' own time scale 1/W and needs no error control; see
-``propagate_magnus``.  Neither propagator takes a tolerance;
+on the augmented generator ``[[A, b], [0, 0]]``, reading its steps and
+the kernels on them off ``bath.step_kernels``, a chunk at a time.  The step
+rule starts from the kernels' own time scale 1/W and needs no error
+control; see ``propagate_magnus``.  Neither propagator takes a tolerance;
 ``check_tolerances`` serves the CLI's configuration check and ``odeint``.
 
 ``_compose`` applies the Magnus step maps in blocks: prefix products within
@@ -293,10 +293,11 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
     shape plus (3,).  Returns an array of shape ``(len(times), 3)``; the
     first sample is ``y0`` itself.
 
-    The steps are those of ``bath.step_chunks``: every output interval is
-    cut into ``ceil(dt / h(t))`` equal steps, t its start, so every sample
-    ends a step.  The step rule is ``h(t) = 0.0625 / W`` for ``t < 15 / W``,
-    where the kernels rise, and ``h(t) = min(0.02 t, 0.01)`` after.  A step
+    The steps, and the kernels on them, are those of ``bath.step_kernels``:
+    every output interval is cut into ``ceil(dt / h(t))`` equal steps, t its
+    start, so every sample ends a step.  The step rule is
+    ``h(t) = 0.0625 / W`` for ``t < 15 / W``, where the kernels rise, and
+    ``h(t) = min(0.02 t, 0.01)`` after, never more than ``2 / omega0``.  A step
     of length h maps the augmented state ``(y, 1)`` by ``expm(Omega)``, the
     sixth-order Magnus exponent of the generator ``G = [[A, b], [0, 0]]`` at
     the three Gauss-Legendre nodes of the step (Blanes, Casas and Ros, BIT
@@ -306,11 +307,9 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
         C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
         Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240.
 
-    The steps are taken a chunk at a time: their kernels
-    (``bath.step_kernels``, carried on from the chunk before, integrated on
-    panels of up to 16 steps of one width with at most 24 derivative points
-    each), exponents and exponentials at once, then the maps composed in
-    blocks by ``_compose``.
+    The steps are taken a chunk of ``bath.step_kernels`` at a time: their
+    exponents and exponentials at once, then the maps composed in blocks by
+    ``_compose``.
     The exponents and their Taylor exponentials are formed on the top rows
     ``[A | b]`` of the augmented matrices.  An exponent's 1-norm is at most
     0.14 on the README bath, so it takes the Taylor path there.
@@ -322,11 +321,8 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
     states = np.empty((times.size, y0.size))
     states[0] = y0
     y = np.append(y0, 1.0)
-    kernels_at_start = (0j, 0j)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        for interval, last, starts, widths in bath.step_chunks(times, params.W):
-            f, f_beta = bath.step_kernels(params, starts, widths, *kernels_at_start)
-            kernels_at_start = (f[-1, 3], f_beta[-1, 3])
+        for interval, last, starts, widths, f, f_beta in bath.step_kernels(params, times):
             omega = _magnus_exponents(linear_system, f[:, :3], f_beta[:, :3], widths)
             finite = np.isfinite(omega).all(axis=(1, 2))
             if not finite.all():

@@ -21,7 +21,6 @@ from releq.bath import (
     coth,
     markovian_limits,
     spectral_density,
-    step_chunks,
     step_counts,
     step_kernels,
 )
@@ -127,16 +126,16 @@ class TestCorrelatorCache:
     def test_time_integral_antiderivative(self, fig_bath):
         h = 1e-4
         t = 2.5
-        f, _, integral = bath._kernel_samples(fig_bath, [t - h, t, t + h])
+        f, _, integral = kernel_samples(fig_bath, [t - h, t, t + h])
         derivative = (integral[2] - integral[0]) / (2 * h)
         assert derivative == pytest.approx(f[1], rel=1e-6)
-        assert bath._kernel_samples(fig_bath, 0.0)[2] == 0j
+        assert kernel_samples(fig_bath, [0.0])[2] == 0j
 
     def test_time_integral_against_quadrature_of_the_table(self, fig_bath):
         # I(t) = integral_0^t (t - u) f'(u) du, by QUADPACK on the closed-form
         # derivative.  The values are off by at most 2e-15 relative.
         times = (0.0037, 0.41, 2.5, 6.283, 19.99)
-        values = bath._kernel_samples(fig_bath, times)[2]
+        values = kernel_samples(fig_bath, times)[2]
         for t, value in zip(times, values):
             for part, got in (("real", value.real), ("imag", value.imag)):
                 integrand = lambda u: getattr((t - u) * kernel_derivatives(u, fig_bath)[0], part)
@@ -145,7 +144,7 @@ class TestCorrelatorCache:
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_lookups_of_no_times(self, fig_bath, shape):
-        for out in bath._kernel_samples(fig_bath, np.empty(shape)):
+        for out in correlator_samples(fig_bath, np.empty(shape)):
             assert out.shape == shape and out.dtype == complex
 
 
@@ -167,15 +166,22 @@ def quadpack_kernels(params, times) -> np.ndarray:
     return np.array(out).T
 
 
-def run_kernels(params, times):
-    """``step_kernels`` of every step of a run on ``times``, carried from
-    chunk to chunk as the runs carry them: (starts, widths, f, f_beta)."""
-    parts, carry = [], (0j, 0j)
-    for _, _, starts, widths in step_chunks(times, params.W):
-        f, f_beta = step_kernels(params, starts, widths, *carry)
-        carry = (f[-1, 3], f_beta[-1, 3])
-        parts.append((starts, widths, f, f_beta))
-    return [np.concatenate(column) for column in zip(*parts)]
+def run_kernels(params, times, integral=False):
+    """Every step of a run on ``times`` with its kernels, from the chunks of
+    ``step_kernels``: (starts, widths, f, f_beta), and I last if ``integral``."""
+    chunks = (chunk[2:] for chunk in step_kernels(params, times, integral))
+    return [np.concatenate(column) for column in zip(*chunks)]
+
+
+def kernel_samples(params, times):
+    """f, f_beta and I, the integral of f from 0, at the increasing
+    ``times``, shape (3, len(times)): the values of ``step_kernels`` with
+    the integral at the ends of the gaps of 0 and ``times``."""
+    grid = np.concatenate(([0.0], times))
+    out = np.zeros((3, grid.size), dtype=complex)
+    for gap, last, _, _, *values in step_kernels(params, grid, integral=True):
+        out[:, gap[last] + 1] = [value[last, 3] for value in values]
+    return out[:, 1:]
 
 
 class TestStepKernels:
@@ -193,15 +199,16 @@ class TestStepKernels:
         assert error <= 1e-11, error
 
     def test_chunks_give_the_bits_of_one_long_call(self, fig_bath, monkeypatch):
-        # A README run's kernels at every step, and a corr grid's samples
-        # with the time integral of f, do not depend on how the steps are
-        # cut into chunks.
+        # A README run's kernels and the time integral of f at every step,
+        # and a corr grid's samples, do not depend on how the steps are cut
+        # into chunks.
         times = np.arange(2001) * 0.01
-        run, samples = run_kernels(fig_bath, times), bath._kernel_samples(fig_bath, times)
+        run, samples = run_kernels(fig_bath, times, integral=True), correlator_samples(fig_bath, times)
         assert len(run[0]) == 2150 > bath._STEP_CHUNK
         for chunk in (1, 7, 1000):
             monkeypatch.setattr(bath, "_STEP_CHUNK", chunk)
-            for expected, values in zip(run + list(samples), run_kernels(fig_bath, times) + list(bath._kernel_samples(fig_bath, times))):
+            again = run_kernels(fig_bath, times, integral=True) + list(correlator_samples(fig_bath, times))
+            for expected, values in zip(run + list(samples), again):
                 assert expected.tobytes() == values.tobytes(), chunk
 
     def test_panels_follow_a_fast_phase(self):
@@ -211,6 +218,22 @@ class TestStepKernels:
         params = BathParams(W=10.0, beta=3.0, omega0=200.0)
         starts, widths, f, f_beta = run_kernels(params, np.arange(201) * 0.01)
         steps = np.r_[0:20, len(starts) - 20 : len(starts)]
+        times = (starts[steps, None] + widths[steps, None] * bath._STEP_NODES).reshape(-1)
+        reference = quadpack_kernels(params, times)
+        error = max(np.max(np.abs(values[steps].reshape(-1) - expected)) for values, expected in zip((f, f_beta), reference))
+        assert error <= 1e-11, error
+
+    @pytest.mark.parametrize("W", [5.0, 100.0])
+    def test_steps_follow_a_fast_phase(self, W):
+        # At omega0 = 400 a step of 0.01 turns exp(-i omega0 t) by 4; the
+        # steps are capped at 2 / omega0.  Uncapped, the kernels at the
+        # nodes were off by 1.8e-7 at W = 5 and 4.2e-9 at W = 100; capped,
+        # by 1.8e-15 and 7.2e-14.
+        params = BathParams(W=W, beta=3.0, omega0=400.0)
+        starts, widths, f, f_beta = run_kernels(params, np.arange(201) * 0.01)
+        assert np.max(widths) <= (1.0 + 1e-9) * 2.0 / params.omega0  # the ceiling's margin
+        n = len(starts)
+        steps = np.r_[0:20, n // 2 - 10 : n // 2 + 10, n - 20 : n]
         times = (starts[steps, None] + widths[steps, None] * bath._STEP_NODES).reshape(-1)
         reference = quadpack_kernels(params, times)
         error = max(np.max(np.abs(values[steps].reshape(-1) - expected)) for values, expected in zip((f, f_beta), reference))
@@ -230,7 +253,7 @@ class TestStepKernels:
         monkeypatch.setattr(bath, "_kernel_derivatives", counting)
         times = np.geomspace(1e-3, 20.0, 60)
         f, f_beta = correlator_samples(fig_bath, times)
-        steps = step_counts(np.concatenate(([0.0], times)), fig_bath.W).sum()
+        steps = step_counts(np.concatenate(([0.0], times)), fig_bath).sum()
         assert steps < counted[0] <= 8 * steps
         reference = quadpack_kernels(fig_bath, times)
         assert np.max(np.abs(f - reference[0])) <= 1e-11

@@ -182,6 +182,24 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "sweep"])
+    @pytest.mark.parametrize("beta", [1e-160, 1e-300])
+    def test_corr_kernels_that_are_not_finite_exit_3(self, tmp_path, capsys, beta, sweep):
+        # Below W beta of about 1e-154 trigamma's argument 1 / (W beta)
+        # overflows when squared, and f_beta is not finite from the first
+        # step on; the non-Markovian oscillator on the same bath exits 3 too.
+        path = tmp_path / "cfg.json"
+        params = {"omega0": 1.0, "W": 10.0, "beta_bath": beta}
+        write_config(path, model="corr", params=params, initial=[], t_max=1.0, dt_out=0.5)
+        argv = ["--sweep", str(tmp_path)] if sweep else ["corr", "--config", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: numerical failure: the kernels are not finite at t = 0.5" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+        write_config(path, params=params)
+        assert main(["oscillator", "--config", str(path)]) == 3
+
     def test_exit_code_2_on_model_mismatch(self, tmp_path):
         path = tmp_path / "cfg.json"
         write_config(path)

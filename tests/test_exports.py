@@ -51,6 +51,46 @@ def test_no_module_level_import_is_dead():
     assert not {name: imports for name, imports in dead.items() if imports}
 
 
+def _private_definitions_and_reads(path: Path) -> tuple[dict, list]:
+    """``{name: line}`` of the module-level ``_name`` definitions (functions,
+    classes, assignments) of the module at ``path``, not dunders, and per
+    top-level statement the names it defines and the names and attributes
+    it reads."""
+    tree = ast.parse(path.read_text())
+    defined, statements = {}, []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {leaf.id for target in targets for leaf in ast.walk(target) if isinstance(leaf, ast.Name)}
+        else:
+            names = set()
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+        reads = {leaf.id for leaf in ast.walk(node) if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)}
+        reads |= {leaf.attr for leaf in ast.walk(node) if isinstance(leaf, ast.Attribute)}
+        statements.append((names, reads))
+    return defined, statements
+
+
+def test_no_private_function_is_unused_by_the_library():
+    # A private name that no statement of the library reads, other than its
+    # own definition, is left over from deleted code (or kept for the tests
+    # alone).
+    paths = sorted(Path(releq.__file__).parent.glob("*.py"))
+    scanned = {path.name: _private_definitions_and_reads(path) for path in paths}
+    statements = [statement for _, module in scanned.values() for statement in module]
+    unused = {
+        f"{module}:{line} {name}"
+        for module, (defined, _) in scanned.items()
+        for name, line in defined.items()
+        if not any(name in reads and name not in names for names, reads in statements)
+    }
+    assert not unused
+
+
 def test_a_fock_solve_through_the_cli_imports_no_scipy(tmp_path):
     # scipy serves only the kernels' reference quadrature; its import costs
     # a max-ent run a fifth of a second and about 25 MB.  The start F = 0

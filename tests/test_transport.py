@@ -253,21 +253,27 @@ def forbidden(*args, **kwargs):
 
 def test_a_markovian_run_builds_no_kernel_table(monkeypatch):
     # Markovian runs read the long-time kernel values only: they integrate
-    # no kernel, not even through the closed form's sampling helper.
+    # no kernel, neither off the kernel stream nor through the corr samples.
     bath = BathParams(W=8.5, beta=2.2, omega0=0.9)
-    for name in ("step_kernels", "_kernel_samples"):
+    for name in ("step_kernels", "correlator_samples"):
         monkeypatch.setattr(f"releq.bath.{name}", forbidden)
     oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "markovian", t_max=50.0, dt_out=0.5)
     tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(0.9, 0.9, 0.3, bath), "markovian", t_max=50.0, dt_out=0.5)
 
 
 def test_no_run_builds_a_kernel_table(monkeypatch):
-    # Non-Markovian runs integrate the kernels on their own Magnus steps,
-    # not through the sampling helpers of the corr samples and the closed
-    # form, which also integrate f over time.
+    # Non-Markovian runs read the kernels on their own Magnus steps, not
+    # through the corr samples, nor with the time integral of f that the
+    # closed form reads.
     bath = BathParams(W=7.0, beta=1.5, omega0=1.3)
-    for name in ("_kernel_samples", "_step_values"):
-        monkeypatch.setattr(f"releq.bath.{name}", forbidden)
+
+    def without_integral(params, times, integral=False):
+        if integral:
+            forbidden()
+        return step_kernels(params, times)
+
+    monkeypatch.setattr("releq.bath.correlator_samples", forbidden)
+    monkeypatch.setattr("releq.bath.step_kernels", without_integral)
     oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "non_markovian", t_max=10.0, dt_out=0.5)
     tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(1.3, 1.3, 0.3, bath), "non_markovian", t_max=10.0, dt_out=0.5)
     with pytest.raises(AssertionError, match="called"):
@@ -277,7 +283,7 @@ def test_no_run_builds_a_kernel_table(monkeypatch):
 def test_samples_far_closer_than_the_steps_take_one_step_each():
     # dt_out / h = 1.6e-11 lies below the 1e-9 rounding margin of the step
     # count; each interval still takes one step, so every sample is set.
-    assert step_counts(sample_times(1e-11, 1e-13), 10.0).tolist() == [1] * 100
+    assert step_counts(sample_times(1e-11, 1e-13), BATHS[0]).tolist() == [1] * 100
     run = oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), BATHS[0], "non_markovian", 1e-11, 1e-13)
     assert np.max(np.abs(run.mean_n - 9.0)) <= 1e-12
 
@@ -405,7 +411,7 @@ def test_blocked_composition_is_the_one_map_at_a_time_composition(steps):
     times = np.arange(steps + 1) * (0.0625 / bath.W)
     y0 = np.array([1.0, 0.0, 9.0])
     states = propagate_magnus(oscillator._linear_system, bath, y0, times)
-    f, f_beta = step_kernels(bath, times[:-1], np.diff(times))
+    f, f_beta = (np.concatenate(column) for column in zip(*(chunk[4:] for chunk in step_kernels(bath, times))))
     maps = _augmented_expm(_magnus_exponents(oscillator._linear_system, f[:, :3], f_beta[:, :3], np.diff(times)))
     y = np.append(y0, 1.0)
     expected = [y0]
