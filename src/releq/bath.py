@@ -23,6 +23,9 @@ kernels' scale 1/W allows (fewer where exp(-i w0 s) turns by more than 8
 over them): one Gauss-Legendre rule of at most 24 points per panel, never
 more than 8 per step, and a spectral integration matrix per panel length
 give the integrals to every step's nodes and end.
+Chunks, panels and the blocks of ``transport._compose`` are all cut at
+fixed multiples of the run's step index, so no value of a run depends on
+the chunk length.
 The two derivatives share exp(-i w0 s) and r = 1/(1/W - i s)**2, because
 W**2 / (s W + i)**2 = -r, so both take one pass over the points and one
 trigamma call per chunk.
@@ -201,10 +204,14 @@ _LATE_STEP = 0.01
 _STEP_PHASE = 2.0
 
 # Steps whose kernels (and, in a run, exponents and exponentials) are formed
-# at once, rounded down to whole blocks of ``_panels``.  A README run (2,150 steps) then
-# takes two chunks; in-process, its oscillator and two-level runs took
-# 12.0, 11.4, 10.3 and 11.6 ms at 512, 1024, 1536 and 2048 steps.
+# at once, rounded down to whole blocks, one at least.  A README run (2,150
+# steps) then takes two chunks; in-process, its oscillator and two-level runs
+# took 12.5, 12.0, 11.5 and 12.5 ms at 512, 1024, 1536 and 2048 (2 cores).
 _STEP_CHUNK = 1536
+
+# Chunks start at multiples of this many steps of the run, as do the blocks
+# of ``transport._compose``, and panels at multiples of _PANEL_STEPS.
+_BLOCK = 48
 
 # The three Gauss-Legendre nodes of a step, and its end, as fractions of it,
 # and the nodes' weights as fractions of the step.
@@ -263,38 +270,27 @@ def _antiderivatives(columns: np.ndarray) -> np.ndarray:
     return np.column_stack((columns[:, 0] + columns[:, 1], (columns[:, 2:] - columns[:, :-2]) / (2 * n + 1)))
 
 
-def _panels(widths: np.ndarray, omega0: float, whole: bool) -> tuple[int, np.ndarray, np.ndarray]:
-    """The number n of the steps of ``widths`` that the panels cover, and
-    the first step and the number of steps of each panel.
+def _panels(step: np.ndarray, widths: np.ndarray, omega0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first index and the length of each panel of one chunk's steps,
+    the steps ``step`` of a run, of widths ``widths``.
 
-    Runs of steps each within ``_EQUAL_WIDTH`` relative of the one before
-    are cut into blocks of ``_PANEL_STEPS`` from each run's first step, the
-    last one shorter.  Unless ``whole``, such a shorter last block is left
-    out, since its run may go on past the steps given: n is its first step.
-    Each block is cut again into panels of the largest power of two of its
-    steps that turn the phase by at most ``_PANEL_PHASE``, one step at
-    least.  A block's panels depend on its own widths only, so chunks of
-    whole blocks have the panels of all the steps.
+    A piece starts at every step whose index in the run is a multiple of
+    ``_PANEL_STEPS``, and at every step whose width differs from the one
+    before by more than ``_EQUAL_WIDTH`` relative.  Each piece is cut from
+    its start into panels of the largest power of two of its steps that
+    turn the phase by at most ``_PANEL_PHASE``, one step at least, the last
+    one shorter.  A chunk that starts at a multiple of ``_PANEL_STEPS`` thus
+    has the panels of all the steps.
     """
     n = widths.size
-    breaks = np.flatnonzero(np.abs(np.diff(widths)) > _EQUAL_WIDTH * widths[:-1]) + 1
-    runs = np.concatenate(([0], breaks))
-    first, lengths = _cut(runs, n, np.full(runs.size, _PANEL_STEPS))
-    if not whole and lengths[-1] < _PANEL_STEPS:
-        n, first = int(first[-1]), first[:-1]
-    steps = np.clip(_PANEL_PHASE / (omega0 * widths[first]), 1.0, _PANEL_STEPS)
-    first, lengths = _cut(first, n, 2 ** np.floor(np.log2(steps)).astype(int))
-    return n, first, lengths
-
-
-def _cut(first: np.ndarray, n: int, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The segments of ``range(n)`` that start at ``first`` cut into pieces
-    of ``size`` (one per segment) from their starts, the last one shorter:
-    the pieces' first indices and lengths."""
-    pieces = -(-np.diff(np.append(first, n)) // size)
-    within = np.arange(pieces.sum()) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    starts = np.repeat(first, pieces) + np.repeat(size, pieces) * within
-    return starts, np.diff(np.append(starts, n))
+    changed = np.append(True, np.abs(np.diff(widths)) > _EQUAL_WIDTH * widths[:-1])
+    pieces = np.flatnonzero(changed | (step % _PANEL_STEPS == 0))
+    steps = np.clip(_PANEL_PHASE / (omega0 * widths[pieces]), 1.0, _PANEL_STEPS)
+    size = 2 ** np.floor(np.log2(steps)).astype(int)
+    count = -(-np.diff(np.append(pieces, n)) // size)  # panels per piece
+    within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    first = np.repeat(pieces, count) + np.repeat(size, count) * within
+    return first, np.diff(np.append(first, n))
 
 
 def step_counts(times, params: BathParams) -> np.ndarray:
@@ -330,26 +326,25 @@ def step_kernels(params: BathParams, times, integral: bool = False):
     points.
 
     The values start from 0 at t = 0, and each chunk goes on from the last
-    values of the one before.  Every chunk but the last ends where a block
-    of ``_panels`` ends, so the chunk length does not change a bit of them.
+    values of the one before.  Chunks start at multiples of ``_BLOCK``
+    steps of the run and panels at multiples of ``_PANEL_STEPS`` (see
+    ``_panels``), so the chunk length does not change a bit of them.
     """
     times = np.asarray(times, dtype=float)
     counts = step_counts(times, params)
     ends = np.cumsum(counts)  # ends[i]: the steps taken by the end of gap i
     total = int(ends[-1]) if ends.size else 0
+    chunk = max(_STEP_CHUNK // _BLOCK, 1) * _BLOCK
     at_start = (0j, 0j, 0j) if integral else (0j, 0j)
-    lo = 0
-    while lo < total:
-        step = np.arange(lo, min(lo + max(_STEP_CHUNK, _PANEL_STEPS), total))
+    for lo in range(0, total, chunk):
+        step = np.arange(lo, min(lo + chunk, total))
         gap = np.searchsorted(ends, step, side="right")
         widths = (times[gap + 1] - times[gap]) / counts[gap]
-        n, first, lengths = _panels(widths, params.omega0, step[-1] + 1 == total)
-        step, gap, widths = step[:n], gap[:n], widths[:n]
+        first, lengths = _panels(step, widths, params.omega0)
         starts = times[gap] + (step - ends[gap] + counts[gap]) * widths
         values = _chunk_kernels(params, starts, widths, first, lengths, at_start)
         at_start = tuple(value[-1, 3] for value in values)
         yield (gap, step + 1 == ends[gap], starts, widths) + values
-        lo = int(step[-1]) + 1
 
 
 def _chunk_kernels(params: BathParams, starts, widths, first, lengths, at_start: tuple) -> tuple:

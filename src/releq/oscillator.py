@@ -171,7 +171,8 @@ def closed_form_trajectory(
     integral; each step's integral is the 3-point Gauss-Legendre rule at
     its nodes.  The propagator is never called, so the solution checks a
     run independently of it.  At t_max 20 and beta 3 it is off ``simulate``
-    by at most 7.5e-11 for W = 5 to 100.
+    by at most 7.5e-11 for W = 5 to 100.  Raises ``QuadratureError`` at the
+    first sample time where the kernels are not finite.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
@@ -198,9 +199,13 @@ def closed_form_trajectory(
         return mean_a, mean_n
     # Every step of the run: the sample gap it lies in, whether it ends it,
     # its width, and f, f_beta and I at its three nodes and end.
-    gap, last, _, widths, f, f_beta, integral = (
-        np.concatenate(column) for column in zip(*bath.step_kernels(params, np.concatenate(([0.0], times)), integral=True))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        gap, last, _, widths, f, f_beta, integral = (
+            np.concatenate(column) for column in zip(*bath.step_kernels(params, np.concatenate(([0.0], times)), integral=True))
+        )
+    finite = np.isfinite(np.concatenate((f, f_beta, integral), axis=1)).all(axis=1)
+    if not finite.all():
+        raise bath.QuadratureError(f"the kernels are not finite at t = {times[gap[np.argmin(finite)]]:.6g}", math.inf)
     exponent = 2.0 * integral.real  # D at each step's three nodes and end
     at_start = np.concatenate(([0.0], exponent[:-1, 3]))
     local = np.exp(exponent[:, :3] - exponent[:, 3:]) * (f_beta - f).real[:, :3]

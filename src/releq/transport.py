@@ -21,7 +21,8 @@ rule starts from the kernels' own time scale 1/W and needs no error
 control; see ``propagate_magnus``.  Neither propagator takes a tolerance;
 ``check_tolerances`` serves the CLI's configuration check and ``odeint``.
 
-``_compose`` applies the Magnus step maps in blocks: prefix products within
+``_compose`` applies the Magnus step maps in blocks, which start at fixed
+multiples of the run's step index (``bath._BLOCK``): prefix products within
 every block at once, then one pass over the block ends; ``propagate_linear``
 applies its one map's powers in the same blocks.  ``expm`` takes a small
 matrix's exponential as a Taylor polynomial, a larger one's by Pade scaling
@@ -36,6 +37,7 @@ import math
 import numpy as np
 
 from . import bath
+from .bath import _BLOCK
 
 
 class InvariantViolationError(RuntimeError):
@@ -128,10 +130,6 @@ def _pade13(a, norm) -> np.ndarray:
         more = squarings > k
         result[more] = result[more] @ result[more]
     return result
-
-
-# Maps composed by prefix products within blocks of this many.
-_BLOCK = 48
 
 
 def _compose(maps, y) -> np.ndarray:
@@ -294,11 +292,9 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
     first sample is ``y0`` itself.
 
     The steps, and the kernels on them, are those of ``bath.step_kernels``:
-    every output interval is cut into ``ceil(dt / h(t))`` equal steps, t its
-    start, so every sample ends a step.  The step rule is
-    ``h(t) = 0.0625 / W`` for ``t < 15 / W``, where the kernels rise, and
-    ``h(t) = min(0.02 t, 0.01)`` after, never more than ``2 / omega0``.  A step
-    of length h maps the augmented state ``(y, 1)`` by ``expm(Omega)``, the
+    every output interval is cut into the equal steps of
+    ``bath.step_counts``, so every sample ends a step.  A step of length h
+    maps the augmented state ``(y, 1)`` by ``expm(Omega)``, the
     sixth-order Magnus exponent of the generator ``G = [[A, b], [0, 0]]`` at
     the three Gauss-Legendre nodes of the step (Blanes, Casas and Ros, BIT
     40 (2000) 434; Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151):
@@ -309,7 +305,8 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
 
     The steps are taken a chunk of ``bath.step_kernels`` at a time: their
     exponents and exponentials at once, then the maps composed in blocks by
-    ``_compose``.
+    ``_compose``; chunks and blocks start at fixed multiples of the run's
+    step index, so no state depends on the chunk length.
     The exponents and their Taylor exponentials are formed on the top rows
     ``[A | b]`` of the augmented matrices.  An exponent's 1-norm is at most
     0.14 on the README bath, so it takes the Taylor path there.

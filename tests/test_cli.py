@@ -655,13 +655,15 @@ def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
 # up to 16 equal steps, by one Gauss-Legendre rule of at most 24 points per
 # panel (at most 8 per step), with Taylor exponentials taken on the top
 # rows, the Markovian ones those of the exact propagation with the
-# principal-value frequency shifts; both compose their step maps in blocks,
-# and both use the array formulas for the two-level S and beta; the corr
-# digest is that of the same kernel integration on its own grid; the
-# maxent digest is that of the Newton solve with the exact Jacobian, started
-# from the closed-form two-level multipliers of the targets.  They were
-# taken on x86-64 with numpy 2.4.6, and no scipy code runs in these
-# configurations; another libm or BLAS may move last bits.
+# principal-value frequency shifts; both compose their step maps in blocks
+# of 48, and both use the array formulas for the two-level S and beta.
+# Chunks, panels and blocks all start at fixed multiples of the run's step
+# index, so no digest depends on the chunk length.  The corr digest is that
+# of the same kernel integration on its own grid; the maxent digest is that
+# of the Newton solve with the exact Jacobian, started from the closed-form
+# two-level multipliers of the targets.  They were taken on x86-64 with
+# numpy 2.4.6, and no scipy code runs in these configurations; another libm
+# or BLAS may move last bits.
 _README_OSCILLATOR = {
     "model": "oscillator",
     "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0},
@@ -679,11 +681,11 @@ _README_TLS = {
 }
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), "a6696246261d5b8be72b4ff7b7a718669991898b836fc9ed42b9024798caf1c3"),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), "bf9aa73d21378d90022839b1a998c617e1b16630084bafb07fd9d7032dacc669"),
     (dict(_README_OSCILLATOR, regime="markovian"), "022aaa32efa90411c2b215e93f7eb5e1de4d8046990350a8b17e777a01ad791c"),
-    (dict(_README_TLS, regime="non_markovian"), "f68e97f280a3d5615bce0322376fd6b2eee13b6b49d8ea862964140c35fdb4eb"),
+    (dict(_README_TLS, regime="non_markovian"), "b50ed74d077cacf2e5d70f41694f1ae6281ca638f2b0295a25863b74823f726f"),
     (dict(_README_TLS, regime="markovian"), "e55f02639c1c8fa924a3842f6e0b4486c76eb5a7fee82cf2edd6f0c10c7e610c"),
-    (dict(_WEAK_TLS, regime="non_markovian"), "189f0551b0a5dc60984087ff2f33d652faf91e4ad0c92dbb75f677410b4fcdfc"),
+    (dict(_WEAK_TLS, regime="non_markovian"), "75524a860bdfb2b4c40eb475e366320a2d001eae566f489faa0e9721fc9a54d2"),
     (dict(_WEAK_TLS, regime="markovian"), "f87a80f1f751438b2bfc5866091bd18c37cd875bc3dfd335ec40ed2de8b26325"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
@@ -750,14 +752,17 @@ def test_the_cli_imports_no_scipy(tmp_path):
 # the panels or their points shows here as a count before it shows as a CSV
 # digest.  On this bath (W = 10) the step rule takes two steps of 0.005 per
 # sample interval before t = 15 / W = 1.5 and one of 0.01 after: 300 steps
-# in 19 panels and 1850 in 116, 135 panels of 24 points, 3,240 points.
-# The count moved from 17,200 when the kernels were integrated with 8
-# points on every step instead.  A Markovian run reads the long-time
+# in 19 panels, and 1850 in 117, since panels start at multiples of 16
+# steps of the run and the first step of 0.01 is step 300: a panel of 4
+# steps, 115 of 16 and one of 6.  That is 136 panels of 24 points, 3,264
+# points.  The count moved from 17,200 when the kernels were integrated
+# with 8 points on every step, and from 3,240 when the panels restarted
+# at every change of the step width.  A Markovian run reads the long-time
 # values and no kernel point.
 KERNEL_POINTS = [
-    (dict(_README_OSCILLATOR, regime="non_markovian"), 3240),
+    (dict(_README_OSCILLATOR, regime="non_markovian"), 3264),
     (dict(_README_OSCILLATOR, regime="markovian"), 0),
-    (dict(_README_TLS, regime="non_markovian"), 3240),
+    (dict(_README_TLS, regime="non_markovian"), 3264),
     (dict(_README_TLS, regime="markovian"), 0),
 ]
 

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import F_BETA_ORACLE_T1, F_ORACLE_T1
 from releq import maxent
-from releq.bath import BathParams, correlator_samples, markovian_limits
+from releq.bath import BathParams, QuadratureError, correlator_samples, markovian_limits
 from releq.oscillator import (
     DegenerateStateError,
     DegenerateStateWarning,
@@ -194,6 +194,14 @@ class TestClosedForm:
         mean_a, mean_n = closed_form_trajectory(run.times, initial, bath, "non_markovian")
         assert np.max(np.abs(mean_a - run.mean_a)) <= 1e-9
         assert np.max(np.abs(mean_n - run.mean_n)) <= 1e-9
+
+    def test_non_finite_kernels_are_refused(self):
+        # At W beta = 1e-159 trigamma's argument overflows when squared, so
+        # f_beta is not finite from the first step on; the sample at t = 0
+        # takes no step.  The solution was NaN there without an error.
+        bath = BathParams(W=10.0, beta=1e-160, omega0=1.0)
+        with pytest.raises(QuadratureError, match="not finite at t = 0.5$"):
+            closed_form_trajectory([0.0, 0.5, 1.0], OscillatorState(1.0 + 0j, 9.0), bath)
 
 
 class TestSimulate:

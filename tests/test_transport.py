@@ -17,6 +17,7 @@ import pytest
 import oracles
 from releq import oscillator, tls
 from releq.bath import (
+    _BLOCK,
     _STEP_CHUNK,
     BathParams,
     correlator_samples,
@@ -25,7 +26,6 @@ from releq.bath import (
     step_kernels,
 )
 from releq.transport import (
-    _BLOCK,
     _THETA12,
     _THETA13,
     PropagationError,
@@ -420,6 +420,28 @@ def test_blocked_composition_is_the_one_map_at_a_time_composition(steps):
         expected.append(y[:3])
     assert states.shape == (steps + 1, 3)
     assert np.max(np.abs(states - np.array(expected))) <= 1e-13
+
+
+def test_states_do_not_depend_on_the_chunk_length(fig_bath, monkeypatch):
+    # Chunks, panels and composition blocks are all cut at fixed multiples
+    # of the run's step index, so the README oscillator and two-level runs
+    # have the same bits at every chunk length.  With the blocks restarted
+    # at every chunk, their columns moved by up to 5.8e-15.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", tls.ValidityWarning)
+        drive = tls.TlsParams(1.0, 1.0, 5.0, fig_bath)
+
+    def columns():
+        runs = (
+            oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), fig_bath, "non_markovian", 20.0, 0.01),
+            tls.simulate(tls.TlsState(0.0, 0j), drive, "non_markovian", 20.0, 0.01),
+        )
+        return [np.asarray(column).tobytes() for run in runs for column in run.csv_columns()]
+
+    expected = columns()
+    for chunk in (512, 1024, 1536, 2048):
+        monkeypatch.setattr("releq.bath._STEP_CHUNK", chunk)
+        assert columns() == expected, chunk
 
 
 def test_grading_keeps_a_wide_cutoff_close_to_the_tight_reference():
