@@ -96,7 +96,7 @@ class BathParams:
 def spectral_density(omega, params: BathParams):
     """Spectral density w * exp(-w/W); accepts scalars or arrays, w >= 0."""
     omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
+    if not np.all(omega >= 0):
         raise ValueError("spectral_density is defined for omega >= 0")
     out = omega * np.exp(-omega / params.W)
     return float(out) if out.ndim == 0 else out
@@ -164,7 +164,7 @@ def _quad_complex(func, a: float, b: float, rel_tol: float) -> tuple[complex, fl
 
 
 def _corr_quad(integrand, t: float, params: BathParams, rel_tol: float) -> complex:
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"correlators are defined for t >= 0, got {t}")
     if t == 0.0:
         return 0j
@@ -479,7 +479,7 @@ def correlator_samples(params: BathParams, times: Sequence[float]) -> tuple[np.n
     """
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    if np.any(flat < 0) or np.any(np.diff(flat) <= 0):
+    if not np.all(flat >= 0) or not np.all(np.diff(flat) > 0):
         raise ValueError("correlator sample times must be >= 0 and increasing")
     grid = np.concatenate(([0.0], flat))  # a first time of 0 takes no step
     out = np.zeros((2, grid.size), dtype=complex)

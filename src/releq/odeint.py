@@ -16,10 +16,9 @@ At two components a numpy call costs more than its arithmetic.  So the
 step is written out on Python scalars and builds nothing per stage: each
 component's stage sum is ``0j + k0 * a0 + k1 * a1 + ...``, zero weights of
 the last row of ``_A`` and ``_E`` included, which is how numpy's
-matrix-vector product (``K[:s].T @ _A[s, :s]``) sums 2 components, bit for
-bit.  The numbers are those of the earlier all-numpy step.  Two
+matrix-vector product (``K[:s].T @ _A[s, :s]``) sums 2 components.  Two
 kinds of operation stay in numpy, because Python 3.11 has no fused
-multiply-add and plain Python would change the last bits:
+multiply-add and plain Python would round differently:
 
 * complex ``abs`` (the error norm and the step's scale): numpy computes the
   modulus as ``hi * sqrt(fma(q, q, 1))``, unlike Python's ``abs``;
@@ -27,10 +26,6 @@ multiply-add and plain Python would change the last bits:
   which numpy hands to BLAS (``zgemm``, ``zgemv``).  It is deferred and
   evaluated for many samples at once, in stacked products that give the
   same bits as one product per sample.
-
-The all-numpy step is kept as the reference, ``reference_integrate`` in
-``tests/oracles.py``, and ``tests/test_odeint_reference.py`` checks these
-equalities.
 """
 
 from __future__ import annotations

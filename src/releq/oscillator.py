@@ -179,7 +179,7 @@ def closed_form_trajectory(
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         return np.empty(0, dtype=complex), np.empty(0, dtype=float)
-    if np.any(times < 0) or (times.size > 1 and np.any(np.diff(times) <= 0)):
+    if not np.all(times >= 0) or not np.all(np.diff(times) > 0):
         raise ValueError("sample times must be >= 0 and strictly increasing")
 
     a0 = complex(initial.mean_a)

@@ -9,11 +9,9 @@ apart from numpy's array layer.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["PoleError", "trigamma", "arctanh_ratio", "arctanh_ratio_array"]
+__all__ = ["PoleError", "trigamma", "arctanh_ratio"]
 
 
 class PoleError(ValueError):
@@ -134,36 +132,22 @@ def _add_inverse_square(re, im, x, y, y2):
     im += x / d
 
 
-def _arctanh_ratio_series(x):
-    """Four-term Taylor expansion of arctanh(2x)/x, for a float or an array."""
-    x2 = x * x
-    return 2.0 + x2 * (8.0 / 3.0 + x2 * (32.0 / 5.0 + x2 * (128.0 / 7.0)))
-
-
-def arctanh_ratio(x: float) -> float:
+def arctanh_ratio(x):
     """Evaluate arctanh(2x)/x on [0, 1/2), continuous at x = 0 with value 2.
 
-    Below x = 1e-4 a four-term Taylor expansion replaces the direct ratio,
-    which would otherwise lose digits to cancellation; the first neglected
-    term is below 1e-30 there.  Arguments outside [0, 1/2) are rejected
-    because the ratio is either undefined or divergent.
-    """
-    x = float(x)
-    if not 0.0 <= x < 0.5:
-        raise ValueError(f"arctanh_ratio requires 0 <= x < 1/2, got {x}")
-    if x < 1e-4:
-        return _arctanh_ratio_series(x)
-    return math.atanh(2.0 * x) / x
-
-
-def arctanh_ratio_array(x) -> np.ndarray:
-    """``arctanh_ratio`` elementwise over an array, with the same series branch.
-
-    numpy's arctanh may differ from ``math.atanh`` in the last bit.
+    Takes a float or an array and returns a float for a float.  Below
+    x = 1e-4 a four-term Taylor expansion replaces the direct ratio, which
+    would otherwise lose digits to cancellation; the first neglected term
+    is below 1e-30 there.  Arguments outside [0, 1/2), NaN included, are
+    rejected because the ratio is either undefined or divergent; the error
+    names the first of them.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0.0) & (x < 0.5)):
-        raise ValueError("arctanh_ratio_array requires 0 <= x < 1/2 throughout")
+    bad = ~((x >= 0.0) & (x < 0.5))
+    if bad.any():
+        raise ValueError(f"arctanh_ratio requires 0 <= x < 1/2, got {float(x[bad].flat[0])}")
+    x2 = x * x
+    series = 2.0 + x2 * (8.0 / 3.0 + x2 * (32.0 / 5.0 + x2 * (128.0 / 7.0)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.arctanh(2.0 * x) / x
-    return np.where(x < 1e-4, _arctanh_ratio_series(x), direct)
+        out = np.where(x < 1e-4, series, np.arctanh(2.0 * x) / x)
+    return float(out) if out.ndim == 0 else out

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import transport
 from .bath import REGIMES, BathParams
-from .specfun import arctanh_ratio, arctanh_ratio_array
+from .specfun import arctanh_ratio
 from .transport import InvariantViolationError
 
 __all__ = [
@@ -87,13 +87,8 @@ class TlsState:
 
     @property
     def bloch_radius(self) -> float:
-        """Half-length X of the Bloch vector; X <= 1/2, pure states at 1/2.
-
-        The square root of a sum of squares, as ``thermodynamic_series``
-        computes it: R(X) near X = 1/2 magnifies a last-bit difference in X.
-        """
-        sp = complex(self.mean_sp)
-        return math.sqrt(self.mean_sz * self.mean_sz + sp.real * sp.real + sp.imag * sp.imag)
+        """Half-length X of the Bloch vector; X <= 1/2, pure states at 1/2."""
+        return float(_bloch_radii(self.mean_sz, self.mean_sp))
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,7 @@ class TlsParams:
                 raise ValueError(f"{name} must be finite")
         if self.omega0 <= 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.Omega > 0.5 * self.omega0:
+        if abs(self.Omega) > 0.5 * self.omega0:
             warnings.warn(
                 f"drive amplitude {self.Omega} exceeds half the level splitting "
                 f"{self.omega0}; the transport equations assume a weak drive",
@@ -184,16 +179,14 @@ def entropy(state: TlsState) -> float:
     Identical to the binary entropy of the level populations 1/2 +- X.
     States at the boundary return the pure-state limit 0 with a warning.
     """
-    x = state.bloch_radius
-    if x >= 0.5 - _BOUNDARY_TOL:
+    value, _, pure = thermodynamic_series(state.mean_sz, state.mean_sp, 1.0)
+    if pure:
         warnings.warn(
-            f"Bloch radius X = {x!r}; returning the pure-state entropy 0",
+            f"Bloch radius X = {state.bloch_radius!r}; returning the pure-state entropy 0",
             BoundaryStateWarning,
             stacklevel=2,
         )
-        return 0.0
-    ratio = arctanh_ratio(x)
-    return -2.0 * x * x * ratio + math.log(2.0) - 0.5 * math.log1p(-4.0 * x * x)
+    return float(value)
 
 
 def inverse_temperature(state: TlsState, omega0: float) -> float:
@@ -226,7 +219,7 @@ def evolution_coeffs(t: float, t_prime: float, params: TlsParams):
 
 
 def _bloch_radii(mean_sz, mean_sp) -> np.ndarray:
-    """``TlsState.bloch_radius`` of each sample, bit for bit."""
+    """``TlsState.bloch_radius`` of each sample."""
     mean_sz = np.asarray(mean_sz, dtype=float)
     mean_sp = np.asarray(mean_sp, dtype=complex)
     return np.sqrt(mean_sz * mean_sz + mean_sp.real * mean_sp.real + mean_sp.imag * mean_sp.imag)
@@ -243,7 +236,7 @@ def thermodynamic_series(mean_sz, mean_sp, omega0: float):
     radius = _bloch_radii(mean_sz, mean_sp)
     pure = radius >= 0.5 - _BOUNDARY_TOL
     x = np.where(pure, 0.0, radius)
-    ratio = arctanh_ratio_array(x)
+    ratio = arctanh_ratio(x)
     entropy_series = np.where(pure, 0.0, -2.0 * x * x * ratio + math.log(2.0) - 0.5 * np.log1p(-4.0 * x * x))
     pure_beta = np.where(mean_sz == 0.0, 0.0, -np.copysign(np.inf, mean_sz))
     beta_series = np.where(pure, pure_beta, -2.0 * mean_sz * ratio) / omega0

@@ -8,8 +8,7 @@ trigamma oracle is a direct series with a midpoint tail correction, the
 scalar trigamma and kernel derivatives are written out on plain
 ``complex`` numbers (the kernels' QUADPACK references and the transport
 oracle read them), the masked trigamma applies the library's recurrence
-and asymptotic series one boolean selection at a time, the integrator
-oracle runs each Dormand-Prince step on numpy arrays, the transport oracle
+and asymptotic series one boolean selection at a time, the transport oracle
 integrates the equations of motion and the kernels with scipy's DOP853 at
 tight tolerances, the maximum-entropy state is built from a dense complex
 eigendecomposition of any operator set, its moment Jacobian from the same
@@ -357,97 +356,3 @@ def reference_transport(model: str, params, y0, times, drive: float = 0.0) -> np
     assert solution.success, solution.message
     return solution.y[:3].T
 
-
-# Dormand-Prince 5(4) tableau of reference_integrate, as numpy arrays.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = np.array(
-    [
-        [0, 0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-    ]
-)
-_DP_B = _DP_A[6]
-_DP_E = np.array(
-    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-_DP_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
-
-
-def _dp_error_norm(err, scale) -> float:
-    return float(np.sqrt(np.mean(np.abs(err / scale) ** 2)))
-
-
-def reference_integrate(problem, sample_times) -> np.ndarray:
-    """States of ``problem`` at ``sample_times`` by the same Dormand-Prince
-    5(4) method, step control and quartic dense output as
-    ``releq.odeint.integrate``, with every step and every sample done by
-    numpy on arrays.  Like ``integrate``, it hands the RHS ``y`` as a tuple
-    of ``complex``.  Raises ``releq.odeint.OdeError`` where it does.
-    """
-    from releq.odeint import OdeError
-
-    times = np.asarray(sample_times, dtype=float)
-    t0, t1 = problem.t_span
-    out = np.empty((times.size, problem.y0.size), dtype=complex)
-    next_out = 0
-
-    t = t0
-    y = problem.y0.copy()
-    f = np.asarray(problem.rhs(t, tuple(y.tolist())), dtype=complex)
-    while next_out < times.size and times[next_out] <= t:
-        out[next_out] = y
-        next_out += 1
-
-    scale = problem.abs_tol + problem.rel_tol * np.abs(y)
-    d0 = _dp_error_norm(y, scale)
-    d1 = _dp_error_norm(f, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = np.asarray(problem.rhs(t0 + h0, tuple((y + h0 * f).tolist())), dtype=complex)
-    d2 = _dp_error_norm(f1 - f, scale) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
-    h = min(100 * h0, h1, problem.max_step, t1 - t0)
-
-    K = np.empty((7, problem.y0.size), dtype=complex)
-    while next_out < times.size and t < t1:
-        h = min(h, problem.max_step, t1 - t)
-        if h < 1e-14 * max(1.0, abs(t)):
-            raise OdeError(f"step size underflow at t = {t:.6g}", t)
-        K[0] = f
-        for s in range(1, 6):
-            K[s] = problem.rhs(t + _DP_C[s] * h, tuple((y + h * (K[:s].T @ _DP_A[s, :s])).tolist()))
-        y_new = y + h * (K[:6].T @ _DP_B[:6])
-        f_new = np.asarray(problem.rhs(t + h, tuple(y_new.tolist())), dtype=complex)
-        K[6] = f_new
-        scale = problem.abs_tol + problem.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        norm = _dp_error_norm(h * (K.T @ _DP_E), scale)
-        if norm <= 1.0:
-            t_new = t + h
-            # The last step, which reaches t1 or is clipped to it, also fills
-            # the samples up to 1e-12 past t1.
-            reach = np.inf if t_new >= t1 or h == t1 - t else t_new + 1e-14
-            while next_out < times.size and times[next_out] <= reach:
-                theta = (times[next_out] - t) / h
-                powers = np.cumprod(np.full(4, theta))
-                out[next_out] = y + h * ((K.T @ _DP_P) @ powers)
-                next_out += 1
-            t, y, f = t_new, y_new, f_new
-            factor = 10.0 if norm == 0.0 else min(10.0, 0.9 * norm**-0.2)
-            h *= max(0.2, factor)
-        else:
-            h *= max(0.2, 0.9 * norm**-0.2)
-    return out

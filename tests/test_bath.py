@@ -65,8 +65,9 @@ class TestSpectralDensity:
         assert spectral_density(1.0, fig_bath) == pytest.approx(math.exp(-0.1), rel=1e-15)
 
     def test_negative_frequency_rejected(self, fig_bath):
-        with pytest.raises(ValueError):
-            spectral_density(-1.0, fig_bath)
+        for omega in (-1.0, math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                spectral_density(omega, fig_bath)
 
 
 class TestCorrelators:
@@ -85,6 +86,9 @@ class TestCorrelators:
     def test_negative_time_rejected(self, fig_bath):
         with pytest.raises(ValueError):
             corr_f(-0.5, fig_bath)
+        for kernel in (corr_f, corr_f_beta):
+            with pytest.raises(ValueError, match="got nan"):
+                kernel(math.nan, fig_bath)
 
     def test_infinite_temperature_limit_matches_zero_temperature_kernel(self):
         cold = BathParams(W=10.0, beta=1e6, omega0=1.0)
@@ -141,6 +145,15 @@ class TestCorrelatorCache:
                 integrand = lambda u: getattr((t - u) * kernel_derivatives(u, fig_bath)[0], part)
                 expected, _ = quad(integrand, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
                 assert got == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "times",
+        [[-0.5], [0.5, 0.5], [1.0, 0.5], [math.nan], [1.0, math.nan]],
+        ids=["negative", "repeated", "decreasing", "nan", "nan after a time"],
+    )
+    def test_negative_repeated_or_nan_times_rejected(self, fig_bath, times):
+        with pytest.raises(ValueError, match="increasing"):
+            correlator_samples(fig_bath, times)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_lookups_of_no_times(self, fig_bath, shape):

@@ -51,11 +51,10 @@ def test_no_module_level_import_is_dead():
     assert not {name: imports for name, imports in dead.items() if imports}
 
 
-def _private_definitions_and_reads(path: Path) -> tuple[dict, list]:
-    """``{name: line}`` of the module-level ``_name`` definitions (functions,
-    classes, assignments) of the module at ``path``, not dunders, and per
-    top-level statement the names it defines and the names and attributes
-    it reads."""
+def _definitions_and_reads(path: Path) -> tuple[dict, list]:
+    """``{name: line}`` of the module-level definitions (functions, classes,
+    assignments) of the module at ``path``, not dunders, and per top-level
+    statement the names it defines and the names and attributes it reads."""
     tree = ast.parse(path.read_text())
     defined, statements = {}, []
     for node in tree.body:
@@ -67,7 +66,7 @@ def _private_definitions_and_reads(path: Path) -> tuple[dict, list]:
         else:
             names = set()
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__"):
                 defined[name] = node.lineno
         reads = {leaf.id for leaf in ast.walk(node) if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Load)}
         reads |= {leaf.attr for leaf in ast.walk(node) if isinstance(leaf, ast.Attribute)}
@@ -75,18 +74,51 @@ def _private_definitions_and_reads(path: Path) -> tuple[dict, list]:
     return defined, statements
 
 
+def _read_elsewhere(name: str, statements: list) -> bool:
+    """Whether a statement other than the definition of ``name`` reads it."""
+    return any(name in reads and name not in names for names, reads in statements)
+
+
 def test_no_private_function_is_unused_by_the_library():
     # A private name that no statement of the library reads, other than its
     # own definition, is left over from deleted code (or kept for the tests
     # alone).
     paths = sorted(Path(releq.__file__).parent.glob("*.py"))
-    scanned = {path.name: _private_definitions_and_reads(path) for path in paths}
+    scanned = {path.name: _definitions_and_reads(path) for path in paths}
     statements = [statement for _, module in scanned.values() for statement in module]
     unused = {
         f"{module}:{line} {name}"
         for module, (defined, _) in scanned.items()
         for name, line in defined.items()
-        if not any(name in reads and name not in names for names, reads in statements)
+        if name.startswith("_") and not _read_elsewhere(name, statements)
+    }
+    assert not unused
+
+
+def _oracles_read(path: Path) -> set:
+    """Names of ``oracles`` that the module at ``path`` reads: imported
+    from it and then read, or read as attributes of the imported module."""
+    tree = ast.parse(path.read_text())
+    loads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+            read |= {alias.name for alias in node.names if (alias.asname or alias.name) in loads}
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "oracles":
+            read.add(node.attr)
+    return read
+
+
+def test_no_oracle_is_unused_by_the_tests():
+    # An oracle that no test module reads, and no other oracle, is left over
+    # from a deleted test.
+    tests = Path(__file__).parent
+    defined, statements = _definitions_and_reads(tests / "oracles.py")
+    read = set().union(*(_oracles_read(path) for path in tests.glob("*.py") if path.name != "oracles.py"))
+    unused = {
+        f"oracles.py:{line} {name}"
+        for name, line in defined.items()
+        if name not in read and not _read_elsewhere(name, statements)
     }
     assert not unused
 

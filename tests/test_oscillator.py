@@ -195,6 +195,15 @@ class TestClosedForm:
         assert np.max(np.abs(mean_a - run.mean_a)) <= 1e-9
         assert np.max(np.abs(mean_n - run.mean_n)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "times",
+        [[-0.5], [0.5, 0.5], [1.0, 0.5], [math.nan], [0.5, math.nan]],
+        ids=["negative", "repeated", "decreasing", "nan", "nan after a time"],
+    )
+    def test_negative_repeated_or_nan_times_rejected(self, fig_bath, times):
+        with pytest.raises(ValueError, match="increasing"):
+            closed_form_trajectory(times, OscillatorState(1.0 + 0j, 9.0), fig_bath)
+
     def test_non_finite_kernels_are_refused(self):
         # At W beta = 1e-159 trigamma's argument overflows when squared, so
         # f_beta is not finite from the first step on; the sample at t = 0

@@ -142,10 +142,23 @@ class TestArctanhRatio:
             reference = float(mpmath.atanh(2 * mpmath.mpf(x)) / mpmath.mpf(x))
         assert arctanh_ratio(x) == pytest.approx(reference, abs=1e-14)
 
-    @pytest.mark.parametrize("x", [-1e-9, 0.5, 0.7])
+    @pytest.mark.parametrize("x", [-1e-9, 0.5, 0.7, math.nan])
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
             arctanh_ratio(x)
+
+    def test_arrays_match_scalar_calls(self):
+        # Both sides of the series switch at 1e-4, and 0.
+        x = np.array([[0.0, 1e-12, 3e-5, 9.9999e-5], [1e-4, 1.0001e-4, 0.3, 0.4999]])
+        ratios = arctanh_ratio(x)
+        assert ratios.shape == x.shape
+        for index, value in np.ndenumerate(x):
+            expected = arctanh_ratio(float(value))
+            assert type(expected) is float and ratios[index] == expected
+
+    def test_array_error_names_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"got 0\.7$"):
+            arctanh_ratio(np.array([0.1, 0.7, -1.0, 0.2]))
 
     @given(st.floats(min_value=0.0, max_value=0.499))
     @settings(max_examples=100, deadline=None)

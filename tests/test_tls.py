@@ -67,11 +67,15 @@ class TestParams:
         with pytest.warns(ValidityWarning) as record:
             TlsParams(omega0=1.0, omegaL=1.0, Omega=5.0, bath=fig_bath)
         assert record[0].filename == __file__
+        # Only |Omega| sets the drive strength.
+        with pytest.warns(ValidityWarning):
+            TlsParams(omega0=1.0, omegaL=1.0, Omega=-5.0, bath=fig_bath)
 
     def test_weak_drive_does_not_warn(self, fig_bath):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             TlsParams(omega0=1.0, omegaL=1.0, Omega=0.4, bath=fig_bath)
+            TlsParams(omega0=1.0, omegaL=1.0, Omega=-0.4, bath=fig_bath)
 
     def test_detuned_transport_rejected(self, fig_bath):
         params = TlsParams(omega0=1.0, omegaL=1.3, Omega=0.1, bath=fig_bath)
@@ -244,22 +248,11 @@ class TestThermodynamicSeries:
         omega0 = 1.7
         s_series, beta_series, pure = thermodynamic_series(sz, sp, omega0)
         assert not pure.any()
-        worst_s = worst_beta = 0.0
+        # One sample and a whole run take the same array formulas, bit for bit.
         for k in range(sz.size):
             state = TlsState(float(sz[k]), complex(sp[k]))
-            x = state.bloch_radius
-            # S cancels terms of size up to ln 2 + 2 X^2 R(X) (about 14 near
-            # the boundary), so its error is measured against that scale.
-            scale = math.log(2.0) + 2.0 * x * x * multipliers(state).R
-            worst_s = max(worst_s, abs(s_series[k] - entropy(state)) / scale)
-            beta = inverse_temperature(state, omega0)
-            if beta != 0.0:
-                worst_beta = max(worst_beta, abs(beta_series[k] - beta) / abs(beta))
-            else:
-                assert beta_series[k] == 0.0
-        # numpy's arctanh and log1p may differ from math's by an ulp.
-        assert worst_s <= 8 * np.finfo(float).eps
-        assert worst_beta <= 8 * np.finfo(float).eps
+            assert s_series[k] == entropy(state)
+            assert beta_series[k] == inverse_temperature(state, omega0)
 
     def test_pure_rows_get_the_limits(self):
         sz = np.array([0.5, -0.5, 0.3, -0.3, 0.0, -0.0, 0.0])
