@@ -294,8 +294,9 @@ def _panels(step: np.ndarray, widths: np.ndarray, omega0: float) -> tuple[np.nda
 
 
 def step_counts(times, params: BathParams) -> np.ndarray:
-    """Steps of each gap of the non-decreasing ``times`` under the step rule
-    of the bath ``params``.
+    """Steps of each gap of the finite, non-decreasing ``times`` under the
+    step rule of the bath ``params``; raises ``ValueError`` at the first time
+    that is NaN, infinite or below the one before.
 
     A gap starting at t takes ``ceil(gap / h(t))`` equal steps, at least one
     unless it is empty, with ``h(t) = 0.0625 / W`` for ``t < 15 / W`` and
@@ -308,6 +309,12 @@ def step_counts(times, params: BathParams) -> np.ndarray:
     W = params.W
     times = np.asarray(times, dtype=float)
     gaps = np.diff(times)
+    bad = ~np.isfinite(times)
+    bad[1:] |= gaps < 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        after = f" after {times[k - 1]:g}" if k else ""
+        raise ValueError(f"times must be finite and weakly increasing, got {times[k]:g}{after}")
     start = times[:-1]
     h = np.where(start < _EARLY_SPAN / W, _EARLY_STEP / W, np.minimum(_GRADING * start, _LATE_STEP))
     h = np.minimum(h, _STEP_PHASE / params.omega0)

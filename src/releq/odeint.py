@@ -38,7 +38,7 @@ import numpy as np
 
 from .transport import check_tolerances
 
-__all__ = ["OdeError", "OdeProblem", "OdeStats", "Trajectory", "integrate"]
+__all__ = ["OdeError", "OdeProblem", "Trajectory", "integrate"]
 
 # Dormand-Prince 5(4) tableau, row s of _A holding the s weights of stage s.
 # The last row doubles as the 5th-order propagation weights (FSAL: the 7th
@@ -91,8 +91,7 @@ class OdeProblem:
 
     ``y0`` has two components.  ``rhs(t, y)`` receives ``y`` as a tuple of
     two Python ``complex`` and returns a sequence of two real or complex
-    numbers.  The step size is chosen by the error control alone unless
-    ``max_step`` caps it.
+    numbers.  The step size is chosen by the error control alone.
     """
 
     rhs: Callable[[float, tuple[complex, complex]], Sequence[complex]]
@@ -100,15 +99,12 @@ class OdeProblem:
     y0: np.ndarray = field(repr=False)
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_step: float = math.inf
 
     def __post_init__(self):
         t0, t1 = self.t_span
         if not t1 > t0:
             raise ValueError(f"t_span must satisfy t1 > t0, got {self.t_span}")
         check_tolerances(self.rel_tol, self.abs_tol)
-        if not self.max_step > 0.0:
-            raise ValueError(f"max_step must be positive, got {self.max_step}")
         y0 = np.asarray(self.y0, dtype=complex).reshape(-1)
         if y0.size != 2:
             raise ValueError(f"y0 must have 2 components, got {y0.size}")
@@ -118,37 +114,11 @@ class OdeProblem:
 
 
 @dataclass(frozen=True)
-class OdeStats:
-    """Work of one ``integrate`` call.
-
-    Each attempted step evaluates the right-hand side 6 times, and the
-    start of a run twice more (the derivative at t0 and the initial-step
-    probe), so ``rhs_evals == 6 * (accepted + rejected) + 2``.  ``h_min``
-    and ``h_max`` are the extremes of the accepted steps, NaN if there was
-    none.
-    """
-
-    accepted: int
-    rejected: int
-    rhs_evals: int
-    h_min: float
-    h_max: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled solution: ``states[k]`` is the state at ``sample_times[k]``."""
 
     sample_times: np.ndarray
     states: np.ndarray
-    stats: OdeStats | None = None
-
-    def __post_init__(self):
-        times = np.asarray(self.sample_times, dtype=float)
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("sample_times must be strictly increasing")
-        object.__setattr__(self, "sample_times", times)
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=complex))
 
 
 def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
@@ -173,7 +143,7 @@ def _initial_step(problem: OdeProblem, f0: np.ndarray) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, problem.max_step, t1 - t0)
+    return min(100 * h0, h1, t1 - t0)
 
 
 # Samples whose dense output waits for one batched evaluation.  The wait
@@ -269,11 +239,7 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
-        return Trajectory(
-            times,
-            np.empty((0, 2), dtype=complex),
-            OdeStats(0, 0, 0, math.nan, math.nan),
-        )
+        return Trajectory(times, np.empty((0, 2), dtype=complex))
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("sample_times must be strictly increasing")
     t0, t1 = problem.t_span
@@ -281,7 +247,7 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         raise ValueError(f"sample_times must lie within t_span {problem.t_span}")
 
     rhs = problem.rhs
-    rel_tol, abs_tol, max_step = problem.rel_tol, problem.abs_tol, problem.max_step
+    rel_tol, abs_tol = problem.rel_tol, problem.abs_tol
     out = np.empty((times.size, 2), dtype=complex)
     grid = times.tolist()
     next_out = 0
@@ -299,9 +265,6 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
 
     h = _initial_step(problem, f0)
     f, abs_y = tuple(f0.tolist()), np.abs(problem.y0).tolist()
-    accepted = rejected = 0
-    rhs_evals = 2  # f0 and the probe of _initial_step
-    h_min, h_max = math.inf, 0.0
     # Dense output waiting for _dense_output: the steps that cover samples,
     # and per sample its step and theta.
     steps, owners, thetas = [], [], []
@@ -309,12 +272,11 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
     for _ in range(_MAX_STEPS):
         if next_out >= len(grid) or t >= t1:
             break
-        h = min(h, max_step, t1 - t)
+        h = min(h, t1 - t)
         if not h >= 1e-14 * max(1.0, abs(t)):
             raise OdeError(f"step size {h:.3g} underflowed or is not finite at t = {t:.6g}", t)
 
         y_new, f_new, error, stages = _step(rhs, t, h, y, f)
-        rhs_evals += 6
 
         # Dividing a complex array by a real one, numpy multiplies by the
         # reciprocal; so does this.  Python's max drops a NaN modulus that
@@ -330,8 +292,6 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
         norm = math.sqrt((m0 * m0 + m1 * m1) / 2)
 
         if norm <= 1.0:
-            accepted += 1
-            h_min, h_max = min(h_min, h), max(h_max, h)
             t_new = t + h
             # The last step also fills the samples that lie past t1 by no
             # more than the 1e-12 the check above lets through.  A step
@@ -354,13 +314,10 @@ def integrate(problem: OdeProblem, sample_times: Sequence[float]) -> Trajectory:
             )
             h *= max(_MIN_FACTOR, factor)
         else:
-            rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
     else:
         raise OdeError(f"step budget exhausted at t = {t:.6g}", t)
 
     if thetas:
         _dense_output(out, next_out, steps, owners, thetas)
-    if not accepted:
-        h_min = h_max = math.nan
-    return Trajectory(times, out, OdeStats(accepted, rejected, rhs_evals, h_min, h_max))
+    return Trajectory(times, out)

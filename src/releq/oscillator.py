@@ -15,7 +15,9 @@ a negative n makes n_eff negative, and ``check_domain`` stops the run
 there.  The maximum-entropy state matching
 (<a>, <n>) is a displaced thermal state, so multipliers, entropy, and the
 effective inverse temperature have closed forms in terms of the incoherent
-occupation n_eff = <n> - |<a>|**2.
+occupation n_eff = <n> - |<a>|**2.  ``thermodynamic_series`` evaluates S
+and beta along a whole run; ``entropy`` and ``inverse_temperature`` are
+its one-sample case.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "inverse_temperature",
     "quartic_correlator",
     "check_domain",
+    "thermodynamic_series",
     "simulate",
 ]
 
@@ -87,44 +90,47 @@ class OscillatorMultipliers:
 
 
 def _linear_system(f, f_beta):
-    """``(A, b)`` of the transport equations on (Re <a>, Im <a>, <n>).
+    """Top rows ``[A | b]`` of the generator of the transport equations
+    ``y' = A y + b`` on (Re <a>, Im <a>, <n>).
 
     ``f`` and ``f_beta`` are kernel values, scalars or arrays of one shape;
-    A has that shape plus (3, 3), and b that shape plus (3,).
+    the result has that shape plus (3, 4).
     """
     f, f_beta = np.asarray(f), np.asarray(f_beta)
     decay, shift = f.real, f.imag
-    A = np.zeros(decay.shape + (3, 3))
-    A[..., 0, 0] = A[..., 1, 1] = -decay
-    A[..., 0, 1] = -shift
-    A[..., 1, 0] = shift
-    A[..., 2, 2] = -2.0 * decay
-    b = np.zeros(decay.shape + (3,))
-    b[..., 2] = (f_beta - f).real
-    return A, b
+    G = np.zeros(decay.shape + (3, 4))
+    G[..., 0, 0] = G[..., 1, 1] = -decay
+    G[..., 0, 1] = -shift
+    G[..., 1, 0] = shift
+    G[..., 2, 2] = -2.0 * decay
+    G[..., 2, 3] = (f_beta - f).real
+    return G
 
 
-def multipliers(state: OscillatorState) -> OscillatorMultipliers:
-    """Multipliers of the displaced thermal state matching ``state``."""
+def _thermal_occupation(state: OscillatorState) -> float:
+    """n_eff of ``state``; raises ``DegenerateStateError`` at the coherent boundary."""
     n_eff = state.n_eff
     if n_eff <= _DEGENERATE_TOL:
         raise DegenerateStateError(
             f"n_eff = {n_eff:.3e} <= {_DEGENERATE_TOL}; multipliers diverge at the "
             "coherent boundary"
         )
-    f2 = math.log1p(1.0 / n_eff)
+    return n_eff
+
+
+def multipliers(state: OscillatorState) -> OscillatorMultipliers:
+    """Multipliers of the displaced thermal state matching ``state``."""
+    f2 = math.log1p(1.0 / _thermal_occupation(state))
     f1 = -f2 * state.mean_a
     return OscillatorMultipliers(F1=f1, F2=f2, F3=f1.conjugate())
 
 
 def entropy(state: OscillatorState) -> float:
-    """Entropy (1 + n_eff) ln(1 + n_eff) - n_eff ln n_eff of the state.
+    """Entropy (1 + n_eff) ln(1 + n_eff) - n_eff ln n_eff of the state, the
+    one-sample case of ``thermodynamic_series``.
 
-    It is evaluated as ln(1 + n_eff) + n_eff ln(1 + 1/n_eff), a sum of two
-    positive terms: the form above cancels at large n_eff, where it loses
-    about log10(n_eff) digits (all of them at n_eff = 1e16).  The coherent
-    limit n_eff -> 0 has entropy 0; states at or below the degeneracy
-    tolerance return that limit with a warning.
+    The coherent limit n_eff -> 0 has entropy 0; states at or below the
+    degeneracy tolerance return that limit with a warning.
     """
     n_eff = state.n_eff
     if n_eff <= _DEGENERATE_TOL:
@@ -134,12 +140,34 @@ def entropy(state: OscillatorState) -> float:
             stacklevel=2,
         )
         return 0.0
-    return math.log1p(n_eff) + n_eff * math.log1p(1.0 / n_eff)
+    return float(thermodynamic_series(state.mean_a, state.mean_n, 1.0)[0])
 
 
 def inverse_temperature(state: OscillatorState, omega0: float) -> float:
-    """Effective inverse temperature F2 / omega0 of the state."""
-    return multipliers(state).F2 / omega0
+    """Effective inverse temperature F2 / omega0 of the state, the one-sample
+    case of ``thermodynamic_series``; raises ``DegenerateStateError`` where
+    ``multipliers`` does."""
+    _thermal_occupation(state)
+    return float(thermodynamic_series(state.mean_a, state.mean_n, omega0)[1])
+
+
+def thermodynamic_series(mean_a, mean_n, omega0: float):
+    """``entropy`` and ``inverse_temperature`` of sampled states with
+    n_eff > 0, as array formulas; returns ``(entropy, beta)``.
+
+    The entropy is evaluated as ln(1 + n_eff) + n_eff ln(1 + 1/n_eff), a sum
+    of two positive terms: (1 + n_eff) ln(1 + n_eff) - n_eff ln n_eff
+    cancels at large n_eff, where it loses about log10(n_eff) digits (all of
+    them at n_eff = 1e16).  beta is ln(1 + 1/n_eff) / omega0.
+    """
+    # x * x: on a numpy scalar, x ** 2 can round differently than on an array.
+    modulus = np.abs(mean_a)
+    n_eff = np.asarray(mean_n) - modulus * modulus
+    with np.errstate(over="ignore"):
+        log_ratio = np.log1p(1.0 / n_eff)
+    # ln(1 + 1/n) = -ln n to rounding where 1/n overflows (n below 2**-1024).
+    log_ratio = np.where(np.isinf(log_ratio), -np.log(n_eff), log_ratio)
+    return np.log1p(n_eff) + n_eff * log_ratio, log_ratio / omega0
 
 
 def quartic_correlator(state: OscillatorState) -> float:
@@ -247,8 +275,8 @@ class OscillatorRun:
         return (self.times, self.mean_a.real, self.mean_a.imag, self.mean_n, self.entropy, self.beta)
 
 
-def check_domain(times, mean_a, mean_n) -> np.ndarray:
-    """Incoherent occupation n_eff of sampled states; raises where it is not positive."""
+def check_domain(times, mean_a, mean_n) -> None:
+    """Raise where the incoherent occupation n_eff of a sampled state is not positive."""
     n_eff = np.asarray(mean_n) - np.abs(mean_a) ** 2
     if np.any(n_eff <= 0.0):
         bad = int(np.argmax(n_eff <= 0.0))
@@ -256,7 +284,6 @@ def check_domain(times, mean_a, mean_n) -> np.ndarray:
             f"incoherent occupation n_eff = {n_eff[bad]:.3e} <= 0 at "
             f"t = {times[bad]:.6g}; the thermodynamic description broke down"
         )
-    return n_eff
 
 
 def simulate(
@@ -280,15 +307,12 @@ def simulate(
     times, states = transport.simulate(_linear_system, params, regime, y0, t_max, dt_out)
     mean_a = states[:, 0] + 1j * states[:, 1]
     mean_n = states[:, 2]
-    n_eff = check_domain(times, mean_a, mean_n)
-    with np.errstate(over="ignore"):
-        log_ratio = np.log1p(1.0 / n_eff)
-    # ln(1 + 1/n) = -ln n to rounding where 1/n overflows (n below 2**-1024).
-    log_ratio = np.where(np.isinf(log_ratio), -np.log(n_eff), log_ratio)
+    check_domain(times, mean_a, mean_n)
+    entropy_series, beta_series = thermodynamic_series(mean_a, mean_n, params.omega0)
     return OscillatorRun(
         times=times,
         mean_a=mean_a,
         mean_n=mean_n,
-        entropy=np.log1p(n_eff) + n_eff * log_ratio,
-        beta=log_ratio / params.omega0,
+        entropy=entropy_series,
+        beta=beta_series,
     )

@@ -137,23 +137,23 @@ class TlsMultipliers:
 
 
 def _linear_system(Omega: float, f, f_beta):
-    """``(A, b)`` of the resonant transport equations on (<s_z>, Re <s_+>, Im <s_+>).
+    """Top rows ``[A | b]`` of the generator of the resonant transport
+    equations ``y' = A y + b`` on (<s_z>, Re <s_+>, Im <s_+>).
 
     ``f`` and ``f_beta`` are kernel values, scalars or arrays of one shape;
-    A has that shape plus (3, 3), and b that shape plus (3,).
+    the result has that shape plus (3, 4).
     """
     f, f_beta = np.asarray(f), np.asarray(f_beta)
     decay, shift = f_beta.real, f_beta.imag
-    A = np.zeros(decay.shape + (3, 3))
-    A[..., 0, 0] = -2.0 * decay
-    A[..., 0, 2] = 2.0 * Omega
-    A[..., 1, 1] = A[..., 2, 2] = -decay
-    A[..., 1, 2] = shift
-    A[..., 2, 0] = -2.0 * Omega
-    A[..., 2, 1] = -shift
-    b = np.zeros(decay.shape + (3,))
-    b[..., 0] = -f.real
-    return A, b
+    G = np.zeros(decay.shape + (3, 4))
+    G[..., 0, 0] = -2.0 * decay
+    G[..., 0, 2] = 2.0 * Omega
+    G[..., 1, 1] = G[..., 2, 2] = -decay
+    G[..., 1, 2] = shift
+    G[..., 2, 0] = -2.0 * Omega
+    G[..., 2, 1] = -shift
+    G[..., 0, 3] = -f.real
+    return G
 
 
 def multipliers(state: TlsState) -> TlsMultipliers:

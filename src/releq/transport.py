@@ -3,15 +3,17 @@ transport models: the output grid, the argument checks, the kernels of a
 regime, and the solution of their linear equations in both regimes.
 
 Both models are linear equations ``y' = A(t) y + b(t)`` on three real
-components, with A and b built from the kernel pair ``(f, f_beta)`` by the
-model's ``_linear_system``.  ``simulate`` is the one place that chooses the
-kernels and the propagator of a regime.  In the Markovian regime the
-kernels are frozen at their long-time values, so A and b are constant and
-``propagate_linear`` returns the solution ``y* + exp(A t)(y0 - y*)``
-exactly.  A positive golden-rule rate ``Re f_inf`` makes both models' A
-invertible; every bath has one unless ``J(omega0)`` underflows
-(``omega0 / W`` above about 745), and there ``propagate_linear`` raises
-``PropagationError``.
+components.  The model's ``_linear_system`` builds the top rows
+``G = [A | b]``, shape (..., 3, 4), of their generator from the kernel pair
+``(f, f_beta)``; the Magnus path reads G as it is, and ``propagate_linear``
+gets its views ``G[..., :3]`` and ``G[..., 3]``.
+``simulate`` is the one place that chooses the kernels and the propagator
+of a regime.  In the Markovian regime the kernels are frozen at their
+long-time values, so A and b are constant and ``propagate_linear`` returns
+the solution ``y* + exp(A t)(y0 - y*)`` exactly.  A positive golden-rule
+rate ``Re f_inf`` makes both models' A invertible; every bath has one
+unless ``J(omega0)`` underflows (``omega0 / W`` above about 745), and there
+``propagate_linear`` raises ``PropagationError``.
 
 In the non-Markovian regime A and b follow the kernels in time, and
 ``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator
@@ -217,8 +219,7 @@ def _magnus_exponents(linear_system, f, f_beta, widths) -> np.ndarray:
     exponents of the steps of ``widths`` whose kernels at the three
     Gauss-Legendre nodes are ``f`` and ``f_beta``, shape (steps, 3) (see
     ``propagate_magnus``)."""
-    A, b = linear_system(f, f_beta)
-    G = np.concatenate((A, b[..., None]), axis=-1)
+    G = linear_system(f, f_beta)
     h = widths[:, None, None]
     a1 = h * G[:, 1]
     a2 = (math.sqrt(15.0) / 3.0) * h * (G[:, 2] - G[:, 0])
@@ -286,10 +287,10 @@ def _taylor12_top(t) -> np.ndarray:
 def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.ndarray:
     """Samples of ``y' = A(t) y + b(t)``, ``y(0) = y0``, on ``times[k] = k * dt``.
 
-    ``(A, b) = linear_system(f, f_beta)`` for the kernel values of the bath
-    ``params``, given as arrays: A has their shape plus (3, 3), b their
-    shape plus (3,).  Returns an array of shape ``(len(times), 3)``; the
-    first sample is ``y0`` itself.
+    ``linear_system(f, f_beta)`` gives the top rows ``[A | b]`` of the
+    generator for the kernel values of the bath ``params``, given as arrays,
+    with their shape plus (3, 4).  Returns an array of shape
+    ``(len(times), 3)``; the first sample is ``y0`` itself.
 
     The steps, and the kernels on them, are those of ``bath.step_kernels``:
     every output interval is cut into the equal steps of
@@ -341,12 +342,14 @@ def _finite(states, times) -> np.ndarray:
 def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: float, dt_out: float):
     """``(times, states)`` of one transport run on the bath ``params``.
 
-    ``linear_system(f, f_beta)`` gives the model's ``(A, b)``; ``y0`` holds
-    its three components at t = 0.  The samples are ``sample_times(t_max,
-    dt_out)`` and the states have shape ``(len(times), 3)``.  The Markovian
-    regime freezes the kernels at ``bath.markovian_limits`` and propagates
-    exactly (``propagate_linear``); the non-Markovian one takes Magnus
-    steps (``propagate_magnus``), which integrate the kernels as they go.
+    ``linear_system(f, f_beta)`` gives the top rows ``[A | b]`` of the
+    model's generator; ``y0`` holds its three components at t = 0.  The
+    samples are ``sample_times(t_max, dt_out)`` and the states have shape
+    ``(len(times), 3)``.  The Markovian regime freezes the kernels at
+    ``bath.markovian_limits`` and propagates exactly (``propagate_linear``
+    on the views ``G[..., :3]`` and ``G[..., 3]``); the non-Markovian one
+    takes Magnus steps (``propagate_magnus``), which integrate the kernels
+    as they go.
 
     Raises ``ValueError`` for an unknown regime, a non-finite ``t_max`` or
     ``dt_out``, or unless ``0 < dt_out <= t_max``.
@@ -360,5 +363,6 @@ def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: flo
     times = sample_times(t_max, dt_out)
     if regime == "markovian":
         limits = bath.markovian_limits(params)
-        return times, propagate_linear(*linear_system(limits.f_inf, limits.f_beta_inf), y0, times)
+        G = linear_system(limits.f_inf, limits.f_beta_inf)
+        return times, propagate_linear(G[..., :3], G[..., 3], y0, times)
     return times, propagate_magnus(linear_system, params, y0, times)

@@ -148,8 +148,8 @@ class TestCorrelatorCache:
 
     @pytest.mark.parametrize(
         "times",
-        [[-0.5], [0.5, 0.5], [1.0, 0.5], [math.nan], [1.0, math.nan]],
-        ids=["negative", "repeated", "decreasing", "nan", "nan after a time"],
+        [[-0.5], [0.5, 0.5], [1.0, 0.5], [math.nan], [1.0, math.nan], [1.0, math.inf]],
+        ids=["negative", "repeated", "decreasing", "nan", "nan after a time", "infinite"],
     )
     def test_negative_repeated_or_nan_times_rejected(self, fig_bath, times):
         with pytest.raises(ValueError, match="increasing"):
@@ -283,6 +283,18 @@ class TestStepKernels:
         reference = quadpack_kernels(fig_bath, times)
         assert np.max(np.abs(f[pick] - reference[0])) <= 1e-11
         assert np.max(np.abs(f_beta[pick] - reference[1])) <= 1e-11
+
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [([0.0, math.nan, 1.0], "nan after 0"), ([math.nan, 1.0], "nan"), ([0.0, 1.0, 0.5], "0.5 after 1"), ([0.0, math.inf], "inf after 0")],
+        ids=["nan", "nan first", "decreasing", "infinite"],
+    )
+    def test_step_counts_refuse_nan_infinite_or_decreasing_times(self, fig_bath, times, message):
+        # A NaN or negative gap took no steps without a word, and an infinite
+        # one stopped step_kernels at int(inf), an OverflowError.
+        with pytest.raises(ValueError, match=f"got {message}$"):
+            step_counts(times, fig_bath)
 
 
 class TestMarkovianLimits:

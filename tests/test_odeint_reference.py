@@ -1,4 +1,4 @@
-"""What ``integrate`` hands the right-hand side, and the work it counts."""
+"""What ``integrate`` hands the right-hand side."""
 
 import dataclasses
 import math
@@ -14,10 +14,8 @@ _COUPLING = np.array([[-0.3 + 1.1j, 0.2], [-0.1j, -0.5 + 0.3j]])
 _DRIVE = np.array([0.1, 0.02j])
 
 
-def linear_problem(max_step=0.01, rel_tol=1e-9, t_span=(0.0, 3.0), rhs_calls=None):
+def linear_problem(rel_tol=1e-9, t_span=(0.0, 3.0)):
     def rhs(t, y):
-        if rhs_calls is not None:
-            rhs_calls.append(t)
         return _COUPLING @ y + (np.cos(2.0 * t) + 5.0 * np.exp(-(((t - 1.5) / 0.02) ** 2))) * _DRIVE
 
     return OdeProblem(
@@ -26,17 +24,7 @@ def linear_problem(max_step=0.01, rel_tol=1e-9, t_span=(0.0, 3.0), rhs_calls=Non
         y0=np.array([1.0 + 0.5j, -0.3 + 0j]),
         rel_tol=rel_tol,
         abs_tol=rel_tol * 1e-3,
-        max_step=max_step,
     )
-
-
-def test_stats_count_the_work():
-    calls = []
-    problem = linear_problem(max_step=np.inf, rel_tol=1e-6, rhs_calls=calls)
-    stats = integrate(problem, np.linspace(0.0, 3.0, 31)).stats
-    assert stats.rejected > 0
-    assert stats.rhs_evals == len(calls) == 6 * (stats.accepted + stats.rejected) + 2
-    assert 0.0 < stats.h_min < stats.h_max
 
 
 def oscillator_like_problem():
@@ -58,11 +46,11 @@ def oscillator_like_problem():
 
 
 def recording(problem, arguments):
-    """``problem`` with an RHS that appends each ``y`` it receives."""
+    """``problem`` with an RHS that appends each ``(t, y)`` it receives."""
     rhs = problem.rhs
 
     def recorded(t, y):
-        arguments.append(y)
+        arguments.append((t, y))
         return rhs(t, y)
 
     return dataclasses.replace(problem, rhs=recorded)
@@ -70,17 +58,20 @@ def recording(problem, arguments):
 
 @pytest.mark.parametrize(
     "problem",
-    [linear_problem(max_step=np.inf, rel_tol=1e-6), oscillator_like_problem()],
+    [linear_problem(rel_tol=1e-6), oscillator_like_problem()],
     ids=["linear", "complex and float"],
 )
 def test_rhs_receives_a_tuple_of_complex(problem):
     # linear_problem's RHS returns a numpy array, so the stages come back as
     # numpy scalars and must still reach the RHS as Python complex.
     arguments = []
-    stats = integrate(recording(problem, arguments), np.linspace(*problem.t_span, 31)).stats
-    assert stats.rejected > 0
-    assert len(arguments) == stats.rhs_evals
-    for y in arguments:
+    integrate(recording(problem, arguments), np.linspace(*problem.t_span, 31))
+    # Past the derivative at t0 and the initial-step probe, the stages are
+    # called at non-decreasing times, except where a rejected step is tried
+    # again from its start: some steps were rejected.
+    times = [t for t, _ in arguments[2:]]
+    assert np.any(np.diff(times) < 0)
+    for _, y in arguments:
         assert type(y) is tuple and len(y) == 2
         assert all(type(y_d) is complex for y_d in y)
 

@@ -17,6 +17,7 @@ from releq.oscillator import (
     multipliers,
     quartic_correlator,
     simulate,
+    thermodynamic_series,
     _linear_system,
 )
 
@@ -34,15 +35,16 @@ class TestState:
 
 
 def rhs(t, state, bath, regime):
-    """(d<a>/dt, d<n>/dt) of ``state``, as ``A y + b`` from ``_linear_system``
-    at the kernel pair of ``regime``: the long-time values, or the integrated
-    kernels at t."""
+    """(d<a>/dt, d<n>/dt) of ``state``, as ``A y + b``: the top rows
+    ``[A | b]`` from ``_linear_system`` applied to ``(y, 1)``, at the kernel
+    pair of ``regime``: the long-time values, or the integrated kernels at
+    t."""
     if regime == "markovian":
         limits = markovian_limits(bath)
-        A, b = _linear_system(limits.f_inf, limits.f_beta_inf)
+        G = _linear_system(limits.f_inf, limits.f_beta_inf)
     else:
-        A, b = _linear_system(*correlator_samples(bath, t))
-    d = A @ [state.mean_a.real, state.mean_a.imag, state.mean_n] + b
+        G = _linear_system(*correlator_samples(bath, t))
+    d = G @ [state.mean_a.real, state.mean_a.imag, state.mean_n, 1.0]
     return complex(d[0], d[1]), float(d[2])
 
 
@@ -92,6 +94,8 @@ class TestMultipliers:
     def test_degenerate_state_raises(self):
         with pytest.raises(DegenerateStateError):
             multipliers(OscillatorState(1.0 + 0j, 1.0))
+        with pytest.raises(DegenerateStateError):
+            inverse_temperature(OscillatorState(1.0 + 0j, 1.0 + 1e-15), 1.0)
 
 
 class TestEntropyAndTemperature:
@@ -146,6 +150,33 @@ class TestEntropyAndTemperature:
         assert gradient == pytest.approx(multipliers(state).F2, abs=1e-6)
 
 
+class TestThermodynamicSeries:
+    def test_matches_the_scalar_formulas(self):
+        rng = np.random.default_rng(20141023)
+        n_eff = np.concatenate([10.0 ** rng.uniform(-13.9, 16.0, size=2000), [1.1e-14, 1.0, 1e16]])
+        mean_a = rng.standard_normal(n_eff.size) + 1j * rng.standard_normal(n_eff.size)
+        mean_n = n_eff + np.abs(mean_a) ** 2
+        omega0 = 1.7
+        s_series, beta_series = thermodynamic_series(mean_a, mean_n, omega0)
+        # One sample and a whole run take the same array formulas, bit for bit.
+        for k in range(n_eff.size):
+            state = OscillatorState(complex(mean_a[k]), float(mean_n[k]))
+            assert s_series[k] == entropy(state)
+            assert beta_series[k] == inverse_temperature(state, omega0)
+
+    @pytest.mark.parametrize("regime", ["markovian", "non_markovian"])
+    def test_run_columns_are_the_scalar_formulas(self, regime):
+        # Every sample of a run, on the README bath and on one with
+        # omega0 = 0.3, has the S and beta of its state exactly.
+        for bath in (BathParams(W=10.0, beta=3.0, omega0=1.0), BathParams(W=20.0, beta=0.2, omega0=0.3)):
+            for initial in (OscillatorState(1.0 - 0.5j, 9.0), OscillatorState(0.2j, 0.05)):
+                run = simulate(initial, bath, regime, t_max=5.0, dt_out=0.05)
+                for k in range(run.times.size):
+                    state = OscillatorState(complex(run.mean_a[k]), float(run.mean_n[k]))
+                    assert run.entropy[k] == entropy(state), (bath, initial, k)
+                    assert run.beta[k] == inverse_temperature(state, bath.omega0), (bath, initial, k)
+
+
 class TestQuarticCorrelator:
     def test_thermal_single_quantum(self):
         assert quartic_correlator(OscillatorState(0j, 1.0)) == pytest.approx(3.0)
@@ -197,8 +228,8 @@ class TestClosedForm:
 
     @pytest.mark.parametrize(
         "times",
-        [[-0.5], [0.5, 0.5], [1.0, 0.5], [math.nan], [0.5, math.nan]],
-        ids=["negative", "repeated", "decreasing", "nan", "nan after a time"],
+        [[-0.5], [0.5, 0.5], [1.0, 0.5], [math.nan], [0.5, math.nan], [0.5, math.inf]],
+        ids=["negative", "repeated", "decreasing", "nan", "nan after a time", "infinite"],
     )
     def test_negative_repeated_or_nan_times_rejected(self, fig_bath, times):
         with pytest.raises(ValueError, match="increasing"):

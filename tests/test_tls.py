@@ -34,15 +34,16 @@ def resonant_params(fig_bath, Omega=0.3):
 
 
 def rhs(t, state, params, regime):
-    """(d<s_z>/dt, d<s_+>/dt) of ``state``, as ``A y + b`` from
-    ``_linear_system`` at the kernel pair of ``regime``: the long-time
-    values, or the integrated kernels at t."""
+    """(d<s_z>/dt, d<s_+>/dt) of ``state``, as ``A y + b``: the top rows
+    ``[A | b]`` from ``_linear_system`` applied to ``(y, 1)``, at the kernel
+    pair of ``regime``: the long-time values, or the integrated kernels at
+    t."""
     if regime == "markovian":
         limits = markovian_limits(params.bath)
-        A, b = _linear_system(params.Omega, limits.f_inf, limits.f_beta_inf)
+        G = _linear_system(params.Omega, limits.f_inf, limits.f_beta_inf)
     else:
-        A, b = _linear_system(params.Omega, *correlator_samples(params.bath, t))
-    d = A @ [state.mean_sz, state.mean_sp.real, state.mean_sp.imag] + b
+        G = _linear_system(params.Omega, *correlator_samples(params.bath, t))
+    d = G @ [state.mean_sz, state.mean_sp.real, state.mean_sp.imag, 1.0]
     return d[0], complex(d[1], d[2])
 
 
@@ -91,8 +92,8 @@ class TestRhs:
 
     def test_sz_derivative_is_real_float(self, fig_bath):
         # The system is real: <s_z> and both parts of <s_+> are its components.
-        A, b = _linear_system(0.3, *correlator_samples(fig_bath, 1.0))
-        assert A.dtype == b.dtype == np.float64
+        G = _linear_system(0.3, *correlator_samples(fig_bath, 1.0))
+        assert G.dtype == np.float64
         d_sz, _ = rhs(1.0, TlsState(0.2, 0.1 + 0.3j), resonant_params(fig_bath), "non_markovian")
         assert isinstance(d_sz, float)
 

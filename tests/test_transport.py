@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,13 +52,14 @@ BATH_IDS = ["readme", "slow", "above-cutoff", "hot"]
 
 
 def linear_systems(bath):
-    """``(A, b)`` of both models on ``bath``: the oscillator, and the
-    two-level system undriven, weakly and strongly driven."""
+    """``(A, b)`` of both models on ``bath``, read off the top rows
+    ``[A | b]`` of their generators: the oscillator, and the two-level system
+    undriven, weakly and strongly driven."""
     limits = markovian_limits(bath)
     f, f_beta = limits.f_inf, limits.f_beta_inf
     systems = [oscillator._linear_system(f, f_beta)]
     systems += [tls._linear_system(drive, f, f_beta) for drive in (0.0, 0.3, 5.0)]
-    return [(np.array(A), np.array(b)) for A, b in systems]
+    return [(G[:, :3], G[:, 3]) for G in systems]
 
 
 def norm1(matrix) -> float:
@@ -107,12 +109,12 @@ def test_expm_of_zero_and_of_a_non_finite_matrix():
         expm(np.full((3, 3), np.nan))
 
 
-def exact_states(A, b, y0, times):
+def exact_states(G, y0, times):
     """Samples of ``y' = A y + b`` by scipy's exponential of the augmented
-    matrix ``[[A, b], [0, 0]]``, taken afresh at every sample time."""
+    matrix ``[[A, b], [0, 0]]`` with top rows ``G = [A | b]``, taken afresh
+    at every sample time."""
     augmented = np.zeros((4, 4))
-    augmented[:3, :3] = A
-    augmented[:3, 3] = b
+    augmented[:3] = G
     start = np.append(np.asarray(y0, dtype=float), 1.0)
     return np.array([(oracles.expm(augmented * t) @ start)[:3] for t in times])
 
@@ -123,7 +125,7 @@ def test_exact_oscillator_run_matches_integration(bath):
     initial = oscillator.OscillatorState(1.0 - 0.5j, 9.0)
     run = oscillator.simulate(initial, bath, "markovian", t_max=20.0, dt_out=0.05)
     states = exact_states(
-        *oscillator._linear_system(limits.f_inf, limits.f_beta_inf),
+        oscillator._linear_system(limits.f_inf, limits.f_beta_inf),
         (initial.mean_a.real, initial.mean_a.imag, initial.mean_n),
         run.times,
     )
@@ -142,7 +144,7 @@ def test_exact_two_level_run_matches_integration(bath, drive):
     initial = tls.TlsState(0.2, 0.1 - 0.1j)
     run = tls.simulate(initial, params, "markovian", t_max=20.0, dt_out=0.05)
     states = exact_states(
-        *tls._linear_system(drive, limits.f_inf, limits.f_beta_inf),
+        tls._linear_system(drive, limits.f_inf, limits.f_beta_inf),
         (initial.mean_sz, initial.mean_sp.real, initial.mean_sp.imag),
         run.times,
     )
@@ -176,8 +178,8 @@ def test_long_run_matches_per_sample_exponentials(bath):
     ]
     times = osc.times
     assert times.size == 100_001
-    for (A, b), states in cases:
-        A, b = np.array(A), np.array(b)
+    for G, states in cases:
+        A, b = G[:, :3], G[:, 3]
         fixed = -np.linalg.solve(A, b)
         offset = states[0] - fixed
         # Relative to the distance from the fixed point, which is 91 for the
@@ -208,10 +210,9 @@ def test_grid_must_be_uniform_from_zero():
 
 def test_singular_or_overflowing_A_is_refused():
     # A golden-rule rate Re f_inf = 0 leaves both models without a fixed point.
-    with pytest.raises(PropagationError, match="singular"):
-        propagate_linear(*oscillator._linear_system(2.0j, 3.0j), np.ones(3), sample_times(1.0, 0.1))
-    with pytest.raises(PropagationError, match="singular"):
-        propagate_linear(*tls._linear_system(0.3, 2.0j, 3.0j), np.ones(3), sample_times(1.0, 0.1))
+    for G in (oscillator._linear_system(2.0j, 3.0j), tls._linear_system(0.3, 2.0j, 3.0j)):
+        with pytest.raises(PropagationError, match="singular"):
+            propagate_linear(G[:, :3], G[:, 3], np.ones(3), sample_times(1.0, 0.1))
     with pytest.raises(PropagationError, match="overflows"):
         propagate_linear(-2.0 * np.eye(3), np.ones(3), np.ones(3), [0.0, 1e308])
 
@@ -355,14 +356,20 @@ def test_augmented_expm_keeps_the_choice_and_the_pade_path_of_expm():
 
 
 def test_linear_systems_of_kernel_arrays_are_the_stacked_scalar_systems():
-    times = np.array([[0.0, 0.3, 1.7], [2.5, 6.0, 9.9]])
-    f, f_beta = correlator_samples(BATHS[0], times)
-    for system in (oscillator._linear_system, lambda *pair: tls._linear_system(0.3, *pair)):
-        A, b = system(f, f_beta)
-        assert A.shape == (2, 3, 3, 3) and b.shape == (2, 3, 3)
-        for index in np.ndindex(times.shape):
-            A_k, b_k = system(complex(f[index]), complex(f_beta[index]))
-            assert np.array_equal(A[index], A_k) and np.array_equal(b[index], b_k)
+    # Each model gives one array, the generator's top rows G = [A | b]: its
+    # views G[..., :3] and G[..., 3] are the A and b of every kernel pair.
+    systems = [oscillator._linear_system] + [partial(tls._linear_system, drive) for drive in (0.0, 0.3, 5.0)]
+    for shape in [(), (1,), (7,), (2, 3), (2, 2, 3)]:
+        times = np.linspace(0.3, 9.9, math.prod(shape)).reshape(shape)
+        f, f_beta = correlator_samples(BATHS[0], times)
+        for system in systems:
+            G = system(f, f_beta)
+            assert G.shape == shape + (3, 4) and G.dtype == np.float64
+            A, b = G[..., :3], G[..., 3]
+            for index in np.ndindex(shape):
+                G_k = system(complex(f[index]), complex(f_beta[index]))
+                assert G_k.shape == (3, 4)
+                assert np.array_equal(A[index], G_k[:, :3]) and np.array_equal(b[index], G_k[:, 3])
 
 
 # The non-Markovian accuracy grid: cutoffs from 5 to 100 (beta = 3,
@@ -475,12 +482,12 @@ def test_non_finite_magnus_steps_are_refused():
     times = sample_times(5.0, 0.1)
 
     def blowing_up(f, f_beta):  # y' = 1000 y: finite exponents, exp(5000) overflows
-        A = np.broadcast_to(1000.0 * np.eye(3), np.shape(f) + (3, 3))
-        return A, np.zeros(np.shape(f) + (3,))
+        return np.broadcast_to(1000.0 * np.eye(3, 4), np.shape(f) + (3, 4))
 
-    def infinite(f, f_beta):
-        A, b = oscillator._linear_system(f, f_beta)
-        return A * np.inf, b
+    def infinite(f, f_beta):  # A infinite, b finite
+        G = oscillator._linear_system(f, f_beta)
+        G[..., :3] *= np.inf
+        return G
 
     with pytest.raises(PropagationError, match="state is not finite"):
         propagate_magnus(blowing_up, BATHS[0], np.ones(3), times)
