@@ -5,31 +5,31 @@ regime, and the solution of their linear equations in both regimes.
 Both models are linear equations ``y' = A(t) y + b(t)`` on three real
 components.  The model's ``_linear_system`` builds the top rows
 ``G = [A | b]``, shape (..., 3, 4), of their generator from the kernel pair
-``(f, f_beta)``; the Magnus path reads G as it is, and ``propagate_linear``
-gets its views ``G[..., :3]`` and ``G[..., 3]``.
-``simulate`` is the one place that chooses the kernels and the propagator
-of a regime.  In the Markovian regime the kernels are frozen at their
-long-time values, so A and b are constant and ``propagate_linear`` returns
-the solution ``y* + exp(A t)(y0 - y*)`` exactly.  A positive golden-rule
-rate ``Re f_inf`` makes both models' A invertible; every bath has one
-unless ``J(omega0)`` underflows (``omega0 / W`` above about 745), and there
-``propagate_linear`` raises ``PropagationError``.
+``(f, f_beta)``, and both propagators take G as it is: a step maps the
+augmented state ``(y, 1)`` by the exponential of an augmented generator
+``[[A, b], [0, 0]]``.  ``simulate`` is the one place that chooses the
+kernels and the propagator of a regime.  In the Markovian regime the
+kernels are frozen at their long-time values, so G is constant and
+``propagate_linear`` takes the powers of its one exact step map.  No fixed
+point is needed, so a bath whose golden-rule rate ``Re f_inf`` underflows
+(``omega0 / W`` above about 745) runs undamped.
 
 In the non-Markovian regime A and b follow the kernels in time, and
-``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator
-on the augmented generator ``[[A, b], [0, 0]]``, reading its steps and
-the kernels on them off ``bath.step_kernels``, a chunk at a time.  The step
-rule starts from the kernels' own time scale 1/W and needs no error
-control; see ``propagate_magnus``.  Neither propagator takes a tolerance;
-``check_tolerances`` serves the CLI's configuration check and ``odeint``.
+``propagate_magnus`` takes fixed steps of the sixth-order Magnus integrator,
+reading its steps and the kernels on them off ``bath.step_kernels``, a
+chunk at a time.  The step rule starts from the kernels' own time scale 1/W
+and needs no error control; see ``propagate_magnus``.  Neither propagator
+takes a tolerance; ``check_tolerances`` serves the CLI's configuration check
+and ``odeint``.
 
-``_compose`` applies the Magnus step maps in blocks, which start at fixed
-multiples of the run's step index (``bath._BLOCK``): prefix products within
-every block at once, then one pass over the block ends; ``propagate_linear``
-applies its one map's powers in the same blocks.  ``expm`` takes a small
-matrix's exponential as a Taylor polynomial, a larger one's by Pade scaling
-and squaring; ``_augmented_expm`` makes the same choice for the Magnus
-exponents and takes the Taylor polynomial on their top rows ``[A | b]``.
+``_augmented_expm`` is the one exponential: a Taylor polynomial on the top
+rows ``[A | b]`` for a small matrix, Pade scaling and squaring for a larger
+one.  ``_compose`` is the one composer: it applies step maps in blocks,
+which start at fixed multiples of the run's step index (``bath._BLOCK``),
+from their ``_prefix_products`` within every block and one pass over the
+block ends.  The Magnus path forms the prefix products of its maps; the
+Markovian one forms those of one block of its map and reuses them in every
+block.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class InvariantViolationError(RuntimeError):
 
 
 class PropagationError(RuntimeError):
-    """A propagator cannot take the run: A is singular, or a step's exponent or
-    the solution is not finite."""
+    """A propagator cannot take the run: a step's exponent or the solution is
+    not finite."""
 
 
 def check_tolerances(rel_tol: float, abs_tol: float) -> None:
@@ -79,171 +79,23 @@ _TAYLOR12 = tuple(1.0 / math.factorial(k) for k in range(13))
 _THETA12 = 0.25
 
 
-def expm(matrix) -> np.ndarray:
-    """Exponential of a small real square matrix, or of each matrix of a
-    stack of shape ``(..., n, n)``.
-
-    A matrix whose 1-norm is at most 0.25 takes the degree-12 Taylor
-    polynomial, evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2
-    (1973) 60) in five products and no solve.  Any other matrix is halved
-    until its 1-norm is at most theta_13, the [13/13] Pade approximant is
-    taken, and the result squared back.  The choice is made per matrix, so
-    a matrix of a stack gets the exponential it gets alone.
-    """
-    shape = np.shape(matrix)
-    a = np.asarray(matrix, dtype=float).reshape((-1,) + shape[-2:])
-    norm = np.abs(a).sum(axis=1).max(axis=1)
-    if not np.all(np.isfinite(norm)):
-        raise ValueError("expm needs a finite matrix")
-    result = np.empty_like(a)
-    small = norm <= _THETA12
-    if small.any():
-        result[small] = _taylor12(a[small])
-    if not small.all():
-        result[~small] = _pade13(a[~small], norm[~small])
-    return result.reshape(shape)
-
-
-def _taylor12(a) -> np.ndarray:
-    c = _TAYLOR12
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a3 = a2 @ a
-    a4 = a2 @ a2
-
-    def cubic(k):  # c[k] + c[k+1] a + c[k+2] a^2 + c[k+3] a^3
-        return c[k] * ident + c[k + 1] * a + c[k + 2] * a2 + c[k + 3] * a3
-
-    return cubic(0) + a4 @ (cubic(4) + a4 @ (cubic(8) + c[12] * a4))
-
-
-def _pade13(a, norm) -> np.ndarray:
-    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    a = a * 0.5 ** squarings[:, None, None]
-    b = _PADE13
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    result = np.linalg.solve(v - u, v + u)
-    for k in range(int(squarings.max(initial=0))):
-        more = squarings > k
-        result[more] = result[more] @ result[more]
-    return result
-
-
-def _compose(maps, y) -> np.ndarray:
-    """``path[k] = maps[k] @ ... @ maps[0] @ y`` for every k, shape
-    ``(len(maps), len(y))``.
-
-    Within each block of ``_BLOCK`` maps the prefix products are formed for
-    all blocks at once; one pass over the block ends then carries ``y`` from
-    block to block, and one batched product gives every state.
-    """
-    n, d = len(maps), y.size
-    blocks = -(-n // _BLOCK)
-    prefix = np.empty((blocks * _BLOCK, d, d))
-    prefix[:n] = maps
-    prefix[n:] = np.eye(d)
-    prefix = prefix.reshape(blocks, _BLOCK, d, d)
-    for i in range(1, _BLOCK):
-        np.matmul(prefix[:, i], prefix[:, i - 1], out=prefix[:, i])
-    starts = np.empty((blocks, d))
-    starts[0] = y
-    for j in range(1, blocks):
-        starts[j] = prefix[j - 1, -1] @ starts[j - 1]
-    return np.einsum("jiab,jb->jia", prefix, starts).reshape(-1, d)[:n]
-
-
-def propagate_linear(A, b, y0, times) -> np.ndarray:
-    """Samples of ``y' = A y + b``, ``y(0) = y0``, on ``times[k] = k * dt``.
-
-    Returns an array of shape ``(len(times), len(y0))``.  With the fixed
-    point ``y* = -A^-1 b`` and the one-step propagator
-    ``Phi = expm(A dt)``, sample k is ``y* + Phi^k (y0 - y*)``: Phi^0 ...
-    Phi^47 are stacked once, and sample ``48 j + i`` is Phi^i applied to
-    ``(Phi^48)^j (y0 - y*)``, the blocks of ``_compose`` with their prefix
-    products formed once for all.  The first sample is ``y0`` itself.
-
-    Raises ``PropagationError`` where A is singular, so that there is no
-    fixed point, or where ``A dt`` or a sample is not finite.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    times = np.asarray(times, dtype=float)
-    dt = float(times[1]) if times.size > 1 else 0.0
-    if times.size == 0 or not np.array_equal(times, np.arange(times.size) * dt):
-        raise ValueError("propagate_linear needs the grid times[k] = k * times[1], k = 0, 1, ...")
-    try:
-        fixed = -np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        fixed = None
-    if fixed is None or not np.all(np.isfinite(fixed)):
-        raise PropagationError("A is singular: the linear equations have no fixed point")
-    with np.errstate(over="ignore"):
-        scaled = A * dt
-    if not np.all(np.isfinite(scaled)):
-        raise PropagationError(f"A dt overflows at dt = {dt:.3g}")
-
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are refused below
-        step = expm(scaled)
-        powers = np.empty((_BLOCK, y0.size, y0.size))
-        powers[0] = np.eye(y0.size)
-        for i in range(1, _BLOCK):
-            powers[i] = powers[i - 1] @ step
-        block_step = powers[-1] @ step
-        blocks = -(-times.size // _BLOCK)
-        starts = np.empty((blocks, y0.size))
-        starts[0] = y0 - fixed
-        for j in range(1, blocks):
-            starts[j] = block_step @ starts[j - 1]
-        # (starts @ powers[i].T)[j] = powers[i] @ starts[j], sample 48 j + i.
-        samples = (starts @ powers.transpose(0, 2, 1)).transpose(1, 0, 2)
-        out = samples.reshape(-1, y0.size)[: times.size] + fixed
-    out[0] = y0
-    return _finite(out, times)
-
-
-def _commutator(x, y):
-    """Top rows of ``[x, y]`` for augmented matrices given by their top rows
-    ``[A | b]``: the last rows are zero, so ``x y`` has the top rows
-    ``A_x [A_y | b_y]``."""
-    return x[..., :3] @ y - y[..., :3] @ x
-
-
-def _magnus_exponents(linear_system, f, f_beta, widths) -> np.ndarray:
-    """Top rows ``[A | b]``, shape (steps, 3, 4), of the sixth-order Magnus
-    exponents of the steps of ``widths`` whose kernels at the three
-    Gauss-Legendre nodes are ``f`` and ``f_beta``, shape (steps, 3) (see
-    ``propagate_magnus``)."""
-    G = linear_system(f, f_beta)
-    h = widths[:, None, None]
-    a1 = h * G[:, 1]
-    a2 = (math.sqrt(15.0) / 3.0) * h * (G[:, 2] - G[:, 0])
-    a3 = (10.0 / 3.0) * h * (G[:, 2] - 2.0 * G[:, 1] + G[:, 0])
-    c1 = _commutator(a1, a2)
-    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
-    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-
-
 def _augmented_expm(top) -> np.ndarray:
-    """``expm`` of each augmented matrix ``[[A, b], [0, 0]]`` of a stack given
-    by its top rows ``[A | b]``, shape (n, 3, 4); returns the (n, 4, 4)
-    exponentials.
+    """Exponential of each augmented matrix ``[[A, b], [0, 0]]`` of a stack
+    given by its finite top rows ``[A | b]``, shape (n, 3, 4); returns the
+    (n, 4, 4) exponentials, whose last rows are exactly ``(0, 0, 0, 1)``.
 
-    The per-matrix choice of ``expm`` is kept (the zero last row adds
-    nothing to a column's 1-norm): a matrix whose 1-norm is at most 0.25
-    takes the degree-12 Taylor polynomial, here on the top rows (see
-    ``_taylor12_top``); any other takes ``expm``'s Pade path on the whole
-    matrix.
+    The choice is made per matrix, so a matrix of a stack gets the
+    exponential it gets alone; the zero last row adds nothing to a column's
+    1-norm.  A matrix whose 1-norm is at most 0.25 takes the degree-12
+    Taylor polynomial, evaluated by Paterson and Stockmeyer (SIAM J. Comput.
+    2 (1973) 60) on the top rows (see ``_taylor12_top``).  Any other is
+    halved until its 1-norm is at most theta_13, the [13/13] Pade
+    approximant is taken on the whole matrix, and the result squared back.
     """
     n = len(top)
     result = np.zeros((n, 4, 4))
     result[:, 3, 3] = 1.0
-    # expm's 1-norms, with the sums and maxima over the small axes unrolled
+    # The 1-norms, with the sums and maxima over the small axes unrolled
     # (numpy's reductions over them cost more than the Taylor products).
     a = np.abs(top)
     columns = a[:, 0] + a[:, 1] + a[:, 2]
@@ -255,11 +107,15 @@ def _augmented_expm(top) -> np.ndarray:
         whole = np.zeros((n - np.count_nonzero(small), 4, 4))
         whole[:, :3] = top[~small]
         result[~small] = _pade13(whole, norm[~small])
+        # The solve leaves the last row at (0, 0, 0, 1 - 2**-53), which a
+        # long run would carry as its constant.
+        result[~small, 3] = (0.0, 0.0, 0.0, 1.0)
     return result
 
 
 def _taylor12_top(t) -> np.ndarray:
-    """Top rows of ``_taylor12`` of the augmented matrices with top rows ``t``.
+    """Top rows of the degree-12 Taylor polynomial of the exponentials of the
+    augmented matrices with top rows ``t``.
 
     The powers of an augmented matrix have zero last rows, and a product
     ``x y`` of two such has the top rows ``A_x [A_y | b_y]``.  A sum with
@@ -284,6 +140,112 @@ def _taylor12_top(t) -> np.ndarray:
     return cubic(0) + times_a4(cubic(4) + times_a4(cubic(8) + c[12] * t4, c[8]), c[4])
 
 
+def _pade13(a, norm) -> np.ndarray:
+    squarings = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a * 0.5 ** squarings[:, None, None]
+    b = _PADE13
+    ident = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    result = np.linalg.solve(v - u, v + u)
+    for k in range(int(squarings.max(initial=0))):
+        more = squarings > k
+        result[more] = result[more] @ result[more]
+    return result
+
+
+def _prefix_products(maps) -> np.ndarray:
+    """``prefix[j, i] = maps[48 j + i] @ ... @ maps[48 j]``, shape
+    ``(blocks, _BLOCK, d, d)``: the prefix products within each block of
+    ``_BLOCK`` maps, formed for all blocks at once.  The last block is
+    filled up with identities."""
+    n, d = len(maps), maps.shape[-1]
+    blocks = -(-n // _BLOCK)
+    prefix = np.empty((blocks * _BLOCK, d, d))
+    prefix[:n] = maps
+    prefix[n:] = np.eye(d)
+    prefix = prefix.reshape(blocks, _BLOCK, d, d)
+    for i in range(1, _BLOCK):
+        np.matmul(prefix[:, i], prefix[:, i - 1], out=prefix[:, i])
+    return prefix
+
+
+def _compose(prefix, y) -> np.ndarray:
+    """``path[48 j + i] = prefix[j, i] @ prefix[j - 1, -1] @ ... @ prefix[0, -1]
+    @ y``, shape ``(blocks * _BLOCK, len(y))``: with the ``_prefix_products``
+    of a run's maps, ``path[k] = maps[k] @ ... @ maps[0] @ y``.
+
+    One pass over the block ends carries ``y`` from block to block, and one
+    batched product gives every state.
+    """
+    blocks, d = len(prefix), y.size
+    starts = np.empty((blocks, d))
+    starts[0] = y
+    for j in range(1, blocks):
+        starts[j] = prefix[j - 1, -1] @ starts[j - 1]
+    return np.einsum("jiab,jb->jia", prefix, starts).reshape(-1, d)
+
+
+def propagate_linear(G, y0, times) -> np.ndarray:
+    """Samples of ``y' = A y + b``, ``y(0) = y0``, on ``times[k] = k * dt``,
+    for the constant top rows ``G = [A | b]``, shape (3, 4).
+
+    Returns an array of shape ``(len(times), 3)``; the first sample is
+    ``y0`` itself.  One step maps the augmented state ``(y, 1)`` by the
+    exact ``_augmented_expm(dt G)`` (Van Loan, IEEE Trans. Autom. Control 23
+    (1978) 395).  Its powers 1 ... 48 are the prefix products of one block,
+    formed once and applied to every block by ``_compose``, so that sample
+    k is the k-th power applied to ``(y0, 1)``.
+
+    Raises ``PropagationError`` where ``G dt`` or a sample is not finite.
+    """
+    G = np.asarray(G, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    times = np.asarray(times, dtype=float)
+    dt = float(times[1]) if times.size > 1 else 0.0
+    if times.size == 0 or not np.array_equal(times, np.arange(times.size) * dt):
+        raise ValueError("propagate_linear needs the grid times[k] = k * times[1], k = 0, 1, ...")
+    with np.errstate(over="ignore"):
+        scaled = G * dt
+    if not np.all(np.isfinite(scaled)):
+        raise PropagationError(f"G dt is not finite at dt = {dt:.3g}")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples are refused below
+        step = _augmented_expm(scaled[None])[0]
+        powers = _prefix_products(np.broadcast_to(step, (_BLOCK, 4, 4)))
+        blocks = -(-times.size // _BLOCK)
+        path = _compose(np.broadcast_to(powers, (blocks, _BLOCK, 4, 4)), np.append(y0, 1.0))
+    states = np.empty((times.size, 3))
+    states[0] = y0
+    states[1:] = path[: times.size - 1, :3]
+    return _finite(states, times)
+
+
+def _commutator(x, y):
+    """Top rows of ``[x, y]`` for augmented matrices given by their top rows
+    ``[A | b]``: the last rows are zero, so ``x y`` has the top rows
+    ``A_x [A_y | b_y]``."""
+    return x[..., :3] @ y - y[..., :3] @ x
+
+
+def _magnus_exponents(linear_system, f, f_beta, widths) -> np.ndarray:
+    """Top rows ``[A | b]``, shape (steps, 3, 4), of the sixth-order Magnus
+    exponents of the steps of ``widths`` whose kernels at the three
+    Gauss-Legendre nodes are ``f`` and ``f_beta``, shape (steps, 3) (see
+    ``propagate_magnus``)."""
+    G = linear_system(f, f_beta)
+    h = widths[:, None, None]
+    a1 = h * G[:, 1]
+    a2 = (math.sqrt(15.0) / 3.0) * h * (G[:, 2] - G[:, 0])
+    a3 = (10.0 / 3.0) * h * (G[:, 2] - 2.0 * G[:, 1] + G[:, 0])
+    c1 = _commutator(a1, a2)
+    c2 = _commutator(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
 def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.ndarray:
     """Samples of ``y' = A(t) y + b(t)``, ``y(0) = y0``, on ``times[k] = k * dt``.
 
@@ -295,7 +257,7 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
     The steps, and the kernels on them, are those of ``bath.step_kernels``:
     every output interval is cut into the equal steps of
     ``bath.step_counts``, so every sample ends a step.  A step of length h
-    maps the augmented state ``(y, 1)`` by ``expm(Omega)``, the
+    maps the augmented state ``(y, 1)`` by ``exp(Omega)``, the
     sixth-order Magnus exponent of the generator ``G = [[A, b], [0, 0]]`` at
     the three Gauss-Legendre nodes of the step (Blanes, Casas and Ros, BIT
     40 (2000) 434; Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151):
@@ -325,7 +287,7 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
             finite = np.isfinite(omega).all(axis=(1, 2))
             if not finite.all():
                 raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
-            path = _compose(_augmented_expm(omega), y)
+            path = _compose(_prefix_products(_augmented_expm(omega)), y)[: len(omega)]
             y = path[-1]
             states[interval[last] + 1] = path[last, :3]
     return _finite(states, times)
@@ -346,10 +308,9 @@ def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: flo
     model's generator; ``y0`` holds its three components at t = 0.  The
     samples are ``sample_times(t_max, dt_out)`` and the states have shape
     ``(len(times), 3)``.  The Markovian regime freezes the kernels at
-    ``bath.markovian_limits`` and propagates exactly (``propagate_linear``
-    on the views ``G[..., :3]`` and ``G[..., 3]``); the non-Markovian one
-    takes Magnus steps (``propagate_magnus``), which integrate the kernels
-    as they go.
+    ``bath.markovian_limits`` and propagates exactly (``propagate_linear``);
+    the non-Markovian one takes Magnus steps (``propagate_magnus``), which
+    integrate the kernels as they go.
 
     Raises ``ValueError`` for an unknown regime, a non-finite ``t_max`` or
     ``dt_out``, or unless ``0 < dt_out <= t_max``.
@@ -363,6 +324,5 @@ def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: flo
     times = sample_times(t_max, dt_out)
     if regime == "markovian":
         limits = bath.markovian_limits(params)
-        G = linear_system(limits.f_inf, limits.f_beta_inf)
-        return times, propagate_linear(G[..., :3], G[..., 3], y0, times)
+        return times, propagate_linear(linear_system(limits.f_inf, limits.f_beta_inf), y0, times)
     return times, propagate_magnus(linear_system, params, y0, times)

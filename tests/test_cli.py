@@ -136,8 +136,8 @@ class TestConfigValidation:
             ("oscillator", 10.0, 1e30, "W * beta_bath = 1e+31 is not below 1e+12", 0),
             ("tls", 10.0, 1e30, "W * beta_bath = 1e+31 is not below 1e+12", 0),
             ("corr", 10.0, 1e30, "W * beta_bath = 1e+31 is not below 1e+12", None),
-            ("oscillator", 1e-300, 1e300, "beta_bath = 1e+300 is too large", 3),
-            ("tls", 1e-300, 1e300, "beta_bath = 1e+300 is too large", 3),
+            ("oscillator", 1e-300, 1e300, "beta_bath = 1e+300 is too large", 0),
+            ("tls", 1e-300, 1e300, "beta_bath = 1e+300 is too large", 0),
         ],
         ids=["trigamma-pole", "cold", "tls-cold", "corr-cold", "beta-squared", "tls-beta-squared"],
     )
@@ -145,7 +145,7 @@ class TestConfigValidation:
         # trigamma refuses its argument 1/(W beta) at t = 0 within 1e-12 of the
         # pole at 0, and beta**2 overflows past 1.3e154.  A Markovian run reads
         # only the long-time limits of the same bath; at W = 1e-300 the
-        # golden-rule rate J(omega0) underflows, and it exits 3 as a singular A.
+        # golden-rule rate J(omega0) underflows, and it runs undamped.
         path = tmp_path / "cfg.json"
         initial = [] if model == "corr" else [0.0, 0.0, 0.0] if model == "tls" else [1.0, 0.0, 9.0]
         params = dict(TLS_PARAMS, W=W, beta_bath=beta)
@@ -166,10 +166,9 @@ class TestConfigValidation:
         "model, params",
         [
             ("oscillator", {"omega0": 1.0, "W": 1e300, "beta_bath": 3.0}),
-            ("tls", dict(TLS_PARAMS, Omega=1e300)),
             ("tls", dict(TLS_PARAMS, W=1e300)),
         ],
-        ids=["oscillator-W", "tls-Omega", "tls-W"],
+        ids=["oscillator-W", "tls-W"],
     )
     def test_a_markovian_run_whose_exponential_overflows_exits_3(self, tmp_path, capsys, model, params, sweep):
         path = tmp_path / "cfg.json"
@@ -654,9 +653,10 @@ def test_run_memory_per_output_row(tmp_path, raw, bytes_per_row):
 # those of the sixth-order Magnus steps on kernels integrated on panels of
 # up to 16 equal steps, by one Gauss-Legendre rule of at most 24 points per
 # panel (at most 8 per step), with Taylor exponentials taken on the top
-# rows, the Markovian ones those of the exact propagation with the
-# principal-value frequency shifts; both compose their step maps in blocks
-# of 48, and both use the array formulas for the two-level S and beta.
+# rows, the Markovian ones those of the powers of the exact step map, the
+# exponential of the augmented generator with the principal-value frequency
+# shifts; both compose their step maps in blocks of 48 by one composer,
+# and both use the array formulas for the two-level S and beta.
 # Chunks, panels and blocks all start at fixed multiples of the run's step
 # index, so no digest depends on the chunk length.  The corr digest is that
 # of the same kernel integration on its own grid; the maxent digest is that
@@ -682,11 +682,11 @@ _README_TLS = {
 _WEAK_TLS = dict(_README_TLS, params=dict(_README_TLS["params"], Omega=0.3), initial=[0.2, 0.1, -0.1])
 PINNED_CSV = [
     (dict(_README_OSCILLATOR, regime="non_markovian"), "bf9aa73d21378d90022839b1a998c617e1b16630084bafb07fd9d7032dacc669"),
-    (dict(_README_OSCILLATOR, regime="markovian"), "022aaa32efa90411c2b215e93f7eb5e1de4d8046990350a8b17e777a01ad791c"),
+    (dict(_README_OSCILLATOR, regime="markovian"), "0e41780a87ba017d642b8f7eaaa83ba469b087a0ca4c649cb18a994bfd190450"),
     (dict(_README_TLS, regime="non_markovian"), "b50ed74d077cacf2e5d70f41694f1ae6281ca638f2b0295a25863b74823f726f"),
-    (dict(_README_TLS, regime="markovian"), "e55f02639c1c8fa924a3842f6e0b4486c76eb5a7fee82cf2edd6f0c10c7e610c"),
+    (dict(_README_TLS, regime="markovian"), "b090b42a6774be6bcce8797e7a517d707ad4422d2a9a513fbf735bf767c8a2e0"),
     (dict(_WEAK_TLS, regime="non_markovian"), "75524a860bdfb2b4c40eb475e366320a2d001eae566f489faa0e9721fc9a54d2"),
-    (dict(_WEAK_TLS, regime="markovian"), "f87a80f1f751438b2bfc5866091bd18c37cd875bc3dfd335ec40ed2de8b26325"),
+    (dict(_WEAK_TLS, regime="markovian"), "03b0ce3494c1db86075243f2101744c3a46957ba4134d0591644ae55e239cf3e"),
     (
         {"model": "corr", "params": {"omega0": 1.0, "W": 10.0, "beta_bath": 3.0}, "t_max": 10.0, "dt_out": 0.1},
         "f03dbd5068811fe9c1cf820966d5fb7efe5f57f8a3a2497c08fb82b67be78ba3",

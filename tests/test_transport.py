@@ -1,9 +1,10 @@
-"""The propagators of ``releq.transport``.  The exact Markovian path: its
-matrix exponential against scipy's and mpmath's, its runs against scipy's
-exponential at every sample, and its refusal of a singular A.  The Magnus
-path of the non-Markovian regime: its runs against a tight DOP853 reference
-on a grid of baths and drives, its top-row exponentials, its memory and its
-refusal of non-finite steps."""
+"""The propagators of ``releq.transport``.  Their one exponential of the
+augmented generator against scipy's and mpmath's, with its exact last row.
+The exact Markovian path: its runs against scipy's exponential at every
+sample, its powers of one step map through the Magnus path's composer, and
+the undamped runs of a bath whose rate underflows.  The Magnus path of the
+non-Markovian regime: its runs against a tight DOP853 reference on a grid of
+baths and drives, its memory and its refusal of non-finite steps."""
 
 import math
 import sys
@@ -31,8 +32,9 @@ from releq.transport import (
     _THETA13,
     PropagationError,
     _augmented_expm,
+    _compose,
     _magnus_exponents,
-    expm,
+    _prefix_products,
     propagate_linear,
     propagate_magnus,
     sample_times,
@@ -51,15 +53,20 @@ BATHS = [
 BATH_IDS = ["readme", "slow", "above-cutoff", "hot"]
 
 
-def linear_systems(bath):
-    """``(A, b)`` of both models on ``bath``, read off the top rows
-    ``[A | b]`` of their generators: the oscillator, and the two-level system
-    undriven, weakly and strongly driven."""
+def generators(bath):
+    """Top rows ``G = [A | b]`` of the Markovian generators of both models on
+    ``bath``: the oscillator, and the two-level system undriven, weakly and
+    strongly driven."""
     limits = markovian_limits(bath)
     f, f_beta = limits.f_inf, limits.f_beta_inf
-    systems = [oscillator._linear_system(f, f_beta)]
-    systems += [tls._linear_system(drive, f, f_beta) for drive in (0.0, 0.3, 5.0)]
-    return [(G[:, :3], G[:, 3]) for G in systems]
+    return [oscillator._linear_system(f, f_beta)] + [tls._linear_system(drive, f, f_beta) for drive in (0.0, 0.3, 5.0)]
+
+
+def augmented(G):
+    """The augmented matrix ``[[A, b], [0, 0]]`` with top rows ``G``."""
+    matrix = np.zeros((4, 4))
+    matrix[:3] = G
+    return matrix
 
 
 def norm1(matrix) -> float:
@@ -68,23 +75,26 @@ def norm1(matrix) -> float:
 
 @pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
 def test_expm_matches_scipy(bath):
-    # From ||A dt|| = 1e-3 up to dt = t_max = 1000.  The exponential's own
-    # condition number grows as ||A dt||, and scipy's result is off by up to
-    # 1e-14 ||A dt|| against a 40-digit one, so the bound grows with it past 1.
-    for A, _ in linear_systems(bath):
-        for dt in np.geomspace(1e-3 / norm1(A), 1000.0, 25):
-            reference = oracles.expm(A * dt)
-            error = norm1(expm(A * dt) - reference)
-            assert error <= 1e-13 * max(1.0, norm1(A * dt)) * norm1(reference), (dt, error)
+    # From ||M dt|| = 1e-3 up to dt = t_max = 1000, M the augmented
+    # generator.  The exponential's own condition number grows as ||M dt||,
+    # and scipy's result is off by up to 1e-14 ||M dt|| against a 40-digit
+    # one, so the bound grows with it past 1.
+    for G in generators(bath):
+        M = augmented(G)
+        for dt in np.geomspace(1e-3 / norm1(M), 1000.0, 25):
+            reference = oracles.expm(M * dt)
+            error = norm1(_augmented_expm(G[None] * dt)[0] - reference)
+            assert error <= 1e-13 * max(1.0, norm1(M * dt)) * norm1(reference), (dt, error)
 
 
 @pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
 def test_expm_is_accurate_to_its_conditioning(bath):
-    for A, _ in linear_systems(bath):
+    for G in generators(bath):
+        M = augmented(G)
         for scaled_norm in (1e-3, 1.0, 5.0, 30.0, 1000.0):
-            dt = scaled_norm / norm1(A)
-            reference = oracles.expm_mp(A * dt)
-            error = norm1(expm(A * dt) - reference)
+            dt = scaled_norm / norm1(M)
+            reference = oracles.expm_mp(M * dt)
+            error = norm1(_augmented_expm(G[None] * dt)[0] - reference)
             assert error <= 4.0 * EPS * max(1.0, scaled_norm) * norm1(reference), (dt, error)
 
 
@@ -98,25 +108,24 @@ def test_expm_of_small_augmented_generators_is_accurate():
     for matrix in stack:
         assert norm1(matrix) <= _THETA12
         reference = oracles.expm_mp(matrix)
-        for exponential in (expm(matrix), _augmented_expm(matrix[None, :3])[0]):
-            error = norm1(exponential - reference)
-            assert error <= 4.0 * EPS * norm1(reference), (norm1(matrix), error)
+        error = norm1(_augmented_expm(matrix[None, :3])[0] - reference)
+        assert error <= 4.0 * EPS * norm1(reference), (norm1(matrix), error)
 
 
 def test_expm_of_zero_and_of_a_non_finite_matrix():
-    assert np.max(np.abs(expm(np.zeros((3, 3))) - np.eye(3))) <= EPS
-    with pytest.raises(ValueError, match="finite"):
-        expm(np.full((3, 3), np.nan))
+    # The exponential takes finite matrices; the Markovian propagator refuses
+    # a generator that is not finite, as the Magnus path refuses an exponent.
+    assert np.max(np.abs(_augmented_expm(np.zeros((1, 3, 4)))[0] - np.eye(4))) <= EPS
+    with pytest.raises(PropagationError, match="not finite"):
+        propagate_linear(np.full((3, 4), np.nan), np.ones(3), sample_times(1.0, 0.1))
 
 
 def exact_states(G, y0, times):
     """Samples of ``y' = A y + b`` by scipy's exponential of the augmented
     matrix ``[[A, b], [0, 0]]`` with top rows ``G = [A | b]``, taken afresh
     at every sample time."""
-    augmented = np.zeros((4, 4))
-    augmented[:3] = G
     start = np.append(np.asarray(y0, dtype=float), 1.0)
-    return np.array([(oracles.expm(augmented * t) @ start)[:3] for t in times])
+    return np.array([(oracles.expm(augmented(G) * t) @ start)[:3] for t in times])
 
 
 @pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
@@ -191,50 +200,61 @@ def test_long_run_matches_per_sample_exponentials(bath):
 
 
 def test_first_sample_is_the_initial_state():
-    A = np.array([[-0.3, -2.0, 0.0], [2.0, -0.3, 0.0], [0.0, 0.0, -0.6]])
+    G = np.array([[-0.3, -2.0, 0.0, 0.0], [2.0, -0.3, 0.0, 0.0], [0.0, 0.0, -0.6, 0.1]])
     y0 = (0.1, -0.7, 9.0)
-    states = propagate_linear(A, [0.0, 0.0, 0.1], y0, sample_times(5.0, 0.1))
+    states = propagate_linear(G, y0, sample_times(5.0, 0.1))
     assert states.shape == (51, 3)
     assert states[0].tolist() == list(y0)
+    assert propagate_linear(G, y0, [0.0]).tolist() == [list(y0)]
 
 
 def test_grid_must_be_uniform_from_zero():
-    A = -np.eye(3)
+    G = -np.eye(3, 4)
     with pytest.raises(ValueError, match="grid"):
-        propagate_linear(A, np.zeros(3), np.ones(3), [0.0, 0.1, 0.25])
+        propagate_linear(G, np.ones(3), [0.0, 0.1, 0.25])
     with pytest.raises(ValueError, match="grid"):
-        propagate_linear(A, np.zeros(3), np.ones(3), [0.1, 0.2])
+        propagate_linear(G, np.ones(3), [0.1, 0.2])
     with pytest.raises(ValueError, match="grid"):
-        propagate_linear(A, np.zeros(3), np.ones(3), [])
+        propagate_linear(G, np.ones(3), [])
 
 
-def test_singular_or_overflowing_A_is_refused():
-    # A golden-rule rate Re f_inf = 0 leaves both models without a fixed point.
-    for G in (oscillator._linear_system(2.0j, 3.0j), tls._linear_system(0.3, 2.0j, 3.0j)):
-        with pytest.raises(PropagationError, match="singular"):
-            propagate_linear(G[:, :3], G[:, 3], np.ones(3), sample_times(1.0, 0.1))
-    with pytest.raises(PropagationError, match="overflows"):
-        propagate_linear(-2.0 * np.eye(3), np.ones(3), np.ones(3), [0.0, 1e308])
+@pytest.mark.parametrize("samples", [2, 3, _BLOCK, _BLOCK + 1, _BLOCK + 2, 1001])
+def test_linear_propagation_composes_copies_of_its_step_map(samples):
+    # Sample k is the k-th power of one step map, taken from the prefix
+    # products of one block and carried over the block ends by the Magnus
+    # path's composer: the same bits as composing len(times) - 1 copies.
+    G = generators(BATHS[0])[2]  # the weakly driven two-level system
+    y0 = np.array([0.2, 0.1, -0.1])
+    times = np.arange(samples) * 0.05
+    states = propagate_linear(G, y0, times)
+    copies = np.broadcast_to(_augmented_expm(G[None] * 0.05)[0], (samples - 1, 4, 4))
+    path = _compose(_prefix_products(copies), np.append(y0, 1.0))
+    assert np.array_equal(states[1:], path[: samples - 1, :3])
 
 
-def test_a_bath_whose_rate_underflows_is_refused():
-    # omega0 = 800 W: J(omega0) = 800 exp(-800) underflows to 0.
+def test_an_overflowing_generator_is_refused():
+    G = np.column_stack([-2.0 * np.eye(3), np.ones(3)])
+    with pytest.raises(PropagationError, match="G dt is not finite at dt = 1e\\+308"):
+        propagate_linear(G, np.ones(3), [0.0, 1e308])
+
+
+def test_a_bath_whose_rate_underflows_runs_undamped():
+    # omega0 = 800 W: J(omega0) = 800 exp(-800) underflows to 0, so both
+    # models keep only the principal-value shifts of their kernels and
+    # rotate: the occupation stays 9 exactly, the amplitude turns at the
+    # shift Im f_inf, and the two-level Bloch radius stays put.
     bath = BathParams(W=1.0, beta=1.0, omega0=800.0)
-    assert markovian_limits(bath).f_inf.real == 0.0
-    with pytest.raises(PropagationError, match="singular"):
-        oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "markovian", 1.0)
-    with pytest.raises(PropagationError, match="singular"):
-        tls.simulate(tls.TlsState(0.1, 0j), tls.TlsParams(800.0, 800.0, 0.3, bath), "markovian", 1.0)
-
-
-@pytest.mark.parametrize("bath", BATHS, ids=BATH_IDS)
-def test_every_accepted_bath_gives_an_invertible_A(bath):
-    # det A = -8 r**3 for the oscillator and -2 r (r**2 + s**2 + 2 Omega**2)
-    # for the two-level system, r and s the real and imaginary parts of the
-    # damping kernel: both non-zero while the golden-rule rate is positive.
-    assert markovian_limits(bath).f_inf.real > 0.0
-    for A, _ in linear_systems(bath):
-        assert abs(np.linalg.det(A)) > 0.0
+    limits = markovian_limits(bath)
+    assert limits.f_inf.real == 0.0 and limits.f_beta_inf.real == 0.0
+    run = oscillator.simulate(oscillator.OscillatorState(1.0 + 0j, 9.0), bath, "markovian", 1.0)
+    assert run.times.size == 101 and np.all(run.mean_n == 9.0)
+    assert np.max(np.abs(run.mean_a - np.exp(1j * limits.f_inf.imag * run.times))) <= 1e-14
+    two_level = tls.simulate(tls.TlsState(0.1, 0.2j), tls.TlsParams(800.0, 800.0, 0.3, bath), "markovian", 1.0)
+    radii = np.hypot(two_level.mean_sz, np.abs(two_level.mean_sp))
+    assert np.max(np.abs(radii - radii[0])) <= 4.0 * EPS
+    states = exact_states(tls._linear_system(0.3, limits.f_inf, limits.f_beta_inf), (0.1, 0.0, 0.2), two_level.times)
+    assert np.max(np.abs(states[:, 0] - two_level.mean_sz)) <= 5e-12
+    assert np.max(np.abs(states[:, 1] + 1j * states[:, 2] - two_level.mean_sp)) <= 5e-12
 
 
 @pytest.mark.parametrize("t_max, dt_out", [(math.inf, 1.0), (math.inf, math.inf), (10.0, math.nan)])
@@ -325,34 +345,27 @@ def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
         assert outputs[k] == [serial[(j + k) % 2] for j in range(4)]
 
 
+def straddling_stack():
+    """Top rows of 40 generators with 1-norms on both sides of theta = 0.25
+    and of theta_13, so that the stack mixes the Taylor and the Pade path,
+    and squarings on the latter."""
+    rng = np.random.default_rng(7)
+    top = rng.standard_normal((40, 3, 4)) * np.geomspace(1e-3, 50.0, 40)[:, None, None]
+    norms = np.abs(top).sum(axis=1).max(axis=1)
+    for theta in (_THETA12, _THETA13):
+        assert np.any(norms <= theta) and np.any(norms > theta)
+    return top
+
+
 def test_expm_of_a_stack_is_the_expm_of_each_matrix():
-    # 1-norms on both sides of theta = 0.25 and of theta_13, so that the
-    # stack mixes the Taylor and the Pade path, and squarings on the latter.
-    rng = np.random.default_rng(7)
-    stack = rng.standard_normal((40, 4, 4)) * np.geomspace(1e-3, 50.0, 40)[:, None, None]
-    norms = np.abs(stack).sum(axis=1).max(axis=1)
-    for theta in (_THETA12, _THETA13):
-        assert np.any(norms <= theta) and np.any(norms > theta)
-    assert np.array_equal(expm(stack), np.array([expm(matrix) for matrix in stack]))
-    assert expm(stack.reshape(5, 8, 4, 4)).shape == (5, 8, 4, 4)
+    top = straddling_stack()
+    assert np.array_equal(_augmented_expm(top), np.array([_augmented_expm(matrix[None])[0] for matrix in top]))
 
 
-def test_augmented_expm_keeps_the_choice_and_the_pade_path_of_expm():
-    # Top rows of generators with a zero last row, with 1-norms on both sides
-    # of theta = 0.25 and of theta_13: a matrix above 0.25 gets expm's bits,
-    # one below it expm's Taylor polynomial taken on the top rows.
-    rng = np.random.default_rng(7)
-    stack = rng.standard_normal((40, 4, 4)) * np.geomspace(1e-3, 50.0, 40)[:, None, None]
-    stack[:, 3] = 0.0
-    norms = np.abs(stack).sum(axis=1).max(axis=1)
-    for theta in (_THETA12, _THETA13):
-        assert np.any(norms <= theta) and np.any(norms > theta)
-    result = _augmented_expm(stack[:, :3])
-    expected = np.array([expm(matrix) for matrix in stack])
-    taylor = norms <= _THETA12
-    assert np.array_equal(result[~taylor], expected[~taylor])
-    for exponential, reference in zip(result[taylor], expected[taylor]):
-        assert norm1(exponential - reference) <= 4.0 * EPS * norm1(reference)
+def test_every_exponential_has_an_exact_last_row():
+    # The Pade path's solve gives (0, 0, 0, 1 - 2**-53), and a long run would
+    # carry that drift in its constant.
+    assert np.all(_augmented_expm(straddling_stack())[:, 3] == (0.0, 0.0, 0.0, 1.0))
 
 
 def test_linear_systems_of_kernel_arrays_are_the_stacked_scalar_systems():
