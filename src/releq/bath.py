@@ -154,38 +154,39 @@ def corr_f_beta_integrand(t, params: BathParams):
     return complex(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
-def _quad_complex(func, a: float, b: float, rel_tol: float) -> tuple[complex, float]:
-    """Adaptive quadrature of a complex integrand; returns value and estimate."""
-    from scipy.integrate import quad
-
-    re, re_err = quad(lambda s: func(s).real, a, b, epsabs=1e-14, epsrel=rel_tol, limit=400)
-    im, im_err = quad(lambda s: func(s).imag, a, b, epsabs=1e-14, epsrel=rel_tol, limit=400)
-    return complex(re, im), math.hypot(re_err, im_err)
+_QUAD_REL_TOL = 1e-9  # relative tolerance of the reference correlators
 
 
-def _corr_quad(integrand, t: float, params: BathParams, rel_tol: float) -> complex:
+def _corr_quad(integrand, t: float, params: BathParams) -> complex:
+    """Adaptive quadrature of ``integrand`` over [0, t], real and imaginary
+    parts apart, to relative tolerance ``_QUAD_REL_TOL``."""
     if not t >= 0:
         raise ValueError(f"correlators are defined for t >= 0, got {t}")
     if t == 0.0:
         return 0j
-    value, estimate = _quad_complex(lambda s: integrand(s, params), 0.0, t, rel_tol * 1e-2)
-    if estimate > max(1e-12, rel_tol * abs(value)):
+    from scipy.integrate import quad
+
+    epsrel = _QUAD_REL_TOL * 1e-2
+    re, re_err = quad(lambda s: integrand(s, params).real, 0.0, t, epsabs=1e-14, epsrel=epsrel, limit=400)
+    im, im_err = quad(lambda s: integrand(s, params).imag, 0.0, t, epsabs=1e-14, epsrel=epsrel, limit=400)
+    value, estimate = complex(re, im), math.hypot(re_err, im_err)
+    if estimate > max(1e-12, _QUAD_REL_TOL * abs(value)):
         raise QuadratureError(
-            f"correlator quadrature did not reach relative tolerance {rel_tol} "
+            f"correlator quadrature did not reach relative tolerance {_QUAD_REL_TOL} "
             f"at t = {t}: error estimate {estimate:.3e} for value {value:.6e}",
             estimate,
         )
     return value
 
 
-def corr_f(t: float, params: BathParams, rel_tol: float = 1e-9) -> complex:
+def corr_f(t: float, params: BathParams) -> complex:
     """Zero-temperature kernel f(t) by adaptive quadrature."""
-    return _corr_quad(corr_f_integrand, t, params, rel_tol)
+    return _corr_quad(corr_f_integrand, t, params)
 
 
-def corr_f_beta(t: float, params: BathParams, rel_tol: float = 1e-9) -> complex:
+def corr_f_beta(t: float, params: BathParams) -> complex:
     """Finite-temperature kernel f(t, beta) by adaptive quadrature."""
-    return _corr_quad(corr_f_beta_integrand, t, params, rel_tol)
+    return _corr_quad(corr_f_beta_integrand, t, params)
 
 
 # ---------------------------------------------------------------------------

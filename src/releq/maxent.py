@@ -45,9 +45,6 @@ __all__ = [
     "DensityMatrixError",
     "RelevantOperatorSet",
     "RelevantState",
-    "annihilation",
-    "creation",
-    "number_operator",
     "fock_operator_set",
     "spin_operator_set",
     "fock_tail_mass",
@@ -63,6 +60,9 @@ __all__ = [
 
 _ADJOINT_TOL = 1e-12
 _PAIRING_TOL = 1e-14
+_DENSITY_TOL = 1e-10  # Hermiticity, trace and positivity in von_neumann
+_TAIL_LEVELS = 10  # check_fock_tail: the top ladder states, and
+_TAIL_TOL = 1e-10  # the largest probability they may carry
 
 
 class MaxEntError(Exception):
@@ -152,7 +152,8 @@ class RelevantOperatorSet:
             main, upper, lower = bands
             entries = np.concatenate(bands, axis=1)
             adjoints = np.concatenate((main, lower, upper), axis=1).conj()
-        if sorted(pairing) != list(range(len(entries))):
+        integers = all(isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in pairing)
+        if not integers or sorted(pairing) != list(range(len(entries))):
             raise ValueError("pairing must be a permutation of the operator indices")
         for m, m_adj in enumerate(pairing):
             if pairing[m_adj] != m:
@@ -240,9 +241,9 @@ def _check_pairing(values, ops: RelevantOperatorSet, tol: float, what: str, why:
     return values
 
 
-def validate_multipliers(F, ops: RelevantOperatorSet, tol: float = _PAIRING_TOL) -> np.ndarray:
+def validate_multipliers(F, ops: RelevantOperatorSet) -> np.ndarray:
     """Check the pairing constraint and return the multipliers as an array."""
-    return _check_pairing(F, ops, tol, "multipliers", f" within {tol}")
+    return _check_pairing(F, ops, _PAIRING_TOL, "multipliers", f" within {_PAIRING_TOL}")
 
 
 def _pairing_consistent_targets(targets, ops: RelevantOperatorSet) -> np.ndarray:
@@ -342,18 +343,18 @@ def entropy(state: RelevantState, targets) -> float:
     return float(value.real)
 
 
-def von_neumann(rho, tol: float = 1e-10) -> float:
+def von_neumann(rho) -> float:
     """Eigenvalue entropy -sum lambda ln lambda, with 0 ln 0 = 0."""
     rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.max(np.abs(rho - rho.conj().T)) > _DENSITY_TOL:
         raise DensityMatrixError("matrix is not Hermitian within tolerance")
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > tol:
+    if abs(trace - 1.0) > _DENSITY_TOL:
         raise DensityMatrixError(f"trace {trace} differs from 1 beyond tolerance")
     eigenvalues = np.linalg.eigvalsh(rho)
-    if eigenvalues.min() < -tol:
+    if eigenvalues.min() < -_DENSITY_TOL:
         raise DensityMatrixError(
-            f"negative eigenvalue {eigenvalues.min():.3e} beyond tolerance {tol}"
+            f"negative eigenvalue {eigenvalues.min():.3e} beyond tolerance {_DENSITY_TOL}"
         )
     positive = eigenvalues[eigenvalues > 0.0]
     return float(-np.sum(positive * np.log(positive)))
@@ -542,21 +543,6 @@ def solve_self_consistency(
 # Standard operator sets.
 
 
-def annihilation(dim: int) -> np.ndarray:
-    """Truncated bosonic lowering operator on ``dim`` levels."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def creation(dim: int) -> np.ndarray:
-    """Truncated bosonic raising operator on ``dim`` levels."""
-    return annihilation(dim).conj().T
-
-
-def number_operator(dim: int) -> np.ndarray:
-    """Occupation operator diag(0, 1, ..., dim - 1)."""
-    return np.diag(np.arange(dim, dtype=float)).astype(complex)
-
-
 def fock_operator_set(dim: int = 256) -> RelevantOperatorSet:
     """Bosonic set (raising, occupation, lowering) on a truncated ladder."""
     ladder = np.sqrt(np.arange(1, dim, dtype=float))
@@ -579,17 +565,17 @@ def spin_operator_set() -> RelevantOperatorSet:
     )
 
 
-def fock_tail_mass(rho: np.ndarray, levels: int = 10) -> float:
-    """Occupation probability carried by the top ``levels`` ladder states."""
+def fock_tail_mass(rho: np.ndarray) -> float:
+    """Occupation probability carried by the top ``_TAIL_LEVELS`` ladder states."""
     diag = np.real(np.diagonal(rho))
-    return float(np.sum(diag[-levels:]))
+    return float(np.sum(diag[-_TAIL_LEVELS:]))
 
 
-def check_fock_tail(rho: np.ndarray, levels: int = 10, tol: float = 1e-10) -> None:
+def check_fock_tail(rho: np.ndarray) -> None:
     """Raise if the truncated ladder carries visible weight at its top."""
-    mass = fock_tail_mass(rho, levels)
-    if mass > tol:
+    mass = fock_tail_mass(rho)
+    if mass > _TAIL_TOL:
         raise TruncationError(
-            f"top {levels} ladder states carry probability {mass:.3e} > {tol}; "
+            f"top {_TAIL_LEVELS} ladder states carry probability {mass:.3e} > {_TAIL_TOL}; "
             "the truncation is too small for this occupation"
         )

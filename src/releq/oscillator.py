@@ -41,12 +41,10 @@ __all__ = [
     "OscillatorState",
     "OscillatorMultipliers",
     "OscillatorRun",
-    "closed_form",
     "closed_form_trajectory",
     "multipliers",
     "entropy",
     "inverse_temperature",
-    "quartic_correlator",
     "check_domain",
     "thermodynamic_series",
     "simulate",
@@ -170,11 +168,6 @@ def thermodynamic_series(mean_a, mean_n, omega0: float):
     return np.log1p(n_eff) + n_eff * log_ratio, log_ratio / omega0
 
 
-def quartic_correlator(state: OscillatorState) -> float:
-    """<a'a a'a> = 2 <n>**2 + <n> - |<a>|**4, read off the reference state."""
-    return 2.0 * state.mean_n**2 + state.mean_n - abs(state.mean_a) ** 4
-
-
 # ---------------------------------------------------------------------------
 # Solutions of the transport equations.
 
@@ -243,19 +236,6 @@ def closed_form_trajectory(
     mean_a[gap[last]] = a0 * np.exp(-np.conj(integral[last, 3]))
     mean_n[gap[last]] = at_ends[last]
     return mean_a, mean_n
-
-
-def closed_form(
-    t: float,
-    initial: OscillatorState,
-    params: BathParams,
-    regime: str = "non_markovian",
-) -> OscillatorState:
-    """State at time t from the integrating-factor solution."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    mean_a, mean_n = closed_form_trajectory([t], initial, params, regime)
-    return OscillatorState(mean_a=complex(mean_a[0]), mean_n=float(mean_n[0]))
 
 
 @dataclass(frozen=True)

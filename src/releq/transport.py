@@ -173,20 +173,21 @@ def _prefix_products(maps) -> np.ndarray:
     return prefix
 
 
-def _compose(prefix, y) -> np.ndarray:
-    """``path[48 j + i] = prefix[j, i] @ prefix[j - 1, -1] @ ... @ prefix[0, -1]
-    @ y``, shape ``(blocks * _BLOCK, len(y))``: with the ``_prefix_products``
+def _compose(prefix, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(path, end)``: ``path[48 j + i] = prefix[j, i] @ prefix[j - 1, -1] @
+    ... @ prefix[0, -1] @ y``, shape ``(blocks * _BLOCK, len(y))``, and ``end``
+    that product carried past the last block.  With the ``_prefix_products``
     of a run's maps, ``path[k] = maps[k] @ ... @ maps[0] @ y``.
 
-    One pass over the block ends carries ``y`` from block to block, and one
-    batched product gives every state.
+    One pass over the block ends carries ``y`` to every block start and to
+    ``end``, and one batched product gives every state.
     """
     blocks, d = len(prefix), y.size
-    starts = np.empty((blocks, d))
+    starts = np.empty((blocks + 1, d))
     starts[0] = y
-    for j in range(1, blocks):
+    for j in range(1, blocks + 1):
         starts[j] = prefix[j - 1, -1] @ starts[j - 1]
-    return np.einsum("jiab,jb->jia", prefix, starts).reshape(-1, d)
+    return np.einsum("jiab,jb->jia", prefix, starts[:-1]).reshape(-1, d), starts[-1]
 
 
 def propagate_linear(G, y0, times) -> np.ndarray:
@@ -217,7 +218,7 @@ def propagate_linear(G, y0, times) -> np.ndarray:
         step = _augmented_expm(scaled[None])[0]
         powers = _prefix_products(np.broadcast_to(step, (_BLOCK, 4, 4)))
         blocks = -(-times.size // _BLOCK)
-        path = _compose(np.broadcast_to(powers, (blocks, _BLOCK, 4, 4)), np.append(y0, 1.0))
+        path, _ = _compose(np.broadcast_to(powers, (blocks, _BLOCK, 4, 4)), np.append(y0, 1.0))
     states = np.empty((times.size, 3))
     states[0] = y0
     states[1:] = path[: times.size - 1, :3]
@@ -287,9 +288,8 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
             finite = np.isfinite(omega).all(axis=(1, 2))
             if not finite.all():
                 raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
-            path = _compose(_prefix_products(_augmented_expm(omega)), y)[: len(omega)]
-            y = path[-1]
-            states[interval[last] + 1] = path[last, :3]
+            path, y = _compose(_prefix_products(_augmented_expm(omega)), y)
+            states[interval[last] + 1] = path[: len(omega)][last, :3]
     return _finite(states, times)
 
 

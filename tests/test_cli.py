@@ -25,6 +25,10 @@ from releq.cli import MAX_HORIZON, MAX_SAMPLES, MAX_STEPS, MODELS, ConfigError, 
 TLS_PARAMS = {"omega0": 1.0, "omegaL": 1.0, "W": 10.0, "beta_bath": 3.0, "Omega": 0.3}
 
 
+def _json_matrix(op) -> list:
+    return [[[v.real, v.imag] for v in row] for row in np.asarray(op, dtype=complex)]
+
+
 def write_config(path, **overrides):
     config = {
         "model": "oscillator",
@@ -235,6 +239,19 @@ class TestConfigValidation:
             ({"model": "tls", "params": dict(TLS_PARAMS, Omega=True), "initial": [0.0, 0.0, 0.0]}, "params.Omega must be a number, got True"),
             ({"model": "maxent_solve", "operator_set": {"kind": "spin"}, "targets": [0.0, [True, 0.0], 0.0], "initial": []}, "targets must be a number, got True"),
             ({"model": "maxent_solve", "operator_set": {"kind": "explicit", "operators": [[[[True, 0.0]]]], "pairing": [0]}, "targets": [0.5], "initial": []}, "an entry must be a number, got True"),
+            (
+                {
+                    "model": "maxent_solve",
+                    "operator_set": {
+                        "kind": "explicit",
+                        "operators": [_json_matrix(op) for op in (np.eye(3, k=2), np.eye(3, k=-2), np.diag([1.0, 0.0, -1.0]))],
+                        "pairing": [True, False, 2],
+                    },
+                    "targets": [[0.1, 0.0], [0.1, 0.0], [0.2, 0.0]],
+                    "initial": [],
+                },
+                "pairing must be a permutation of the operator indices",
+            ),
             ({"initial": 0.5}, "initial"),
             ({"params": "x"}, "params"),
             ({"model": "maxent_solve", "operator_set": 3, "targets": [0.0, 0.3, 0.0], "initial": []}, "operator_set"),
@@ -272,6 +289,7 @@ class TestConfigValidation:
             "Omega-boolean",
             "target-boolean",
             "operator-entry-boolean",
+            "pairing-boolean",
             "initial-not-a-list",
             "params-not-an-object",
             "operator-set-not-an-object",
@@ -806,7 +824,6 @@ def test_readme_runs_do_not_call_the_closed_form(tmp_path, monkeypatch, config):
     if config["regime"] == "markovian":
         monkeypatch.setattr(transport, "propagate_magnus", forbidden)
     monkeypatch.setattr(oscillator, "closed_form_trajectory", forbidden)
-    monkeypatch.setattr(oscillator, "closed_form", forbidden)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
     assert main([config["model"], "--config", str(path)]) == 0
@@ -851,11 +868,7 @@ def test_cli_maxent_solve_starts_from_the_closed_form(tmp_path, monkeypatch, ope
     assert json.loads((tmp_path / "out.meta.json").read_text())["solution"]["residual"] <= 1e-10
 
 
-def _json_matrix(op) -> list:
-    return [[[v.real, v.imag] for v in row] for row in np.asarray(op, dtype=complex)]
-
-
-_A2 = maxent.annihilation(4) @ maxent.annihilation(4)
+_A2 = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1.0, 4.0)), 1), 2)  # the squared ladder on 4 levels
 
 
 @pytest.mark.parametrize(

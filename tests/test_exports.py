@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,26 @@ def test_no_private_function_is_unused_by_the_library():
         if name.startswith("_") and not _read_elsewhere(name, statements)
     }
     assert not unused
+
+
+def test_no_public_name_is_read_by_the_tests_alone():
+    # A public name that no statement of the library reads, other than its
+    # own definition, must be documented in the README or checked by the
+    # acceptance tests; otherwise only the unit tests keep it.  odeint.py is
+    # exempt: no run calls it, and it goes with its own test cases.
+    root = Path(releq.__file__).parent
+    paths = sorted(path for path in root.glob("*.py") if path.name != "odeint.py")
+    scanned = {path.name: _definitions_and_reads(path) for path in paths}
+    statements = [statement for _, module in scanned.values() for statement in module]
+    documents = (Path(__file__).parent.parent / "README.md", Path(__file__).parent / "test_acceptance.py")
+    words = set().union(*(re.findall(r"\w+", path.read_text()) for path in documents))
+    unread = {
+        f"{module}:{line} {name}"
+        for module, (defined, _) in scanned.items()
+        for name, line in defined.items()
+        if not name.startswith("_") and name not in words and not _read_elsewhere(name, statements)
+    }
+    assert not unread
 
 
 def _oracles_read(path: Path) -> set:

@@ -54,8 +54,8 @@ def explicit_tridiagonal(dim: int = 5):
 
 def squared_ladder(dim: int = 6) -> RelevantOperatorSet:
     """(a'^2, n, a^2): a^2 is zero off its second superdiagonal."""
-    a = maxent.annihilation(dim)
-    return RelevantOperatorSet((a.conj().T @ a.conj().T, maxent.number_operator(dim), a @ a), (2, 1, 0))
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    return RelevantOperatorSet((a.T @ a.T, np.diag(np.arange(dim, dtype=float)), a @ a), (2, 1, 0))
 
 
 CASES = {
@@ -149,7 +149,8 @@ def test_a_start_beyond_the_bound_is_refused_before_its_state_is_built(monkeypat
 def test_the_dense_operators_of_band_sets_are_formed_on_request():
     for dim in (2, 3, 17):
         ops = maxent.fock_operator_set(dim)
-        expected = (maxent.creation(dim), maxent.number_operator(dim), maxent.annihilation(dim))
+        ladder = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        expected = (ladder.T, np.diag(np.arange(dim, dtype=float)), ladder)
         assert all(op.dtype == complex and np.array_equal(op, want) for op, want in zip(ops.operators, expected))
     raising = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     spin = (raising, np.diag([0.5, -0.5]).astype(complex), raising.T)

@@ -10,12 +10,10 @@ from releq.oscillator import (
     DegenerateStateError,
     DegenerateStateWarning,
     OscillatorState,
-    closed_form,
     closed_form_trajectory,
     entropy,
     inverse_temperature,
     multipliers,
-    quartic_correlator,
     simulate,
     thermodynamic_series,
     _linear_system,
@@ -177,36 +175,18 @@ class TestThermodynamicSeries:
                     assert run.beta[k] == inverse_temperature(state, bath.omega0), (bath, initial, k)
 
 
-class TestQuarticCorrelator:
-    def test_thermal_single_quantum(self):
-        assert quartic_correlator(OscillatorState(0j, 1.0)) == pytest.approx(3.0)
-
-    def test_displaced_state(self):
-        assert quartic_correlator(OscillatorState(1.0 + 0j, 9.0)) == pytest.approx(170.0)
-
-    def test_matrix_oracle_for_thermal_states(self):
-        for n in (0.5, 2.0):
-            state = OscillatorState(0j, n)
-            mult = multipliers(state)
-            ops = maxent.fock_operator_set(256)
-            built = maxent.build_state([mult.F1, mult.F2, mult.F3], ops)
-            occupation = maxent.number_operator(256)
-            oracle = np.einsum("ij,ji->", occupation @ occupation, built.rho).real
-            assert quartic_correlator(state) == pytest.approx(oracle, abs=1e-6)
-
-
 class TestClosedForm:
     def test_identity_at_time_zero(self, fig_bath):
         initial = OscillatorState(1.0 + 0j, 9.0)
         for regime in ("markovian", "non_markovian"):
-            state = closed_form(0.0, initial, fig_bath, regime)
-            assert state.mean_a == initial.mean_a
-            assert state.mean_n == pytest.approx(initial.mean_n, rel=1e-14)
+            mean_a, mean_n = closed_form_trajectory([0.0], initial, fig_bath, regime)
+            assert mean_a[0] == initial.mean_a
+            assert mean_n[0] == pytest.approx(initial.mean_n, rel=1e-14)
 
     def test_markovian_long_time_fixed_point(self, fig_bath):
-        state = closed_form(50.0, OscillatorState(1.0 + 0j, 9.0), fig_bath, "markovian")
-        assert abs(state.mean_a) < 1e-12
-        assert state.mean_n == pytest.approx(N_BE, rel=1e-12)
+        mean_a, mean_n = closed_form_trajectory([50.0], OscillatorState(1.0 + 0j, 9.0), fig_bath, "markovian")
+        assert abs(mean_a[0]) < 1e-12
+        assert mean_n[0] == pytest.approx(N_BE, rel=1e-12)
 
     def test_matches_integrated_equations(self, fig_bath):
         initial = OscillatorState(1.0 + 0j, 9.0)

@@ -4,14 +4,19 @@ The exact Markovian path: its runs against scipy's exponential at every
 sample, its powers of one step map through the Magnus path's composer, and
 the undamped runs of a bath whose rate underflows.  The Magnus path of the
 non-Markovian regime: its runs against a tight DOP853 reference on a grid of
-baths and drives, its memory and its refusal of non-finite steps."""
+baths and drives, its memory, its refusal of non-finite steps, and states
+that do not depend on the chunk length, on OpenBLAS's Sandybridge kernels
+too."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +233,7 @@ def test_linear_propagation_composes_copies_of_its_step_map(samples):
     times = np.arange(samples) * 0.05
     states = propagate_linear(G, y0, times)
     copies = np.broadcast_to(_augmented_expm(G[None] * 0.05)[0], (samples - 1, 4, 4))
-    path = _compose(_prefix_products(copies), np.append(y0, 1.0))
+    path, _ = _compose(_prefix_products(copies), np.append(y0, 1.0))
     assert np.array_equal(states[1:], path[: samples - 1, :3])
 
 
@@ -462,6 +467,24 @@ def test_states_do_not_depend_on_the_chunk_length(fig_bath, monkeypatch):
     for chunk in (512, 1024, 1536, 2048):
         monkeypatch.setattr("releq.bath._STEP_CHUNK", chunk)
         assert columns() == expected, chunk
+
+
+def test_states_do_not_depend_on_the_chunk_length_on_the_sandybridge_kernels():
+    # A chunk's last state is carried by the same BLAS product as the block
+    # starts within it.  Read off a row of the batched product instead, it
+    # differed in the last bit on OpenBLAS's Sandybridge and Prescott kernels,
+    # and the test above failed there.  An OpenBLAS built without
+    # DYNAMIC_ARCH ignores the setting and runs its default kernels.
+    test = f"{__file__}::test_states_do_not_depend_on_the_chunk_length"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=Path(__file__).parent.parent,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Sandybridge"),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
 
 
 def test_grading_keeps_a_wide_cutoff_close_to_the_tight_reference():
