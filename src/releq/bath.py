@@ -434,7 +434,11 @@ def _frequency_shifts(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
 
     def g(w):  # J and J coth(beta w / 2), with the thermal factor kept finite
         j = w * np.exp(-w / W)
-        return np.stack((j, j * (1.0 + 2.0 * np.exp(-beta * w) / -np.expm1(-beta * w))))
+        with np.errstate(over="ignore", divide="ignore"):
+            thermal = 2.0 * np.exp(-beta * w) / -np.expm1(-beta * w)
+        # Below beta w = 1e-308 or so the factor overflows, where J times it
+        # is 2 exp(-w / W) / beta to rounding.
+        return np.stack((j, np.where(np.isinf(thermal), 2.0 * np.exp(-w / W) / beta, j * (1.0 + thermal))))
 
     near = w0 * 0.5 ** np.arange(23, -1, -1)  # w0 / 2**23, ..., w0
     tail = w0 + w0 * (1.0 + 60.0 * W / w0) ** (np.arange(25) / 24)  # 2 w0, ..., 2 w0 + 60 W

@@ -27,7 +27,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -291,7 +290,7 @@ def simulate(
     params.require_resonance()
     sp0 = complex(initial.mean_sp)
     y0 = (float(initial.mean_sz), sp0.real, sp0.imag)
-    times, states = transport.simulate(partial(_linear_system, params.Omega), params.bath, regime, y0, t_max, dt_out)
+    times, states = transport.simulate(_linear_system, params.bath, regime, y0, t_max, dt_out, (params.Omega,))
     mean_sz = states[:, 0]
     mean_sp = states[:, 1] + 1j * states[:, 2]
     check_domain(times, mean_sz, mean_sp)

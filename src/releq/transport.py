@@ -30,11 +30,18 @@ from their ``_prefix_products`` within every block and one pass over the
 block ends.  The Magnus path forms the prefix products of its maps; the
 Markovian one forms those of one block of its map and reuses them in every
 block.
+
+The Magnus path's step maps do not depend on the initial state, so they are
+memoized: a run that shares the model, drive, bath and grid of one of the
+last two runs composes that run's maps (see ``_step_maps``).
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
@@ -247,12 +254,13 @@ def _magnus_exponents(linear_system, f, f_beta, widths) -> np.ndarray:
     return a1 + a3 / 12.0 + _commutator(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
 
 
-def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.ndarray:
+def propagate_magnus(linear_system, params: bath.BathParams, y0, times, drive=()) -> np.ndarray:
     """Samples of ``y' = A(t) y + b(t)``, ``y(0) = y0``, on ``times[k] = k * dt``.
 
-    ``linear_system(f, f_beta)`` gives the top rows ``[A | b]`` of the
-    generator for the kernel values of the bath ``params``, given as arrays,
-    with their shape plus (3, 4).  Returns an array of shape
+    ``linear_system(*drive, f, f_beta)`` gives the top rows ``[A | b]`` of
+    the generator for the kernel values of the bath ``params``, given as
+    arrays, with their shape plus (3, 4); ``drive`` holds the model's
+    numbers besides the kernels.  Returns an array of shape
     ``(len(times), 3)``; the first sample is ``y0`` itself.
 
     The steps, and the kernels on them, are those of ``bath.step_kernels``:
@@ -273,7 +281,8 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
     step index, so no state depends on the chunk length.
     The exponents and their Taylor exponentials are formed on the top rows
     ``[A | b]`` of the augmented matrices.  An exponent's 1-norm is at most
-    0.14 on the README bath, so it takes the Taylor path there.
+    0.14 on the README bath, so it takes the Taylor path there.  The maps
+    come from ``_step_maps``, which memoizes them; ``y0`` enters only here.
 
     Raises ``PropagationError`` where an exponent or a sample is not finite.
     """
@@ -283,14 +292,65 @@ def propagate_magnus(linear_system, params: bath.BathParams, y0, times) -> np.nd
     states[0] = y0
     y = np.append(y0, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        for interval, last, starts, widths, f, f_beta in bath.step_kernels(params, times):
-            omega = _magnus_exponents(linear_system, f[:, :3], f_beta[:, :3], widths)
-            finite = np.isfinite(omega).all(axis=(1, 2))
-            if not finite.all():
-                raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
-            path, y = _compose(_prefix_products(_augmented_expm(omega)), y)
-            states[interval[last] + 1] = path[: len(omega)][last, :3]
+        for rows, ends, prefix in _step_maps(linear_system, drive, params, times):
+            path, y = _compose(prefix, y)
+            states[rows] = path[ends, :3]
     return _finite(states, times)
+
+
+# The memo of ``_step_maps``: the maps of at most _STEP_MAPS_ENTRIES runs,
+# the most recently used last, each of at most _STEP_MAPS_STEPS steps.  Two
+# entries serve the two models taking turns on one bath.  A step's prefix
+# product takes 128 bytes, so an entry holds at most about 4 MiB; the maps
+# of a README run (2,150 steps) take 276 KB.
+_STEP_MAPS = OrderedDict()
+_STEP_MAPS_LOCK = threading.Lock()
+_STEP_MAPS_ENTRIES = 2
+_STEP_MAPS_STEPS = 2**15
+
+
+def _step_maps(linear_system, drive, params: bath.BathParams, times: np.ndarray):
+    """Per chunk of ``bath.step_kernels``, ``(rows, ends, prefix)``: the
+    rows of the states that its steps end, those steps' indices within the
+    chunk, and the read-only ``_prefix_products`` of its step maps (see
+    ``propagate_magnus``).  Raises ``PropagationError`` where an exponent is
+    not finite.
+
+    The chunks are memoized by the model's function, the bath, and the bit
+    patterns of ``drive`` and ``times``; a hit yields the stored arrays, so
+    the states have the bits of a cold run.  A run of at most
+    _STEP_MAPS_STEPS steps is stored once all its chunks are taken, so a run
+    that raises stores nothing; a longer one, known by its step count before
+    its first chunk, keeps none.  The lock guards the bookkeeping only: two
+    runs that miss one key both form its maps.
+    """
+    key = (linear_system, np.asarray(drive, dtype=float).tobytes(), params, times.tobytes())
+    with _STEP_MAPS_LOCK:
+        chunks = _STEP_MAPS.get(key)
+        if chunks is not None:
+            _STEP_MAPS.move_to_end(key)
+    if chunks is not None:
+        yield from chunks
+        return
+    system = partial(linear_system, *drive)
+    kept = [] if bath.step_counts(times, params).sum() <= _STEP_MAPS_STEPS else None
+    for interval, last, starts, widths, f, f_beta in bath.step_kernels(params, times):
+        omega = _magnus_exponents(system, f[:, :3], f_beta[:, :3], widths)
+        finite = np.isfinite(omega).all(axis=(1, 2))
+        if not finite.all():
+            raise PropagationError(f"the Magnus exponent is not finite at t = {starts[np.argmin(finite)]:.6g}")
+        chunk = (interval[last] + 1, np.flatnonzero(last), _prefix_products(_augmented_expm(omega)))
+        for array in chunk:
+            array.flags.writeable = False
+        if kept is not None:
+            kept.append(chunk)
+        yield chunk
+    if kept is not None:
+        with _STEP_MAPS_LOCK:
+            _STEP_MAPS[key] = kept
+            _STEP_MAPS.move_to_end(key)
+            while len(_STEP_MAPS) > _STEP_MAPS_ENTRIES:
+                _STEP_MAPS.popitem(last=False)
 
 
 def _finite(states, times) -> np.ndarray:
@@ -301,11 +361,11 @@ def _finite(states, times) -> np.ndarray:
     return states
 
 
-def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: float, dt_out: float):
+def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: float, dt_out: float, drive=()):
     """``(times, states)`` of one transport run on the bath ``params``.
 
-    ``linear_system(f, f_beta)`` gives the top rows ``[A | b]`` of the
-    model's generator; ``y0`` holds its three components at t = 0.  The
+    ``linear_system(*drive, f, f_beta)`` gives the top rows ``[A | b]`` of
+    the model's generator; ``y0`` holds its three components at t = 0.  The
     samples are ``sample_times(t_max, dt_out)`` and the states have shape
     ``(len(times), 3)``.  The Markovian regime freezes the kernels at
     ``bath.markovian_limits`` and propagates exactly (``propagate_linear``);
@@ -324,5 +384,5 @@ def simulate(linear_system, params: bath.BathParams, regime: str, y0, t_max: flo
     times = sample_times(t_max, dt_out)
     if regime == "markovian":
         limits = bath.markovian_limits(params)
-        return times, propagate_linear(linear_system(limits.f_inf, limits.f_beta_inf), y0, times)
-    return times, propagate_magnus(linear_system, params, y0, times)
+        return times, propagate_linear(linear_system(*drive, limits.f_inf, limits.f_beta_inf), y0, times)
+    return times, propagate_magnus(linear_system, params, y0, times, drive)

@@ -12,7 +12,7 @@ from oracles import (
     pv_frequency_shift,
     windowed_correlator_average,
 )
-from releq import bath
+from releq import bath, tls
 from releq.bath import (
     BathParams,
     corr_f,
@@ -252,22 +252,14 @@ class TestStepKernels:
         error = max(np.max(np.abs(values[steps].reshape(-1) - expected)) for values, expected in zip((f, f_beta), reference))
         assert error <= 1e-11, error
 
-    def test_geometric_samples_take_at_most_8_points_a_step(self, fig_bath, monkeypatch):
+    def test_geometric_samples_take_at_most_8_points_a_step(self, fig_bath, kernel_points):
         # Each gap of a geometric grid has steps of its own width, so the
         # panels end at the gaps and many are short; a panel of k steps
         # takes min(24, 8 k) points.
-        counted = [0]
-        derivatives = bath._kernel_derivatives
-
-        def counting(t, params):
-            counted[0] += np.size(t)
-            return derivatives(t, params)
-
-        monkeypatch.setattr(bath, "_kernel_derivatives", counting)
         times = np.geomspace(1e-3, 20.0, 60)
         f, f_beta = correlator_samples(fig_bath, times)
         steps = step_counts(np.concatenate(([0.0], times)), fig_bath).sum()
-        assert steps < counted[0] <= 8 * steps
+        assert steps < kernel_points[0] <= 8 * steps
         reference = quadpack_kernels(fig_bath, times)
         assert np.max(np.abs(f - reference[0])) <= 1e-11
         assert np.max(np.abs(f_beta - reference[1])) <= 1e-11
@@ -340,6 +332,22 @@ class TestMarkovianLimits:
         W, w0 = params.W, params.omega0
         closed = W - w0 * math.exp(-w0 / W) * expi(w0 / W)
         assert markovian_limits(params).f_inf.imag == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+    def test_the_thermal_factor_of_a_tiny_beta_w_stays_finite(self):
+        # 2 exp(-beta w) / (1 - exp(-beta w)) overflows where beta w falls
+        # below about 1e-308: the finite-temperature shift was -inf, its
+        # estimate NaN, and a Markovian two-level run was refused.  At
+        # beta = 1e-300, J coth(beta w / 2) is 2 exp(-w / W) / beta to
+        # rounding, whose shift is -2 exp(-w0 / W) Ei(w0 / W) / beta.
+        from scipy.special import expi
+
+        slow, hot = BathParams(W=10.0, beta=3.0, omega0=1e-300), BathParams(W=10.0, beta=1e-300, omega0=1.0)
+        for params in (slow, hot):
+            limits = markovian_limits(params)
+            assert np.all(np.isfinite([limits.f_inf, limits.f_beta_inf, limits.f_inf_error, limits.f_beta_inf_error]))
+            tls.simulate(tls.TlsState(0.2, 0.1 - 0.1j), tls.TlsParams(params.omega0, params.omega0, 0.0, params), "markovian", 1.0, 0.5)
+        closed = -2.0 * math.exp(-0.1) * expi(0.1) / hot.beta
+        assert markovian_limits(hot).f_beta_inf.imag == pytest.approx(closed, rel=1e-12, abs=0.0)
 
 
 class TestSamplesAndCsv:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import releq
-from releq import bath, maxent, oscillator, tls, transport
+from releq import maxent, oscillator, tls, transport
 from releq.bath import REGIMES
 from releq.cli import MAX_HORIZON, MAX_SAMPLES, MAX_STEPS, MODELS, ConfigError, ScenarioConfig, main, run
 
@@ -764,8 +764,8 @@ def test_the_cli_imports_no_scipy(tmp_path):
 
 
 # Points at which the README runs evaluate the kernels' derivatives, counted
-# by wrapping ``bath._kernel_derivatives``.  A non-Markovian run integrates
-# both kernels on panels of up to 16 Magnus steps of one width, with 24
+# by the ``kernel_points`` fixture.  A non-Markovian run integrates both
+# kernels on panels of up to 16 Magnus steps of one width, with 24
 # points on a panel of three steps or more, so a change to the step rule,
 # the panels or their points shows here as a count before it shows as a CSV
 # digest.  On this bath (W = 10) the step rule takes two steps of 0.005 per
@@ -776,7 +776,8 @@ def test_the_cli_imports_no_scipy(tmp_path):
 # points.  The count moved from 17,200 when the kernels were integrated
 # with 8 points on every step, and from 3,240 when the panels restarted
 # at every change of the step width.  A Markovian run reads the long-time
-# values and no kernel point.
+# values and no kernel point.  A second run from another state on the bath
+# and grid of the first composes its memoized step maps and takes none.
 KERNEL_POINTS = [
     (dict(_README_OSCILLATOR, regime="non_markovian"), 3264),
     (dict(_README_OSCILLATOR, regime="markovian"), 0),
@@ -787,19 +788,13 @@ KERNEL_POINTS = [
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @pytest.mark.parametrize("config, points", KERNEL_POINTS, ids=["osc-nm", "osc-m", "tls-nm", "tls-m"])
-def test_readme_kernel_points_are_pinned(tmp_path, monkeypatch, config, points):
-    counted = [0]
-    derivatives = bath._kernel_derivatives
-
-    def counting(t, params):
-        counted[0] += np.size(t)
-        return derivatives(t, params)
-
-    monkeypatch.setattr(bath, "_kernel_derivatives", counting)
+def test_readme_kernel_points_are_pinned(tmp_path, kernel_points, config, points):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(config, output_path=str(tmp_path / "out.csv"))))
-    assert main([config["model"], "--config", str(path)]) == 0
-    assert counted == [points]
+    other = {"oscillator": [0.6, 0.2, 1.5], "tls": [0.2, 0.1, -0.1]}[config["model"]]
+    for initial in (config["initial"], other):
+        path.write_text(json.dumps(dict(config, initial=initial, output_path=str(tmp_path / "out.csv"))))
+        assert main([config["model"], "--config", str(path)]) == 0
+        assert kernel_points == [points]
 
 
 # Acceptance criterion 7 compares the oscillator's closed form with its

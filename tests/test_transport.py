@@ -6,7 +6,9 @@ the undamped runs of a bath whose rate underflows.  The Magnus path of the
 non-Markovian regime: its runs against a tight DOP853 reference on a grid of
 baths and drives, its memory, its refusal of non-finite steps, and states
 that do not depend on the chunk length, on OpenBLAS's Sandybridge kernels
-too."""
+too.  The memo of its step maps: warm runs give the bytes of cold ones, in
+threads too, a run that differs in its model, drive, bath or grid misses,
+and a run that raises stores nothing."""
 
 import math
 import os
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 import oracles
-from releq import oscillator, tls
+from releq import csvtext, oscillator, tls, transport
 from releq.bath import (
     _BLOCK,
     _STEP_CHUNK,
@@ -314,6 +316,32 @@ def test_samples_far_closer_than_the_steps_take_one_step_each():
     assert np.max(np.abs(run.mean_n - 9.0)) <= 1e-12
 
 
+def run_in_threads(work, count):
+    """``[work(0), ..., work(count - 1)]``, each called in a thread of its
+    own, with the interpreter switching threads every 10 us."""
+    outputs, errors = [None] * count, []
+
+    def target(k):
+        try:
+            outputs[k] = work(k)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target, args=(k,)) for k in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    return outputs
+
+
 def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
     # Runs on two baths, interleaved by two threads, give every output a
     # serial run gives: a run's kernels are its own.
@@ -325,27 +353,7 @@ def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
         return b"".join(np.asarray(column).tobytes() for column in columns)
 
     serial = [run(bath) for bath in baths]
-    outputs, errors = ([], []), []
-
-    def alternate(k):
-        try:
-            for j in range(4):
-                outputs[k].append(run(baths[(j + k) % 2]))
-        except Exception as exc:
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=alternate, args=(k,)) for k in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == []
+    outputs = run_in_threads(lambda k: [run(baths[(j + k) % 2]) for j in range(4)], 2)
     for k in (0, 1):
         assert outputs[k] == [serial[(j + k) % 2] for j in range(4)]
 
@@ -466,6 +474,7 @@ def test_states_do_not_depend_on_the_chunk_length(fig_bath, monkeypatch):
     expected = columns()
     for chunk in (512, 1024, 1536, 2048):
         monkeypatch.setattr("releq.bath._STEP_CHUNK", chunk)
+        transport._STEP_MAPS.clear()  # else the runs compose the maps of the first ones
         assert columns() == expected, chunk
 
 
@@ -500,8 +509,10 @@ def test_grading_keeps_a_wide_cutoff_close_to_the_tight_reference():
 def test_magnus_run_memory_is_bounded_by_the_chunk():
     # 100,001 samples and as many steps.  The run's output (states, complex
     # amplitude, entropy and beta) is about 6 MB, and the run peaks near
-    # 8.0 MB, a chunk's kernels and prefix products included; a propagation forming
-    # every step's exponential at once peaks near 210 MB.
+    # 9.0 MB, a chunk's kernels and prefix products included; a propagation forming
+    # every step's exponential at once peaks near 210 MB.  The run is too
+    # long for the memo of step maps: it keeps none of them, where keeping
+    # its first 4 MiB took the peak to 12.2 MB.
     bath = BATHS[0]
     initial = oscillator.OscillatorState(1.0 + 0j, 9.0)
     tracemalloc.start()
@@ -511,7 +522,8 @@ def test_magnus_run_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert run.times.size == 100_001
-    assert peak <= 24e6, peak
+    assert peak <= 12e6, peak
+    assert not transport._STEP_MAPS
 
 
 def test_non_finite_magnus_steps_are_refused():
@@ -525,7 +537,103 @@ def test_non_finite_magnus_steps_are_refused():
         G[..., :3] *= np.inf
         return G
 
-    with pytest.raises(PropagationError, match="state is not finite"):
-        propagate_magnus(blowing_up, BATHS[0], np.ones(3), times)
-    with pytest.raises(PropagationError, match="exponent is not finite at t = 0"):
-        propagate_magnus(infinite, BATHS[0], np.ones(3), times)
+    # Both raise again on a second call: blowing_up's finite maps are
+    # memoized and compose to the same overflow, and infinite's run, which
+    # raised before its last chunk, stored nothing.
+    for _ in range(2):
+        with pytest.raises(PropagationError, match="state is not finite"):
+            propagate_magnus(blowing_up, BATHS[0], np.ones(3), times)
+        with pytest.raises(PropagationError, match="exponent is not finite at t = 0"):
+            propagate_magnus(infinite, BATHS[0], np.ones(3), times)
+    assert [key[0] for key in transport._STEP_MAPS] == [blowing_up]
+
+
+# ---------------------------------------------------------------------------
+# The memo of the Magnus path's step maps.
+
+OSCILLATOR_STATES = [
+    oscillator.OscillatorState(1.0 + 0j, 9.0),
+    oscillator.OscillatorState(0.6 + 0.2j, 1.5),
+    oscillator.OscillatorState(-0.3j, 0.5),
+]
+TLS_STATES = [tls.TlsState(0.0, 0j), tls.TlsState(0.2, 0.1 - 0.1j), tls.TlsState(-0.4, 0.05j)]
+
+
+def csv_bytes(run) -> bytes:
+    """The CSV rows of a run, as the CLI writes them."""
+    return csvtext.rows(run.csv_columns())
+
+
+def relaxation_runs(fig_bath, t_max, dt_out):
+    """Non-Markovian runs of both models from several states on one bath,
+    as functions of no argument: the oscillator's, then the two-level
+    system's at one drive."""
+    drive = tls.TlsParams(1.0, 1.0, 0.3, fig_bath)
+    return [partial(oscillator.simulate, state, fig_bath, "non_markovian", t_max, dt_out) for state in OSCILLATOR_STATES] + [
+        partial(tls.simulate, state, drive, "non_markovian", t_max, dt_out) for state in TLS_STATES
+    ]
+
+
+def cold_bytes(runs) -> list:
+    """``csv_bytes`` of each run, each from an empty memo."""
+    outputs = []
+    for run in runs:
+        transport._STEP_MAPS.clear()
+        outputs.append(csv_bytes(run()))
+    transport._STEP_MAPS.clear()
+    return outputs
+
+
+def test_warm_runs_give_the_bytes_of_cold_runs(fig_bath, kernel_points):
+    # The README bath and grid: one miss per model, 3,264 kernel points
+    # each, and every other run composes the maps of its model's first.
+    runs = relaxation_runs(fig_bath, 20.0, 0.01)
+    cold = cold_bytes(runs)
+    points = kernel_points[0]
+    assert [csv_bytes(run()) for run in runs] == cold
+    assert kernel_points[0] - points == 2 * 3264
+    assert len(set(cold)) == len(cold)
+
+
+def test_a_run_that_differs_in_its_model_drive_bath_or_grid_misses(kernel_points):
+    base = dict(model="tls", W=10.0, beta=3.0, omega0=1.0, Omega=0.3, t_max=4.0, dt_out=0.05)
+
+    def run(state=0, **changes):
+        p = dict(base, **changes)
+        params = BathParams(p["W"], p["beta"], p["omega0"])
+        if p["model"] == "oscillator":
+            oscillator.simulate(OSCILLATOR_STATES[state], params, "non_markovian", p["t_max"], p["dt_out"])
+        else:
+            drive = tls.TlsParams(p["omega0"], p["omega0"], p["Omega"], params)
+            tls.simulate(TLS_STATES[state], drive, "non_markovian", p["t_max"], p["dt_out"])
+
+    changes = ({"W": 12.0}, {"beta": 2.0}, {"omega0": 1.1}, {"Omega": 0.2}, {"t_max": 4.5}, {"dt_out": 0.1}, {"model": "oscillator"})
+    run()
+    for k, change in enumerate(changes, start=1):
+        points = kernel_points[0]
+        run(**change)
+        assert kernel_points[0] > points, change
+        # The base run is the most recently used of the two entries, so
+        # it stays: a two-level run with its drive, bath and grid hits.
+        points = kernel_points[0]
+        run(state=k % 3)
+        assert kernel_points[0] == points, change
+
+
+def test_memoized_step_maps_refuse_writes(fig_bath):
+    relaxation_runs(fig_bath, 2.0, 0.05)[0]()
+    (chunks,) = transport._STEP_MAPS.values()
+    for chunk in chunks:
+        for array in chunk:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+def test_threads_on_one_bath_give_the_bytes_of_serial_runs(fig_bath):
+    # Three threads run both models from distinct states, each in its own
+    # order, sharing the two memoized entries of the bath.
+    runs = relaxation_runs(fig_bath, 5.0, 0.05)
+    serial = cold_bytes(runs)
+    outputs = run_in_threads(lambda k: [csv_bytes(runs[(j + k) % 6]()) for j in range(6)], 3)
+    for k in range(3):
+        assert outputs[k] == [serial[(j + k) % 6] for j in range(6)]
