@@ -437,7 +437,9 @@ def _frequency_shifts(params: BathParams) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore", divide="ignore"):
             thermal = 2.0 * np.exp(-beta * w) / -np.expm1(-beta * w)
         # Below beta w = 1e-308 or so the factor overflows, where J times it
-        # is 2 exp(-w / W) / beta to rounding.
+        # is 2 exp(-w / W) / beta to rounding.  That holds while the shift,
+        # of order 1 / beta, is finite: at W = 10 and w0 = 1 down to beta
+        # near 3e-308, below which it overflows and numpy warns.
         return np.stack((j, np.where(np.isinf(thermal), 2.0 * np.exp(-w / W) / beta, j * (1.0 + thermal))))
 
     near = w0 * 0.5 ** np.arange(23, -1, -1)  # w0 / 2**23, ..., w0

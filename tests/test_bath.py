@@ -348,6 +348,9 @@ class TestMarkovianLimits:
             tls.simulate(tls.TlsState(0.2, 0.1 - 0.1j), tls.TlsParams(params.omega0, params.omega0, 0.0, params), "markovian", 1.0, 0.5)
         closed = -2.0 * math.exp(-0.1) * expi(0.1) / hot.beta
         assert markovian_limits(hot).f_beta_inf.imag == pytest.approx(closed, rel=1e-12, abs=0.0)
+        # At beta = 1e-307 the shift, about 5.7e307, is still finite.
+        limits = markovian_limits(BathParams(W=10.0, beta=1e-307, omega0=1.0))
+        assert np.all(np.isfinite([limits.f_beta_inf, limits.f_beta_inf_error]))
 
 
 class TestSamplesAndCsv:

@@ -342,9 +342,11 @@ def run_in_threads(work, count):
     return outputs
 
 
-def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
+def test_runs_in_two_threads_on_two_baths_are_the_serial_runs(monkeypatch):
     # Runs on two baths, interleaved by two threads, give every output a
-    # serial run gives: a run's kernels are its own.
+    # serial run gives: a run's kernels are its own.  The memo keeps no
+    # entry, so every run computes its kernels and exponentials.
+    monkeypatch.setattr(transport, "_STEP_MAPS_ENTRIES", 0)
     baths = [BathParams(W=10.0, beta=3.0, omega0=1.0), BathParams(W=5.0, beta=2.0, omega0=1.0)]
     state = oscillator.OscillatorState(mean_a=0.6 + 0.2j, mean_n=1.5)
 
@@ -356,6 +358,7 @@ def test_runs_in_two_threads_on_two_baths_are_the_serial_runs():
     outputs = run_in_threads(lambda k: [run(baths[(j + k) % 2]) for j in range(4)], 2)
     for k in (0, 1):
         assert outputs[k] == [serial[(j + k) % 2] for j in range(4)]
+    assert not transport._STEP_MAPS
 
 
 def straddling_stack():
@@ -510,9 +513,8 @@ def test_magnus_run_memory_is_bounded_by_the_chunk():
     # 100,001 samples and as many steps.  The run's output (states, complex
     # amplitude, entropy and beta) is about 6 MB, and the run peaks near
     # 9.0 MB, a chunk's kernels and prefix products included; a propagation forming
-    # every step's exponential at once peaks near 210 MB.  The run is too
-    # long for the memo of step maps: it keeps none of them, where keeping
-    # its first 4 MiB took the peak to 12.2 MB.
+    # every step's exponential at once peaks near 210 MB.  The run is longer
+    # than _STEP_MAPS_STEPS, so it stores none of its step maps.
     bath = BATHS[0]
     initial = oscillator.OscillatorState(1.0 + 0j, 9.0)
     tracemalloc.start()
